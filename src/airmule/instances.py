@@ -45,9 +45,34 @@ def _site_to_dict(site: Site) -> dict:
     return {"id": site.id, "x": site.x, "y": site.y, "on_road": site.on_road}
 
 
-def _site_from_dict(data: dict) -> Site:
-    return Site(int(data["id"]), float(data["x"]), float(data["y"]),
-                bool(data["on_road"]))
+_INTEGER = ((int,), "integer")
+_NUMBER = ((int, float), "number")
+_BOOLEAN = ((bool,), "boolean")
+_OBJECT = ((dict,), "object")
+
+
+def _field(data: object, name: str, kind: tuple[tuple[type, ...], str],
+           where: str):
+    """data[name] if it has the JSON type kind; else a ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object")
+    if name not in data:
+        raise ValueError(f"{where}.{name} is missing")
+    value = data[name]
+    types, label = kind
+    # JSON true/false load as bool, which Python counts as an int.
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and bool not in types):
+        raise ValueError(f"{where}.{name} must be a JSON {label}, "
+                         f"got {value!r}")
+    return value
+
+
+def _site_from_dict(data: object, where: str = "site") -> Site:
+    return Site(_field(data, "id", _INTEGER, where),
+                float(_field(data, "x", _NUMBER, where)),
+                float(_field(data, "y", _NUMBER, where)),
+                _field(data, "on_road", _BOOLEAN, where))
 
 
 def serialize_instance(cells: list[Cell], cfg: PlannerConfig) -> str:
@@ -72,12 +97,18 @@ def parse_instance(text: str) -> tuple[list[Cell], PlannerConfig]:
         raise ValueError(
             f"unsupported instance version {data.get('version')!r}")
     cfg = _config_from_dict(data.get("config", {}))
-    cells = [
-        Cell(int(entry["index"]),
-             _site_from_dict(entry["end_a"]),
-             _site_from_dict(entry["end_b"]))
-        for entry in data.get("cells", [])
-    ]
+    entries = data.get("cells", [])
+    if not isinstance(entries, list):
+        raise ValueError("cells must be a list")
+    cells = []
+    for k, entry in enumerate(entries):
+        where = f"cells[{k}]"
+        cells.append(Cell(
+            _field(entry, "index", _INTEGER, where),
+            _site_from_dict(_field(entry, "end_a", _OBJECT, where),
+                            f"{where}.end_a"),
+            _site_from_dict(_field(entry, "end_b", _OBJECT, where),
+                            f"{where}.end_b")))
     return cells, cfg
 
 

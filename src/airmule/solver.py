@@ -7,10 +7,17 @@ instances.  solve_glns is an adaptive large neighborhood search in the
 style of GLNS: removal and insertion heuristics with adaptive weights,
 simulated-annealing acceptance and a cluster-reoptimization move that
 re-picks vertices along a fixed cluster order.
+
+Both solvers rely on the vertex layout of build_instance: the depot is
+vertex 0 and cluster c >= 1 holds the 2C consecutive vertices
+1 + (c - 1) * 2C ... c * 2C.  So mat[1:, 1:] reshapes without a copy to
+an (m, 2C, m, 2C) array of cluster blocks, and every cluster-to-cluster
+cost read is a slice of the matrix instead of a gather.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -73,6 +80,16 @@ def _as_tour(g: ClusteredGraph, vertices: list[int]) -> GtspTour:
     return GtspTour(tour.vertices, tour_cost(g, tour))
 
 
+def _cluster_blocks(mat: np.ndarray, m: int) -> np.ndarray:
+    """mat[1:, 1:] as the (m, 2C, m, 2C) view of its cluster blocks."""
+    return mat[1:, 1:].reshape(m, -1, m, (mat.shape[0] - 1) // m)
+
+
+def _span(c: int, width: int) -> slice:
+    """Vertex ids of cluster c >= 1, for clusters of width = 2C vertices."""
+    return slice(1 + (c - 1) * width, 1 + c * width)
+
+
 def solve_exact(g: ClusteredGraph, cluster_cap: int = 8) -> GtspTour:
     """Globally optimal tour via depth-first order enumeration plus DP."""
     m = len(g.clusters) - 1
@@ -81,7 +98,8 @@ def solve_exact(g: ClusteredGraph, cluster_cap: int = 8) -> GtspTour:
             f"{m} clusters exceed the exact-solver cap of {cluster_cap}")
 
     cost = g.cost
-    members = [np.asarray(c, dtype=np.intp) for c in g.clusters]
+    blocks = _cluster_blocks(cost, m)
+    width = blocks.shape[1]
     best_cost = math.inf
     best_order: list[int] = []
     best_last = -1
@@ -92,8 +110,9 @@ def solve_exact(g: ClusteredGraph, cluster_cap: int = 8) -> GtspTour:
 
     def dfs(remaining: list[int], dp: np.ndarray) -> None:
         nonlocal best_cost, best_order, best_last, best_parents
+        last = order[-1]
         if not remaining:
-            closing = dp + cost[members[order[-1]], 0]
+            closing = dp + cost[_span(last, width), 0]
             idx = int(np.argmin(closing))
             total = float(closing[idx])
             if total < best_cost:
@@ -103,7 +122,7 @@ def solve_exact(g: ClusteredGraph, cluster_cap: int = 8) -> GtspTour:
                 best_parents = [p.copy() for p in parents]
             return
         for pick, c in enumerate(remaining):
-            trans = dp[:, None] + cost[np.ix_(members[order[-1]], members[c])]
+            trans = dp[:, None] + blocks[last - 1, :, c - 1, :]
             dp2 = trans.min(axis=0)
             if float(dp2.min()) >= best_cost:
                 continue
@@ -115,7 +134,7 @@ def solve_exact(g: ClusteredGraph, cluster_cap: int = 8) -> GtspTour:
 
     all_clusters = list(range(1, m + 1))
     for pick, c in enumerate(all_clusters):
-        dp0 = cost[0, members[c]].astype(float)
+        dp0 = cost[0, _span(c, width)]
         if float(dp0.min()) >= best_cost:
             continue
         order.append(c)
@@ -129,43 +148,51 @@ def solve_exact(g: ClusteredGraph, cluster_cap: int = 8) -> GtspTour:
     picks[-1] = best_last
     for level in range(len(best_order) - 2, -1, -1):
         picks[level] = int(best_parents[level][picks[level + 1]])
-    vertices = [0] + [int(members[c][i]) for c, i in zip(best_order, picks)]
+    vertices = [0] + [_span(c, width).start + i
+                      for c, i in zip(best_order, picks)]
     return _as_tour(g, vertices)
 
 
-def _layered_dp(mat: np.ndarray, members: list[np.ndarray],
+def _layered_dp(mat: np.ndarray, blocks: np.ndarray,
                 order: list[int]) -> tuple[float, dict[int, int]]:
     """Best vertex per cluster for a fixed cyclic cluster order.
 
-    The order must start with the depot cluster; returns the cycle cost
-    and a cluster -> vertex id mapping.
+    blocks is _cluster_blocks(mat, m).  The order must start with the
+    depot cluster; returns the cycle cost and a cluster -> vertex id
+    mapping.
     """
-    dp = mat[0, members[order[1]]].astype(float)
+    width = blocks.shape[1]
+    first = order[1]
+    dp = mat[0, _span(first, width)]
     parent: list[np.ndarray] = []
     for c_prev, c in zip(order[1:], order[2:]):
-        trans = dp[:, None] + mat[np.ix_(members[c_prev], members[c])]
+        trans = dp[:, None] + blocks[c_prev - 1, :, c - 1, :]
         dp = trans.min(axis=0)
         parent.append(trans.argmin(axis=0))
-    closing = dp + mat[members[order[-1]], 0]
+    last = order[-1]
+    closing = dp + mat[_span(last, width), 0]
     idx = int(np.argmin(closing))
     total = float(closing[idx])
     choice = {0: 0}
     for c, par in zip(reversed(order[2:]), reversed(parent)):
-        choice[c] = int(members[c][idx])
+        choice[c] = _span(c, width).start + idx
         idx = int(par[idx])
-    choice[order[1]] = int(members[order[1]][idx])
+    choice[first] = _span(first, width).start + idx
     return total, choice
 
 
 class _Search:
     """Mutable ALNS state for one restart."""
 
-    def __init__(self, g: ClusteredGraph, pmat: np.ndarray,
-                 rng: random.Random) -> None:
-        self.g = g
+    def __init__(self, pmat: np.ndarray, m: int, rng: random.Random) -> None:
+        self.m = m
         self.pmat = pmat
+        self.blocks = _cluster_blocks(pmat, m)
+        self.width = self.blocks.shape[1]
+        # pmat[v, 1:] split by cluster, and pmat flattened for take().
+        self.out_blocks = pmat[:, 1:].reshape(len(pmat), self.m, self.width)
+        self.flat = pmat.reshape(-1)
         self.rng = rng
-        self.members = [np.asarray(c, dtype=np.intp) for c in g.clusters]
         self.order: list[int] = [0]
         self.choice: dict[int, int] = {0: 0}
 
@@ -174,22 +201,47 @@ class _Search:
 
     def cost(self) -> float:
         vs = np.array(self.tour_vertices(), dtype=np.intp)
-        return float(self.pmat[vs, np.roll(vs, -1)].sum())
+        return float(self.pmat[vs, np.concatenate((vs[1:], vs[:1]))].sum())
 
-    def best_insertion(self, cluster: int) -> tuple[float, int, int]:
-        """Cheapest (delta, position, vertex) insertion of a cluster."""
-        verts = self.members[cluster]
+    def price_insertion(self, clusters: list[int], noisy: bool = False,
+                        nearest: bool = False) -> tuple[float, int, int, int]:
+        """Cheapest (delta, cluster, position, vertex) insertion.
+
+        One gather prices every vertex of every given cluster (sorted)
+        between every pair of tour neighbours.  With noisy, each position
+        delta is scaled by 1 + _NOISE * u, drawing len(tour) values per
+        cluster in the given order.  With nearest, the cluster is not the
+        cheapest one but the one with the smallest edge to or from a tour
+        vertex.  Ties go to the first cluster, then the first position,
+        then the first vertex.
+        """
         tour = np.array(self.tour_vertices(), dtype=np.intp)
-        if len(tour) == 1:
-            enter = self.pmat[0, verts] + self.pmat[verts, 0]
-            k = int(np.argmin(enter))
-            return float(enter[k]), 0, int(verts[k])
-        succ = np.roll(tour, -1)
-        delta = (self.pmat[np.ix_(tour, verts)]
-                 + self.pmat[np.ix_(verts, succ)].T
-                 - self.pmat[tour, succ][:, None])
-        pos, k = np.unravel_index(int(np.argmin(delta)), delta.shape)
-        return float(delta[pos, k]), int(pos), int(verts[k])
+        succ = np.concatenate((tour[1:], tour[:1]))
+        picked = np.array(clusters, dtype=np.intp) - 1
+        # (len(tour), len(clusters), 2C): enter[p, r, k] is the edge from
+        # tour[p] into vertex k of clusters[r], leave[p, r, k] the edge
+        # from that vertex to succ[p].
+        enter = self.out_blocks[tour[:, None], picked]
+        rows = 1 + picked[:, None] * self.width + np.arange(self.width)
+        leave = self.flat.take(rows * len(self.pmat) + succ[:, None, None])
+        delta = enter + leave
+        # A depot-only tour has no edge to break: pmat[0, 0] is BIG.
+        if len(tour) > 1:
+            delta -= self.pmat[tour, succ][:, None, None]
+            if noisy:
+                draws = itertools.starmap(self.rng.random, itertools.repeat(
+                    (), len(clusters) * len(tour)))
+                u = np.fromiter(draws, float, len(clusters) * len(tour))
+                delta *= (1.0 + _NOISE * u).reshape(len(clusters), -1).T[
+                    :, :, None]
+        if nearest:
+            r = int(np.argmin(np.minimum(enter.min(axis=0).min(axis=1),
+                                         leave.min(axis=0).min(axis=1))))
+        else:
+            r = int(np.argmin(delta.min(axis=0).min(axis=1)))
+        block = delta[:, r, :]
+        pos, k = divmod(int(np.argmin(block)), self.width)
+        return float(block[pos, k]), clusters[r], pos, int(rows[r, k])
 
     def insert(self, cluster: int, pos: int, vertex: int) -> None:
         self.order.insert(pos + 1, cluster)
@@ -201,26 +253,10 @@ class _Search:
         for c in removed:
             del self.choice[c]
 
-    def construct(self) -> None:
-        """Greedy cheapest-insertion construction from scratch."""
-        self.order = [0]
-        self.choice = {0: 0}
-        remaining = list(range(1, len(self.members)))
-        while remaining:
-            best = None
-            for c in remaining:
-                delta, pos, vertex = self.best_insertion(c)
-                if best is None or delta < best[0]:
-                    best = (delta, c, pos, vertex)
-            _, c, pos, vertex = best
-            self.insert(c, pos, vertex)
-            remaining.remove(c)
-
     def reoptimize_vertices(self) -> None:
         if len(self.order) < 2:
             return
-        _, choice = _layered_dp(self.pmat, self.members, self.order)
-        self.choice = choice
+        _, self.choice = _layered_dp(self.pmat, self.blocks, self.order)
 
     def _relocate_to_local_opt(self, deadline: float) -> None:
         improved = True
@@ -230,7 +266,7 @@ class _Search:
             for c in list(self.order[1:]):
                 snap = self.snapshot()
                 self.remove_clusters([c])
-                _, pos, vertex = self.best_insertion(c)
+                _, _, pos, vertex = self.price_insertion([c])
                 self.insert(c, pos, vertex)
                 self.reoptimize_vertices()
                 if self.cost() < base - 1e-12:
@@ -252,7 +288,7 @@ class _Search:
         fwd = self.snapshot()
         fwd_cost = self.cost()
         rev = [0] + self.order[:0:-1]
-        _, choice = _layered_dp(self.pmat, self.members, rev)
+        _, choice = _layered_dp(self.pmat, self.blocks, rev)
         self.order = rev
         self.choice = choice
         self._relocate_to_local_opt(deadline)
@@ -307,61 +343,12 @@ class _Search:
 
     # Insertion heuristics.  Each inserts every removed cluster.
 
-    def insert_cheapest(self, removed: list[int]) -> None:
+    def insert_greedy(self, removed: list[int], noisy: bool = False,
+                      nearest: bool = False) -> None:
+        """Repeatedly insert the cluster price_insertion picks."""
         remaining = sorted(removed)
         while remaining:
-            best = None
-            for c in remaining:
-                delta, pos, vertex = self.best_insertion(c)
-                if best is None or delta < best[0]:
-                    best = (delta, c, pos, vertex)
-            _, c, pos, vertex = best
-            self.insert(c, pos, vertex)
-            remaining.remove(c)
-
-    def noisy_insertion(self, cluster: int) -> tuple[float, int, int]:
-        """Like best_insertion but with per-position multiplicative noise."""
-        verts = self.members[cluster]
-        tour = np.array(self.tour_vertices(), dtype=np.intp)
-        if len(tour) == 1:
-            enter = self.pmat[0, verts] + self.pmat[verts, 0]
-            k = int(np.argmin(enter))
-            return float(enter[k]), 0, int(verts[k])
-        succ = np.roll(tour, -1)
-        delta = (self.pmat[np.ix_(tour, verts)]
-                 + self.pmat[np.ix_(verts, succ)].T
-                 - self.pmat[tour, succ][:, None])
-        noise = np.array([1.0 + _NOISE * self.rng.random()
-                          for _ in range(len(tour))])
-        noised = delta * noise[:, None]
-        pos, k = np.unravel_index(int(np.argmin(noised)), noised.shape)
-        return float(noised[pos, k]), int(pos), int(verts[k])
-
-    def insert_noisy(self, removed: list[int]) -> None:
-        remaining = sorted(removed)
-        while remaining:
-            best = None
-            for c in remaining:
-                delta, pos, vertex = self.noisy_insertion(c)
-                if best is None or delta < best[0]:
-                    best = (delta, c, pos, vertex)
-            _, c, pos, vertex = best
-            self.insert(c, pos, vertex)
-            remaining.remove(c)
-
-    def insert_nearest(self, removed: list[int]) -> None:
-        remaining = sorted(removed)
-        while remaining:
-            tour = np.array(self.tour_vertices(), dtype=np.intp)
-            best = None
-            for c in remaining:
-                verts = self.members[c]
-                prox = min(float(self.pmat[np.ix_(tour, verts)].min()),
-                           float(self.pmat[np.ix_(verts, tour)].min()))
-                if best is None or prox < best[0]:
-                    best = (prox, c)
-            c = best[1]
-            _, pos, vertex = self.best_insertion(c)
+            _, c, pos, vertex = self.price_insertion(remaining, noisy, nearest)
             self.insert(c, pos, vertex)
             remaining.remove(c)
 
@@ -370,14 +357,14 @@ class _Search:
         remaining = sorted(removed)
         while remaining:
             c = remaining[self.rng.randrange(len(remaining))]
-            verts = self.members[c]
+            span = _span(c, self.width)
             tour = self.tour_vertices()
             pos = self.rng.randrange(len(tour))
             a = tour[pos]
             b = tour[(pos + 1) % len(tour)]
-            enter = self.pmat[a, verts] + self.pmat[verts, b] - self.pmat[a, b]
+            enter = self.pmat[a, span] + self.pmat[span, b] - self.pmat[a, b]
             k = int(np.argmin(enter))
-            self.insert(c, pos, int(verts[k]))
+            self.insert(c, pos, span.start + k)
             remaining.remove(c)
 
 
@@ -405,8 +392,8 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
 
     for restart in range(params.restarts):
         rng = random.Random(params.rng_seed * 1000003 + restart)
-        search = _Search(g, pmat, rng)
-        search.construct()
+        search = _Search(pmat, m, rng)
+        search.insert_greedy(list(range(1, m + 1)))  # cheapest insertion
         search.reoptimize_vertices()
         cur_cost = search.cost()
         restart_best = search.snapshot()
@@ -414,8 +401,11 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
 
         removal_ops = [_Search.remove_segment, _Search.remove_distance,
                        _Search.remove_worst]
-        insertion_ops = [_Search.insert_cheapest, _Search.insert_noisy,
-                         _Search.insert_nearest, _Search.insert_random]
+        insertion_ops = [
+            _Search.insert_greedy,  # cheapest
+            lambda s, removed: s.insert_greedy(removed, noisy=True),
+            lambda s, removed: s.insert_greedy(removed, nearest=True),
+            _Search.insert_random]
         w_rm = [1.0] * len(removal_ops)
         w_ins = [1.0] * len(insertion_ops)
         score_rm = [0.0] * len(removal_ops)

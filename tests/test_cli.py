@@ -163,3 +163,24 @@ def test_render_deterministic_bytes(tmp_path, capsys):
     for target in (a, b):
         assert run(capsys, "render", str(inst), "-o", str(target))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_string_road_flag_exit_code(tmp_path, capsys):
+    # "false" is a truthy string; it must be rejected, not read as on-road.
+    inst = gen_instance(tmp_path, capsys)
+    data = json.loads(inst.read_text(encoding="utf-8"))
+    data["cells"][1]["end_b"]["on_road"] = "false"
+    inst.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "plan", str(inst))
+    assert code == 2
+    assert "cells[1].end_b.on_road" in err and "boolean" in err
+
+
+def test_missing_cell_end_exit_code(tmp_path, capsys):
+    inst = gen_instance(tmp_path, capsys)
+    data = json.loads(inst.read_text(encoding="utf-8"))
+    del data["cells"][0]["end_a"]
+    inst.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "plan", str(inst))
+    assert code == 2
+    assert "cells[0].end_a is missing" in err

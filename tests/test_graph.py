@@ -123,6 +123,22 @@ def test_build_instance_shape():
                     (cell, end, level)
 
 
+def test_cluster_block_layout():
+    # The solvers view cost[1:, 1:] as (n, 2C, n, 2C) cluster blocks, which
+    # needs cluster c >= 1 to own exactly the 2C consecutive vertex ids
+    # starting at 1 + (c - 1) * 2C.
+    for n, C in ((1, 1), (2, 20), (5, 3)):
+        g = build_instance(gen_random(n, 40.0, 8.0, seed=n),
+                           PlannerConfig(d_max=90.0, battery_levels=C))
+        assert g.clusters[0] == [0]
+        assert len(g.clusters) == n + 1
+        for c in range(1, n + 1):
+            assert g.clusters[c] == list(range(1 + (c - 1) * 2 * C,
+                                               1 + c * 2 * C))
+        assert g.cost.shape == (1 + n * 2 * C, 1 + n * 2 * C)
+        assert g.cost.flags.c_contiguous
+
+
 def test_depot_edges():
     cells = spec_cells()
     cfg = PlannerConfig(d_max=100.0, battery_levels=20, fixed_wing_speed=2.0)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -155,3 +156,26 @@ def test_gen_random_validates_arguments():
         gen_random(3, -1.0, 1.0, seed=0)
     with pytest.raises(ValueError):
         gen_random(3, 10.0, 1.0, seed=0, road_fraction=1.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("on_road", "false", "cells[2].end_a.on_road must be a JSON boolean"),
+    ("on_road", 1, "cells[2].end_a.on_road must be a JSON boolean"),
+    ("id", True, "cells[2].end_a.id must be a JSON integer"),
+    ("id", 4.0, "cells[2].end_a.id must be a JSON integer"),
+    ("x", "3.5", "cells[2].end_a.x must be a JSON number"),
+])
+def test_instance_rejects_mistyped_site_field(field, value, message):
+    cells, cfg = sample()
+    data = json.loads(serialize_instance(cells, cfg))
+    data["cells"][2]["end_a"][field] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_instance(json.dumps(data))
+
+
+def test_instance_rejects_missing_cell_field():
+    cells, cfg = sample()
+    data = json.loads(serialize_instance(cells, cfg))
+    del data["cells"][1]["index"]
+    with pytest.raises(ValueError, match=r"cells\[1\]\.index is missing"):
+        parse_instance(json.dumps(data))
