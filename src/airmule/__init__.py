@@ -11,9 +11,8 @@ from .energy import PlannerConfig, RechargeSplit, consumption_levels, recharge_t
 from .errors import (Infeasible, InstanceTooLarge, NoFeasibleTour,
                      PlanningError, SamplingExhausted)
 from .geometry import (Cell, DubinsPath, FlightMode, Pose, Site,
-                       dubins_shortest, euclid, flight_time, ugv_time)
-from .graph import (ClusteredGraph, Edge, EdgeType, Vertex, build_instance,
-                    edge_cost, type_cost)
+                       dubins_shortest, euclid, ugv_time)
+from .graph import ClusteredGraph, EdgeType, Vertex, build_instance, type_cost
 from .instances import (gen_random, load_instance, load_plan, parse_instance,
                         parse_plan, save_instance, save_plan,
                         serialize_instance, serialize_plan)
@@ -26,13 +25,13 @@ from .svg_render import render_svg, render_svg_str
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cell", "ClusteredGraph", "DubinsPath", "Edge", "EdgeType", "FlightMode",
+    "Cell", "ClusteredGraph", "DubinsPath", "EdgeType", "FlightMode",
     "GtspTour", "Infeasible", "InstanceTooLarge", "Issue", "Leg", "LegKind",
     "NoFeasibleTour", "Plan", "PlannerConfig", "PlanningError", "Pose",
     "RechargeSplit", "SamplingExhausted", "Site", "SolverParams",
     "UgvWaypoint", "Vertex", "baseline_plan", "build_instance",
-    "consumption_levels", "decode", "dubins_shortest", "edge_cost", "euclid",
-    "flight_time", "gen_random", "load_instance", "load_plan",
+    "consumption_levels", "decode", "dubins_shortest", "euclid",
+    "gen_random", "load_instance", "load_plan",
     "parse_instance", "parse_plan", "recharge_time", "render_svg",
     "render_svg_str", "save_instance", "save_plan", "serialize_instance",
     "serialize_plan", "solve_exact", "solve_glns", "tour_cost", "type_cost",

@@ -10,12 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 from .geometry import FlightMode
-
-if TYPE_CHECKING:
-    from .graph import EdgeType
 
 # Tolerates float noise in distance*C/d_max just above an integer.
 _LEVEL_EPS = 1e-9
@@ -64,9 +60,6 @@ class RechargeSplit:
         return self.at_exit + self.at_entry + self.in_transit
 
 
-ZERO_SPLIT = RechargeSplit()
-
-
 def consumption_levels(distance: float, mode: FlightMode, cfg: PlannerConfig) -> int:
     """Battery levels consumed by flying the given distance, rounded up."""
     if distance < 0:
@@ -82,54 +75,3 @@ def recharge_time(levels: int, cfg: PlannerConfig) -> float:
     if levels < 0:
         raise ValueError("levels must be non-negative")
     return cfg.recharge_rate * levels
-
-
-def recharge_split(edge_type: "EdgeType", k_i: int, cons1: int,
-                   cons2: Optional[int], k_j: int,
-                   cfg: PlannerConfig) -> Optional[RechargeSplit]:
-    """Minimal recharge split reaching exactly k_j, or None when infeasible.
-
-    cons1 is the coverage-leg consumption, cons2 the transit-leg
-    consumption (None for UGV rides, which cost no flight energy).  The
-    battery must stay within [0, C] at every intermediate event.
-    """
-    cap = cfg.battery_levels
-    after_cover = k_i - cons1
-    if after_cover < 0:
-        return None
-
-    stops = edge_type.stops
-    if stops == "none":
-        if cons2 is None or k_j != after_cover - cons2:
-            return None
-        return ZERO_SPLIT
-    if stops == "ride":
-        gain = k_j - after_cover
-        if gain < 0:
-            return None
-        return RechargeSplit(in_transit=gain)
-    if stops == "entry":
-        arrival = after_cover - cons2
-        if arrival < 0:
-            return None
-        gain = k_j - arrival
-        if gain < 0:
-            return None
-        return RechargeSplit(at_entry=gain)
-    if stops == "exit":
-        departure = k_j + cons2
-        if departure > cap:
-            return None
-        gain = departure - after_cover
-        if gain < 0:
-            return None
-        return RechargeSplit(at_exit=gain)
-    if stops == "both":
-        total = (k_j + cons2) - after_cover
-        if total < 0 or cons2 > cap:
-            return None
-        # Charge as much as the cap allows at the exit site; the leftover
-        # moves to the entry site.  Total time is split-invariant.
-        at_exit = max(0, min(cap, k_j + cons2) - after_cover)
-        return RechargeSplit(at_exit=at_exit, at_entry=total - at_exit)
-    raise ValueError(f"unknown stop profile {stops!r}")

@@ -1,4 +1,4 @@
-"""Distances, Dubins shortest paths and leg travel times.
+"""Distances, Dubins shortest paths and UGV travel times.
 
 The UAV flies at unit speed in multi-rotor mode, so multi-rotor travel
 times equal Euclidean distances.  Fixed-wing legs follow Dubins paths
@@ -215,17 +215,6 @@ def dubins_shortest(start: Pose, goal: Pose, turn_radius: float) -> DubinsPath:
     return best
 
 
-def flight_time(start: PointLike, goal: PointLike, mode: FlightMode,
-                cfg: "PlannerConfig") -> float:
-    """Travel time between two points in the given flight mode."""
-    if mode is FlightMode.MULTI_ROTOR:
-        return euclid(start, goal)
-    if not isinstance(start, Pose) or not isinstance(goal, Pose):
-        raise ValueError("fixed-wing flight requires poses with headings")
-    path = dubins_shortest(start, goal, cfg.turn_radius)
-    return path.total_length / cfg.fixed_wing_speed
-
-
 def ugv_time(start: PointLike, goal: PointLike, cfg: "PlannerConfig") -> float:
     """UGV driving time; the UGV moves at ugv_speed_ratio of unit speed."""
     return euclid(start, goal) / cfg.ugv_speed_ratio
@@ -236,22 +225,6 @@ def traversal_heading(cell: Cell, entry: str) -> float:
     a = cell.end(entry)
     b = cell.other_end(entry)
     return mod2pi(math.atan2(b.y - a.y, b.x - a.x))
-
-
-def coverage_leg(cell: Cell, entry: str, mode: FlightMode,
-                 cfg: "PlannerConfig") -> tuple[float, Pose]:
-    """Time to cover a cell from the given end plus the exit pose.
-
-    Cells are covered by the straight pass between their ends in both
-    modes; the exit heading is the traversal direction.
-    """
-    length = cell.length
-    if mode is FlightMode.MULTI_ROTOR:
-        t = length
-    else:
-        t = length / cfg.fixed_wing_speed
-    exit_site = cell.other_end(entry)
-    return t, Pose((exit_site.x, exit_site.y), traversal_heading(cell, entry))
 
 
 def _orient(ax, ay, bx, by, cx, cy) -> float:

@@ -8,7 +8,11 @@ pass of the last cell.
 
 Between two vertices the edge cost is the minimum over eighteen travel
 options that combine the coverage-leg flight mode with land, recharge,
-take-off and UGV-ride choices on the transit leg.
+take-off and UGV-ride choices on the transit leg.  Each option is one of
+five stop-layout templates applied to a coverage leg and a transit leg.
+The template is the single formula for an edge's cost and its recharge
+split: build_instance evaluates it on grids of battery levels, and
+edge_breakdown, which decode expands into legs, on one pair of levels.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import PlannerConfig, RechargeSplit, ZERO_SPLIT, consumption_levels, recharge_split
+from .energy import (PlannerConfig, RechargeSplit, consumption_levels,
+                     recharge_time)
 from .geometry import (
     END_A,
     END_B,
@@ -112,15 +117,6 @@ class Vertex:
 
 
 @dataclass(frozen=True)
-class Edge:
-    from_vertex: Vertex
-    to_vertex: Vertex
-    cost: float
-    best_type: Optional[EdgeType]
-    recharge: Optional[RechargeSplit]
-
-
-@dataclass(frozen=True)
 class EdgeBreakdown:
     """Everything needed to expand one typed edge into executable legs."""
 
@@ -129,7 +125,7 @@ class EdgeBreakdown:
     split: RechargeSplit
     cover_time: float
     cover_cons: int
-    cover_heading: float
+    cover_heading: Optional[float]  # fixed-wing cover only
     entry_site_i: Site
     exit_site_i: Site
     entry_site_j: Site
@@ -137,8 +133,122 @@ class EdgeBreakdown:
     transit_cons: Optional[int]
     transit_start_heading: Optional[float]  # fixed-wing transit only
     transit_end_heading: Optional[float]
-    ugv_travel_time: Optional[float]  # ride edges only
     ride_time: Optional[float]  # max(ugv travel, recharge), ride edges only
+
+
+def _cover_legs(cell: Cell, cfg: PlannerConfig) -> tuple[tuple[float, int], ...]:
+    """(time, levels) of the coverage pass: multi-rotor, then fixed-wing."""
+    length = cell.length
+    return ((length, consumption_levels(length, _MR, cfg)),
+            (length / cfg.fixed_wing_speed, consumption_levels(length, _FW, cfg)))
+
+
+# The ways from one cell's exit to the next cell's entry, in the order
+# _pair_legs returns them.
+_MR_LEG, _AIR_LEG, _STOP_LEG, _RIDE_LEG = range(4)
+
+
+def _pair_legs(exit_i: Site, entry_j: Site, h_i: float, h_j: float,
+               cfg: PlannerConfig) -> tuple[tuple[float, int], ...]:
+    """(time, levels) of each transit leg of one ordered end pair.
+
+    Airborne at the exit a fixed-wing leg starts on the coverage heading
+    h_i; after a take-off the hybrid can rotate in place, so it starts
+    already aligned with the next entry heading h_j.  Riding the UGV costs
+    no flight energy.
+    """
+    d = euclid(exit_i, entry_j)
+    start, goal = (exit_i.x, exit_i.y), (entry_j.x, entry_j.y)
+    air = dubins_shortest(Pose(start, h_i), Pose(goal, h_j),
+                          cfg.turn_radius).total_length
+    stop = dubins_shortest(Pose(start, h_j), Pose(goal, h_j),
+                           cfg.turn_radius).total_length
+    return ((d, consumption_levels(d, _MR, cfg)),
+            (air / cfg.fixed_wing_speed, consumption_levels(air, _FW, cfg)),
+            (stop / cfg.fixed_wing_speed, consumption_levels(stop, _FW, cfg)),
+            (ugv_time(exit_i, entry_j, cfg), 0))
+
+
+# Stop-layout templates.  Each prices one edge type over arrays of levels
+# KI (leaving cell i) and KJ (arriving at cell j) and returns the cost
+# grid, inf where the battery would leave [0, C], with the recharge grids
+# (at exit, at entry, in transit) it implies; or None when a site the
+# layout lands at is off the road.  build_instance calls them on the C x C
+# level grid and edge_breakdown on one pair of levels, so they are the one
+# formula for both the cost and the recharge split of a typed edge.
+
+
+def _pure(KI, KJ, cfg, cover, leg, roads):
+    (t1, c1), (t2, c2) = cover, leg
+    return np.where(KJ == KI - (c1 + c2), t1 + t2, INF), 0, 0, 0
+
+
+def _ride(KI, KJ, cfg, cover, leg, roads):
+    if not (roads[0] and roads[1]):
+        return None
+    (t1, c1), (t_g, _) = cover, leg
+    e = KJ - (KI - c1)
+    mask = (KI - c1 >= 0) & (e >= 0)
+    cost = (t1 + cfg.t_land) + np.maximum(t_g, cfg.recharge_rate * e) \
+        + cfg.t_takeoff
+    return np.where(mask, cost, INF), 0, 0, e
+
+
+def _entry(KI, KJ, cfg, cover, leg, roads):
+    if not roads[1]:
+        return None
+    (t1, c1), (t2, c2) = cover, leg
+    arrival = KI - (c1 + c2)
+    e = KJ - arrival
+    mask = (arrival >= 0) & (e >= 0)
+    cost = ((t1 + t2) + cfg.t_land) + cfg.recharge_rate * e + cfg.t_takeoff
+    return np.where(mask, cost, INF), 0, e, 0
+
+
+def _exit(KI, KJ, cfg, cover, leg, roads):
+    if not roads[0]:
+        return None
+    (t1, c1), (t2, c2) = cover, leg
+    after = KI - c1
+    departure = KJ + c2
+    e = departure - after
+    mask = (after >= 0) & (departure <= cfg.battery_levels) & (e >= 0)
+    cost = ((t1 + cfg.t_land) + cfg.recharge_rate * e + cfg.t_takeoff) + t2
+    return np.where(mask, cost, INF), e, 0, 0
+
+
+def _both(KI, KJ, cfg, cover, leg, roads):
+    C = cfg.battery_levels
+    (t1, c1), (t2, c2) = cover, leg
+    if not (roads[0] and roads[1]) or c2 > C:
+        return None
+    r, t_l, t_to = cfg.recharge_rate, cfg.t_land, cfg.t_takeoff
+    after = KI - c1
+    total = (KJ + c2) - after
+    # Charge as much as the cap allows at the exit site; the leftover
+    # moves to the entry site.  Total time is split-invariant.
+    e1 = np.maximum(0, np.minimum(C, KJ + c2) - after)
+    e2 = total - e1
+    mask = (after >= 0) & (total >= 0)
+    cost = ((((t1 + t_l) + r * e1 + t_to) + t2) + t_l) + r * e2 + t_to
+    return np.where(mask, cost, INF), e1, e2, 0
+
+
+def _table_row(t: EdgeType):
+    template = {"none": _pure, "ride": _ride, "entry": _entry,
+                "exit": _exit, "both": _both}[t.stops]
+    if t.stops == "ride":
+        leg = _RIDE_LEG
+    elif t.transit_mode is _MR:
+        leg = _MR_LEG
+    else:
+        leg = _STOP_LEG if t.stops in ("exit", "both") else _AIR_LEG
+    return template, (0 if t.cover_mode is _MR else 1), leg
+
+
+# (template, index into _cover_legs, index into _pair_legs) per edge type,
+# in enum order, so the first minimum over the rows is the tie-break.
+_TABLE = tuple(_table_row(t) for t in EdgeType)
 
 
 def edge_breakdown(t: EdgeType, v_from: Vertex, v_to: Vertex,
@@ -151,85 +261,37 @@ def edge_breakdown(t: EdgeType, v_from: Vertex, v_to: Vertex,
 
     cell_i = cells[v_from.cell_index]
     cell_j = cells[v_to.cell_index]
-    entry_i = cell_i.end(v_from.entry_end)
     exit_i = cell_i.other_end(v_from.entry_end)
     entry_j = cell_j.end(v_to.entry_end)
     h_i = traversal_heading(cell_i, v_from.entry_end)
     h_j = traversal_heading(cell_j, v_to.entry_end)
 
-    stops = t.stops
-    exit_stop = stops in ("exit", "both")
-    entry_stop = stops in ("entry", "both")
-    riding = stops == "ride"
-    # Land/recharge/take-off sites and both ride endpoints must be reachable
-    # by the UGV.
-    if (exit_stop or riding) and not exit_i.on_road:
+    template, cover, leg = _TABLE[t.value]
+    t1, c1 = _cover_legs(cell_i, cfg)[cover]
+    t2, c2 = _pair_legs(exit_i, entry_j, h_i, h_j, cfg)[leg]
+    out = template(v_from.level, v_to.level, cfg, (t1, c1), (t2, c2),
+                   (exit_i.on_road, entry_j.on_road))
+    if out is None or not math.isfinite(out[0]):
         return None
-    if (entry_stop or riding) and not entry_j.on_road:
-        return None
-
-    length_i = cell_i.length
-    if t.cover_mode is _MR:
-        t1 = length_i
-    else:
-        t1 = length_i / cfg.fixed_wing_speed
-    cons1 = consumption_levels(length_i, t.cover_mode, cfg)
-
-    t2 = cons2 = t_g = start_h = end_h = None
-    if riding:
-        t_g = ugv_time(exit_i, entry_j, cfg)
-    elif t.transit_mode is _MR:
-        d2 = euclid(exit_i, entry_j)
-        t2 = d2
-        cons2 = consumption_levels(d2, _MR, cfg)
-    else:
-        # Airborne at the exit the leg starts on the coverage heading; after
-        # a take-off the hybrid can rotate in place, so it starts already
-        # aligned with the next entry heading.
-        start_h = h_j if exit_stop else h_i
-        end_h = h_j
-        path = dubins_shortest(Pose((exit_i.x, exit_i.y), start_h),
-                               Pose((entry_j.x, entry_j.y), end_h),
-                               cfg.turn_radius)
-        t2 = path.total_length / cfg.fixed_wing_speed
-        cons2 = consumption_levels(path.total_length, _FW, cfg)
-
-    split = recharge_split(t, v_from.level, cons1, cons2, v_to.level, cfg)
-    if split is None:
-        return None
-
-    r = cfg.recharge_rate
-    t_l = cfg.t_land
-    t_to = cfg.t_takeoff
-    ride_time = None
-    if stops == "none":
-        cost = t1 + t2
-    elif riding:
-        ride_time = max(t_g, r * split.in_transit)
-        cost = t1 + t_l + ride_time + t_to
-    elif stops == "entry":
-        cost = t1 + t2 + t_l + r * split.at_entry + t_to
-    elif stops == "exit":
-        cost = t1 + t_l + r * split.at_exit + t_to + t2
-    else:  # both
-        cost = t1 + t_l + r * split.at_exit + t_to + t2 + t_l + r * split.at_entry + t_to
-
+    split = RechargeSplit(*(int(e) for e in out[1:]))
+    riding = leg == _RIDE_LEG
+    fw = t.transit_mode is _FW
     return EdgeBreakdown(
         edge_type=t,
-        cost=cost,
+        cost=float(out[0]),
         split=split,
         cover_time=t1,
-        cover_cons=cons1,
-        cover_heading=h_i,
-        entry_site_i=entry_i,
+        cover_cons=c1,
+        cover_heading=h_i if t.cover_mode is _FW else None,
+        entry_site_i=cell_i.end(v_from.entry_end),
         exit_site_i=exit_i,
         entry_site_j=entry_j,
-        transit_time=t2,
-        transit_cons=cons2,
-        transit_start_heading=start_h,
-        transit_end_heading=end_h,
-        ugv_travel_time=t_g,
-        ride_time=ride_time,
+        transit_time=None if riding else t2,
+        transit_cons=None if riding else c2,
+        transit_start_heading=(h_i if leg == _AIR_LEG else h_j) if fw else None,
+        transit_end_heading=h_j if fw else None,
+        ride_time=(max(t2, recharge_time(split.in_transit, cfg))
+                   if riding else None),
     )
 
 
@@ -237,26 +299,16 @@ def type_cost(t: EdgeType, v_from: Vertex, v_to: Vertex, cells: list[Cell],
               cfg: PlannerConfig) -> tuple[float, Optional[RechargeSplit]]:
     """Cost of one edge type, or (inf, None) when that type is infeasible."""
     bd = edge_breakdown(t, v_from, v_to, cells, cfg)
-    if bd is None:
-        return INF, None
-    return bd.cost, bd.split
-
-
-def edge_cost(v_from: Vertex, v_to: Vertex, cells: list[Cell],
-              cfg: PlannerConfig) -> Edge:
-    """Minimum over all eighteen edge types with a deterministic tie-break."""
-    best_cost = INF
-    best_type = None
-    best_split = None
-    for t in EdgeType:
-        cost, split = type_cost(t, v_from, v_to, cells, cfg)
-        if cost < best_cost:
-            best_cost, best_type, best_split = cost, t, split
-    return Edge(v_from, v_to, best_cost, best_type, best_split)
+    return (INF, None) if bd is None else (bd.cost, bd.split)
 
 
 class ClusteredGraph:
-    """Dense GTSP instance over 2nC cell vertices plus one depot vertex."""
+    """Dense GTSP instance over 2nC cell vertices plus one depot vertex.
+
+    best_type holds the winning EdgeType value of each cell-to-cell edge
+    and, in column 0, the cover mode of each closing edge (M_M or F_F);
+    -1 marks an infeasible edge.
+    """
 
     def __init__(self, cells: list[Cell], cfg: PlannerConfig,
                  vertices: list[Vertex], clusters: list[list[int]],
@@ -285,108 +337,12 @@ class ClusteredGraph:
             return 0
         return 1 + (vid - 1) // (2 * self.levels)
 
-    def edge(self, u: int, v: int) -> Edge:
-        vu, vv = self.vertices[u], self.vertices[v]
-        cost = float(self.cost[u, v])
-        if vu.is_depot or vv.is_depot:
-            recharge = ZERO_SPLIT if math.isfinite(cost) else None
-            return Edge(vu, vv, cost, None, recharge)
-        code = int(self.best_type[u, v])
-        if code < 0:
-            return Edge(vu, vv, INF, None, None)
-        t = EdgeType(code)
-        _, split = type_cost(t, vu, vv, self.cells, self.cfg)
-        return Edge(vu, vv, cost, t, split)
-
     def breakdown(self, u: int, v: int) -> Optional[EdgeBreakdown]:
         code = int(self.best_type[u, v])
         if code < 0:
             return None
         return edge_breakdown(EdgeType(code), self.vertices[u],
                               self.vertices[v], self.cells, self.cfg)
-
-
-def _pair_block(C: int, KI: np.ndarray, KJ: np.ndarray, cfg: PlannerConfig,
-                t1m: float, c1m: int, t1f: float, c1f: int,
-                t2m: float, c2m: int, t2fa: float, c2fa: int,
-                t2fs: float, c2fs: int, t_g: float,
-                exit_ok: bool, entry_ok: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Cost and best-type grids over (k_i, k_j) for one ordered end pair.
-
-    Every cost expression mirrors the scalar path in edge_breakdown
-    operation by operation so the two stay float-identical.
-    """
-    r = cfg.recharge_rate
-    t_l = cfg.t_land
-    t_to = cfg.t_takeoff
-    both_ok = exit_ok and entry_ok
-    inf_grid = np.full((C, C), INF)
-
-    def pure(t1, c1, t2, c2):
-        return np.where(KJ == KI - (c1 + c2), t1 + t2, INF)
-
-    def ride(t1, c1):
-        if not both_ok:
-            return inf_grid
-        e = KJ - (KI - c1)
-        mask = (KI - c1 >= 0) & (e >= 0)
-        cost = (t1 + t_l) + np.maximum(t_g, r * e) + t_to
-        return np.where(mask, cost, INF)
-
-    def entry(t1, c1, t2, c2):
-        if not entry_ok:
-            return inf_grid
-        arrival = KI - (c1 + c2)
-        e = KJ - arrival
-        mask = (arrival >= 0) & (e >= 0)
-        cost = ((t1 + t2) + t_l) + r * e + t_to
-        return np.where(mask, cost, INF)
-
-    def exit_(t1, c1, t2, c2):
-        if not exit_ok:
-            return inf_grid
-        after = KI - c1
-        departure = KJ + c2
-        e = departure - after
-        mask = (after >= 0) & (departure <= C) & (e >= 0)
-        cost = ((t1 + t_l) + r * e + t_to) + t2
-        return np.where(mask, cost, INF)
-
-    def both(t1, c1, t2, c2):
-        if not both_ok or c2 > C:
-            return inf_grid
-        after = KI - c1
-        total = (KJ + c2) - after
-        e1 = np.maximum(0, np.minimum(C, KJ + c2) - after)
-        e2 = total - e1
-        mask = (after >= 0) & (total >= 0)
-        cost = ((((t1 + t_l) + r * e1 + t_to) + t2) + t_l) + r * e2 + t_to
-        return np.where(mask, cost, INF)
-
-    stacked = np.stack([
-        pure(t1m, c1m, t2m, c2m),
-        pure(t1f, c1f, t2fa, c2fa),
-        pure(t1m, c1m, t2fa, c2fa),
-        pure(t1f, c1f, t2m, c2m),
-        ride(t1m, c1m),
-        ride(t1f, c1f),
-        entry(t1m, c1m, t2m, c2m),
-        entry(t1f, c1f, t2fa, c2fa),
-        entry(t1m, c1m, t2fa, c2fa),
-        entry(t1f, c1f, t2m, c2m),
-        exit_(t1m, c1m, t2m, c2m),
-        exit_(t1f, c1f, t2fs, c2fs),
-        exit_(t1m, c1m, t2fs, c2fs),
-        exit_(t1f, c1f, t2m, c2m),
-        both(t1m, c1m, t2m, c2m),
-        both(t1f, c1f, t2fs, c2fs),
-        both(t1m, c1m, t2fs, c2fs),
-        both(t1f, c1f, t2m, c2m),
-    ])
-    block = stacked.min(axis=0)
-    types = stacked.argmin(axis=0).astype(np.int16)
-    types[~np.isfinite(block)] = -1
-    return block, types
 
 
 def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
@@ -421,13 +377,11 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
 
     KI = np.arange(C, 0, -1, dtype=np.int64)[:, None]
     KJ = np.arange(C, 0, -1, dtype=np.int64)[None, :]
+    inf_grid = np.full((C, C), INF)
 
-    lengths = [c.length for c in cells]
+    covers = [_cover_legs(cell, cfg) for cell in cells]
     headings = {(i, e): traversal_heading(cells[i], e)
                 for i in range(n) for e in (END_A, END_B)}
-    c1m = [consumption_levels(d, _MR, cfg) for d in lengths]
-    c1f = [consumption_levels(d, _FW, cfg) for d in lengths]
-    t1f = [d / cfg.fixed_wing_speed for d in lengths]
 
     def block_base(i: int, end: str) -> int:
         return 1 + i * 2 * C + (0 if end == END_A else C)
@@ -442,37 +396,38 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
                     continue
                 for y in (END_A, END_B):
                     entry_j = cells[j].end(y)
-                    h_j = headings[(j, y)]
-                    d2 = euclid(exit_i, entry_j)
-                    air = dubins_shortest(Pose((exit_i.x, exit_i.y), h_i),
-                                          Pose((entry_j.x, entry_j.y), h_j),
-                                          cfg.turn_radius)
-                    stop = dubins_shortest(Pose((exit_i.x, exit_i.y), h_j),
-                                           Pose((entry_j.x, entry_j.y), h_j),
-                                           cfg.turn_radius)
-                    block, types = _pair_block(
-                        C, KI, KJ, cfg,
-                        lengths[i], c1m[i], t1f[i], c1f[i],
-                        d2, consumption_levels(d2, _MR, cfg),
-                        air.total_length / cfg.fixed_wing_speed,
-                        consumption_levels(air.total_length, _FW, cfg),
-                        stop.total_length / cfg.fixed_wing_speed,
-                        consumption_levels(stop.total_length, _FW, cfg),
-                        ugv_time(exit_i, entry_j, cfg),
-                        exit_i.on_road, entry_j.on_road)
+                    legs = _pair_legs(exit_i, entry_j, h_i, headings[(j, y)],
+                                      cfg)
+                    roads = (exit_i.on_road, entry_j.on_road)
+                    grids = []
+                    for template, cover, leg in _TABLE:
+                        out = template(KI, KJ, cfg, covers[i][cover],
+                                       legs[leg], roads)
+                        grids.append(inf_grid if out is None else out[0])
+                    stacked = np.stack(grids)
+                    block = stacked.min(axis=0)
+                    types = stacked.argmin(axis=0).astype(np.int16)
+                    types[~np.isfinite(block)] = -1
                     cols = slice(block_base(j, y), block_base(j, y) + C)
                     cost[rows, cols] = block
                     best_type[rows, cols] = types
 
     # Depot edges: free departure into full-battery vertices, and the final
-    # coverage pass (cheapest battery-feasible mode) on the way back.
+    # coverage pass on the way back, in the faster battery-feasible mode
+    # (multi-rotor on a tie).
     k = np.arange(C, 0, -1)
     for i in range(n):
+        (t_m, c_m), (t_f, c_f) = covers[i]
+        back_m = np.where(k >= c_m, t_m, INF)
+        back_f = np.where(k >= c_f, t_f, INF)
+        back = np.minimum(back_m, back_f)
+        modes = np.where(back_m <= back_f, EdgeType.M_M.value,
+                         EdgeType.F_F.value)
+        modes[~np.isfinite(back)] = -1
         for x in (END_A, END_B):
             base = block_base(i, x)
             cost[0, base] = 0.0
-            back_m = np.where(k >= c1m[i], lengths[i], INF)
-            back_f = np.where(k >= c1f[i], t1f[i], INF)
-            cost[base:base + C, 0] = np.minimum(back_m, back_f)
+            cost[base:base + C, 0] = back
+            best_type[base:base + C, 0] = modes
 
     return ClusteredGraph(cells, cfg, vertices, clusters, cost, best_type)

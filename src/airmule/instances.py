@@ -48,7 +48,22 @@ def _site_to_dict(site: Site) -> dict:
 _INTEGER = ((int,), "integer")
 _NUMBER = ((int, float), "number")
 _BOOLEAN = ((bool,), "boolean")
+_STRING = ((str,), "string")
 _OBJECT = ((dict,), "object")
+_ARRAY = ((list,), "array")
+_INTEGER_OR_NULL = ((int, type(None)), "integer or null")
+_NUMBER_OR_NULL = ((int, float, type(None)), "number or null")
+_STRING_OR_NULL = ((str, type(None)), "string or null")
+
+
+def _check(value: object, kind: tuple[tuple[type, ...], str], where: str):
+    """value if it has the JSON type kind; else a ValueError naming where."""
+    types, label = kind
+    # JSON true/false load as bool, which Python counts as an int.
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and bool not in types):
+        raise ValueError(f"{where} must be a JSON {label}, got {value!r}")
+    return value
 
 
 def _field(data: object, name: str, kind: tuple[tuple[type, ...], str],
@@ -58,17 +73,27 @@ def _field(data: object, name: str, kind: tuple[tuple[type, ...], str],
         raise ValueError(f"{where} must be an object")
     if name not in data:
         raise ValueError(f"{where}.{name} is missing")
-    value = data[name]
-    types, label = kind
-    # JSON true/false load as bool, which Python counts as an int.
-    if not isinstance(value, types) or (isinstance(value, bool)
-                                        and bool not in types):
-        raise ValueError(f"{where}.{name} must be a JSON {label}, "
-                         f"got {value!r}")
-    return value
+    return _check(data[name], kind, f"{where}.{name}")
 
 
-def _site_from_dict(data: object, where: str = "site") -> Site:
+def _items(data: dict, name: str, where: str) -> list[tuple[str, object]]:
+    """(location, item) for each item of the JSON array data[name]."""
+    return [(f"{where}.{name}[{k}]", item)
+            for k, item in enumerate(_field(data, name, _ARRAY, where))]
+
+
+def _pair(item: object, kinds: tuple, where: str) -> tuple:
+    """The two values of a two-item JSON array, checked against kinds."""
+    if len(_check(item, _ARRAY, where)) != 2:
+        raise ValueError(f"{where} must hold two items, got {item!r}")
+    return tuple(_check(value, kind, f"{where}[{k}]")
+                 for k, (value, kind) in enumerate(zip(item, kinds)))
+
+
+def _site_field(parent: object, name: str, where: str) -> Site:
+    """The site stored as the JSON object parent[name]."""
+    data = _field(parent, name, _OBJECT, where)
+    where = f"{where}.{name}"
     return Site(_field(data, "id", _INTEGER, where),
                 float(_field(data, "x", _NUMBER, where)),
                 float(_field(data, "y", _NUMBER, where)),
@@ -105,10 +130,8 @@ def parse_instance(text: str) -> tuple[list[Cell], PlannerConfig]:
         where = f"cells[{k}]"
         cells.append(Cell(
             _field(entry, "index", _INTEGER, where),
-            _site_from_dict(_field(entry, "end_a", _OBJECT, where),
-                            f"{where}.end_a"),
-            _site_from_dict(_field(entry, "end_b", _OBJECT, where),
-                            f"{where}.end_b")))
+            _site_field(entry, "end_a", where),
+            _site_field(entry, "end_b", where)))
     return cells, cfg
 
 
@@ -138,23 +161,35 @@ def _leg_to_dict(leg: Leg) -> dict:
     }
 
 
-def _leg_from_dict(data: dict) -> Leg:
+def _leg_from_dict(data: object, where: str) -> Leg:
+    def get(name, kind):
+        return _field(data, name, kind, where)
+
+    mode = get("mode", _STRING_OR_NULL)
+    start_heading = get("start_heading", _NUMBER_OR_NULL)
+    end_heading = get("end_heading", _NUMBER_OR_NULL)
     return Leg(
-        kind=LegKind(data["kind"]),
-        start_site=_site_from_dict(data["start_site"]),
-        end_site=_site_from_dict(data["end_site"]),
-        duration=float(data["duration"]),
-        battery_before=int(data["battery_before"]),
-        battery_after=int(data["battery_after"]),
-        mode=FlightMode(data["mode"]) if data["mode"] is not None else None,
-        levels=int(data["levels"]),
-        covers_cell=(int(data["covers_cell"])
-                     if data["covers_cell"] is not None else None),
-        start_heading=(float(data["start_heading"])
-                       if data["start_heading"] is not None else None),
-        end_heading=(float(data["end_heading"])
-                     if data["end_heading"] is not None else None),
+        kind=LegKind(get("kind", _STRING)),
+        start_site=_site_field(data, "start_site", where),
+        end_site=_site_field(data, "end_site", where),
+        duration=float(get("duration", _NUMBER)),
+        battery_before=get("battery_before", _INTEGER),
+        battery_after=get("battery_after", _INTEGER),
+        mode=FlightMode(mode) if mode is not None else None,
+        levels=get("levels", _INTEGER),
+        covers_cell=get("covers_cell", _INTEGER_OR_NULL),
+        start_heading=(float(start_heading)
+                       if start_heading is not None else None),
+        end_heading=float(end_heading) if end_heading is not None else None,
     )
+
+
+def _waypoint_from_dict(data: object, where: str) -> UgvWaypoint:
+    return UgvWaypoint(
+        _site_field(data, "site", where),
+        float(_field(data, "arrive_by", _NUMBER, where)),
+        float(_field(data, "depart_at", _NUMBER, where)),
+        _field(data, "via_ride", _BOOLEAN, where))
 
 
 def serialize_plan(plan: Plan) -> str:
@@ -182,15 +217,17 @@ def parse_plan(text: str) -> Plan:
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported plan version {data.get('version')!r}")
     return Plan(
-        cell_order=tuple((int(i), str(end)) for i, end in data["cell_order"]),
-        uav_legs=tuple(_leg_from_dict(d) for d in data["uav_legs"]),
+        cell_order=tuple(_pair(item, (_INTEGER, _STRING), where)
+                         for where, item in _items(data, "cell_order", "plan")),
+        uav_legs=tuple(_leg_from_dict(item, where)
+                       for where, item in _items(data, "uav_legs", "plan")),
         ugv_waypoints=tuple(
-            UgvWaypoint(_site_from_dict(d["site"]), float(d["arrive_by"]),
-                        float(d["depart_at"]), bool(d["via_ride"]))
-            for d in data["ugv_waypoints"]),
-        total_time=float(data["total_time"]),
-        battery_trace=tuple((str(event), int(level))
-                            for event, level in data["battery_trace"]),
+            _waypoint_from_dict(item, where)
+            for where, item in _items(data, "ugv_waypoints", "plan")),
+        total_time=float(_field(data, "total_time", _NUMBER, "plan")),
+        battery_trace=tuple(
+            _pair(item, (_STRING, _INTEGER), where)
+            for where, item in _items(data, "battery_trace", "plan")),
     )
 
 

@@ -16,7 +16,7 @@ from .energy import PlannerConfig, consumption_levels, recharge_time
 from .errors import Infeasible
 from .geometry import (Cell, FlightMode, Site, euclid, traversal_heading,
                        ugv_time)
-from .graph import ClusteredGraph, EdgeBreakdown
+from .graph import ClusteredGraph, EdgeBreakdown, EdgeType
 from .solver import GtspTour
 
 
@@ -117,13 +117,10 @@ def _emit_stop(b: _Builder, site: Site, gain: int, cfg: PlannerConfig) -> None:
 def _emit_edge(b: _Builder, bd: EdgeBreakdown, from_cell: int,
                cfg: PlannerConfig) -> None:
     t = bd.edge_type
-    cover_mode = t.cover_mode
-    fw_cover = cover_mode is FlightMode.FIXED_WING
     b.emit(LegKind.FLY, bd.entry_site_i, bd.exit_site_i, bd.cover_time,
            b.battery - bd.cover_cons, f"fly:cover-cell{from_cell}",
-           mode=cover_mode, covers_cell=from_cell,
-           start_heading=bd.cover_heading if fw_cover else None,
-           end_heading=bd.cover_heading if fw_cover else None)
+           mode=t.cover_mode, covers_cell=from_cell,
+           start_heading=bd.cover_heading, end_heading=bd.cover_heading)
 
     if t.stops == "ride":
         pickup = b.clock
@@ -146,12 +143,10 @@ def _emit_edge(b: _Builder, bd: EdgeBreakdown, from_cell: int,
     if t.stops in _EXIT_STOP:
         _emit_stop(b, bd.exit_site_i, bd.split.at_exit, cfg)
 
-    fw_transit = t.transit_mode is FlightMode.FIXED_WING
     b.emit(LegKind.FLY, bd.exit_site_i, bd.entry_site_j, bd.transit_time,
            b.battery - bd.transit_cons, "fly:transit",
-           mode=t.transit_mode,
-           start_heading=bd.transit_start_heading if fw_transit else None,
-           end_heading=bd.transit_end_heading if fw_transit else None)
+           mode=t.transit_mode, start_heading=bd.transit_start_heading,
+           end_heading=bd.transit_end_heading)
 
     if t.stops in _ENTRY_STOP:
         _emit_stop(b, bd.entry_site_j, bd.split.at_entry, cfg)
@@ -190,19 +185,14 @@ def decode(g: ClusteredGraph, tour: GtspTour, cfg: PlannerConfig) -> Plan:
     last_id = verts[-1]
     last = g.vertices[last_id]
     closing = float(g.cost[last_id, 0])
-    if not math.isfinite(closing):
+    code = int(g.best_type[last_id, 0])
+    if code < 0:
         raise ValueError("tour ends on an infeasible depot edge")
+    mode = EdgeType(code).cover_mode
     cell = g.cells[last.cell_index]
     entry = cell.end(last.entry_end)
     exit_site = cell.other_end(last.entry_end)
-    cons_m = consumption_levels(cell.length, FlightMode.MULTI_ROTOR, cfg)
-    cons_f = consumption_levels(cell.length, FlightMode.FIXED_WING, cfg)
-    t_m = cell.length
-    t_f = cell.length / cfg.fixed_wing_speed
-    if last.level >= cons_m and (last.level < cons_f or t_m <= t_f):
-        mode, cons = FlightMode.MULTI_ROTOR, cons_m
-    else:
-        mode, cons = FlightMode.FIXED_WING, cons_f
+    cons = consumption_levels(cell.length, mode, cfg)
     assert b.battery == last.level
     heading = traversal_heading(cell, last.entry_end)
     fw = mode is FlightMode.FIXED_WING

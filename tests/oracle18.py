@@ -2,7 +2,7 @@
 
 Re-derives each of the eighteen travel options directly from its
 definition, sharing nothing with airmule.graph except the Dubins
-routine.  Used to cross-check edge_cost and the dense cost matrix.
+routine.  Used to cross-check the dense cost matrix and edge_breakdown.
 """
 
 import math

@@ -184,3 +184,33 @@ def test_missing_cell_end_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "plan", str(inst))
     assert code == 2
     assert "cells[0].end_a is missing" in err
+
+
+def planned(tmp_path, capsys):
+    inst = gen_instance(tmp_path, capsys)
+    plan_path = tmp_path / "plan.json"
+    assert run(capsys, "plan", str(inst), "--solver", "exact",
+               "-o", str(plan_path))[0] == 0
+    return inst, plan_path, json.loads(plan_path.read_text(encoding="utf-8"))
+
+
+def test_missing_plan_legs_exit_code(tmp_path, capsys):
+    inst, plan_path, data = planned(tmp_path, capsys)
+    del data["uav_legs"]
+    plan_path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "render", str(inst), "--plan", str(plan_path),
+                       "-o", str(tmp_path / "out.svg"))
+    assert code == 2
+    assert "plan.uav_legs is missing" in err
+
+
+def test_string_via_ride_exit_code(tmp_path, capsys):
+    # "false" is a truthy string; it must be rejected, not read as a ride.
+    inst, plan_path, data = planned(tmp_path, capsys)
+    assert data["ugv_waypoints"]
+    data["ugv_waypoints"][0]["via_ride"] = "false"
+    plan_path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "render", str(inst), "--plan", str(plan_path),
+                       "-o", str(tmp_path / "out.svg"))
+    assert code == 2
+    assert "plan.ugv_waypoints[0].via_ride" in err and "boolean" in err

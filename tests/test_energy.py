@@ -1,14 +1,18 @@
 """Battery bookkeeping tests: level consumption and recharge splits."""
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airmule.energy import (PlannerConfig, RechargeSplit, consumption_levels,
-                            recharge_split, recharge_time)
-from airmule.geometry import FlightMode
-from airmule.graph import EdgeType
+                            recharge_time)
+from airmule.geometry import Cell, FlightMode, Site
+from airmule.graph import EdgeType, Vertex, edge_breakdown, type_cost
+from airmule.instances import gen_random
 
 MR = FlightMode.MULTI_ROTOR
 FW = FlightMode.FIXED_WING
@@ -80,76 +84,81 @@ def test_recharge_time():
     assert recharge_time(5, cfg) == 10.0
 
 
-def test_split_pure_flight():
+def split_of(t, k_i, k_j, gap):
+    """Recharge split of one typed edge between two 10 m cells on a line.
+
+    At d_max=100 and C=20 a level buys 5 m of multi-rotor flight, so the
+    coverage pass consumes 2 levels and a multi-rotor transit gap/5.
+    """
+    cells = [Cell(0, Site(0, 0.0, 0.0), Site(1, 10.0, 0.0)),
+             Cell(1, Site(2, 10.0 + gap, 0.0), Site(3, 20.0 + gap, 0.0))]
     cfg = PlannerConfig(d_max=100.0, battery_levels=20)
-    assert recharge_split(EdgeType.M_M, 20, 2, 2, 16, cfg) == RechargeSplit()
+    return type_cost(t, Vertex(0, "A", k_i), Vertex(1, "A", k_j), cells, cfg)[1]
+
+
+def test_split_pure_flight():
+    assert split_of(EdgeType.M_M, 20, 16, gap=10.0) == RechargeSplit()
     # wrong arrival level
-    assert recharge_split(EdgeType.M_M, 20, 2, 2, 15, cfg) is None
+    assert split_of(EdgeType.M_M, 20, 15, gap=10.0) is None
     # battery dies during coverage
-    assert recharge_split(EdgeType.M_M, 1, 2, 0, 1, cfg) is None
+    assert split_of(EdgeType.M_M, 1, 1, gap=0.0) is None
 
 
 def test_split_ride():
-    cfg = PlannerConfig(d_max=100.0, battery_levels=20)
-    split = recharge_split(EdgeType.M_DTU, 20, 2, 0, 20, cfg)
+    split = split_of(EdgeType.M_DTU, 20, 20, gap=10.0)
     assert split == RechargeSplit(in_transit=2)
     # riding never loses charge
-    assert recharge_split(EdgeType.M_DTU, 20, 2, 0, 17, cfg) is None
+    assert split_of(EdgeType.M_DTU, 20, 17, gap=10.0) is None
 
 
 def test_split_entry_stop():
-    cfg = PlannerConfig(d_max=100.0, battery_levels=20)
-    split = recharge_split(EdgeType.M_MDU, 20, 2, 2, 20, cfg)
+    split = split_of(EdgeType.M_MDU, 20, 20, gap=10.0)
     assert split == RechargeSplit(at_entry=4)
     # arriving below empty is not allowed even with a recharge waiting
-    assert recharge_split(EdgeType.M_MDU, 3, 2, 2, 20, cfg) is None
+    assert split_of(EdgeType.M_MDU, 3, 20, gap=10.0) is None
 
 
 def test_split_exit_stop():
-    cfg = PlannerConfig(d_max=100.0, battery_levels=20)
-    split = recharge_split(EdgeType.M_DUM, 20, 2, 2, 16, cfg)
+    split = split_of(EdgeType.M_DUM, 20, 16, gap=10.0)
     assert split == RechargeSplit(at_exit=0)
-    split = recharge_split(EdgeType.M_DUM, 20, 2, 2, 18, cfg)
+    split = split_of(EdgeType.M_DUM, 20, 18, gap=10.0)
     assert split == RechargeSplit(at_exit=2)
     # departure level would exceed capacity
-    assert recharge_split(EdgeType.M_DUM, 20, 2, 2, 19, cfg) is None
+    assert split_of(EdgeType.M_DUM, 20, 19, gap=10.0) is None
 
 
 def test_split_both_stops():
-    cfg = PlannerConfig(d_max=100.0, battery_levels=20)
     # fill to capacity at the exit, top up the rest at the entry
-    split = recharge_split(EdgeType.M_DUMDU, 10, 2, 4, 20, cfg)
+    split = split_of(EdgeType.M_DUMDU, 10, 20, gap=20.0)
     assert split is not None
     assert split.at_exit == 12 and split.at_entry == 4
     assert split.total == 16
 
 
-def test_split_conservation_seeded():
-    """Whatever the family, levels in must balance levels out."""
-    rng = random.Random(9)
-    cfg = PlannerConfig(d_max=50.0, battery_levels=10)
-    families = [EdgeType.M_M, EdgeType.M_DTU, EdgeType.M_MDU, EdgeType.M_DUM,
-                EdgeType.M_DUMDU]
-    checked = 0
-    for _ in range(2000):
-        t = rng.choice(families)
-        k_i = rng.randint(1, 10)
-        k_j = rng.randint(1, 10)
-        cons1 = rng.randint(0, 5)
-        cons2 = rng.randint(0, 5)
-        split = recharge_split(t, k_i, cons1, cons2, k_j, cfg)
-        if split is None:
-            continue
-        checked += 1
-        assert split.at_exit >= 0 and split.at_entry >= 0 and split.in_transit >= 0
-        gain = split.total
-        if t is EdgeType.M_DTU:
-            assert k_i - cons1 + gain == k_j
-        else:
-            assert k_i - cons1 - cons2 + gain == k_j
-        # intermediate levels stay inside [0, C]
-        after_cover = k_i - cons1
-        assert after_cover >= 0
-        if t is EdgeType.M_DUM or t is EdgeType.M_DUMDU:
-            assert after_cover + split.at_exit <= 10
-    assert checked > 100
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), levels=st.integers(1, 4),
+       d_max=st.sampled_from([15.0, 30.0, 60.0]),
+       fixed_wing_ratio=st.sampled_from([1.0, 3.0]),
+       road_fraction=st.sampled_from([0.5, 1.0]))
+def test_split_conservation_seeded(seed, levels, d_max, fixed_wing_ratio,
+                                   road_fraction):
+    """Whatever the template, levels in must balance levels out, and the
+    battery stays inside [0, C] at every event along the edge."""
+    cfg = PlannerConfig(d_max=d_max, battery_levels=levels,
+                        fixed_wing_ratio=fixed_wing_ratio)
+    cells = gen_random(2, 25.0, 8.0, seed=seed, road_fraction=road_fraction)
+    for x, y, k_i, k_j in itertools.product("AB", "AB", range(1, levels + 1),
+                                            range(1, levels + 1)):
+        for t in EdgeType:
+            bd = edge_breakdown(t, Vertex(0, x, k_i), Vertex(1, y, k_j),
+                                cells, cfg)
+            if bd is None:
+                continue
+            split = bd.split
+            transit = bd.transit_cons or 0
+            assert k_i - bd.cover_cons - transit + split.total == k_j
+            trace = [k_i - bd.cover_cons]
+            trace.append(trace[-1] + split.at_exit)
+            trace.append(trace[-1] - transit + split.in_transit)
+            trace.append(trace[-1] + split.at_entry)
+            assert all(0 <= level <= levels for level in trace)

@@ -1,4 +1,4 @@
-"""Geometry tests: Dubins paths, cells, headings and timing helpers."""
+"""Geometry tests: Dubins paths, cells, headings and UGV time."""
 
 import math
 import random
@@ -6,9 +6,9 @@ import random
 import pytest
 
 from airmule.energy import PlannerConfig
-from airmule.geometry import (Cell, FlightMode, Pose, Site, coverage_leg,
-                              dubins_shortest, euclid, flight_time, mod2pi,
-                              segments_intersect, traversal_heading, ugv_time)
+from airmule.geometry import (Cell, Pose, Site, dubins_shortest, euclid,
+                              mod2pi, segments_intersect, traversal_heading,
+                              ugv_time)
 
 
 def test_mod2pi_range():
@@ -120,32 +120,9 @@ def test_dubins_collinear_matches_euclid():
         assert path.total_length == pytest.approx(dist, rel=1e-12)
 
 
-def test_flight_time_modes():
-    cfg = PlannerConfig(fixed_wing_speed=2.0)
-    assert flight_time((0.0, 0.0), (3.0, 4.0), FlightMode.MULTI_ROTOR, cfg) == 5.0
-    start = Pose((0.0, 0.0), 0.0)
-    goal = Pose((10.0, 0.0), 0.0)
-    assert flight_time(start, goal, FlightMode.FIXED_WING, cfg) == 5.0
-    with pytest.raises(ValueError):
-        flight_time((0.0, 0.0), (1.0, 0.0), FlightMode.FIXED_WING, cfg)
-
-
 def test_ugv_time():
     cfg = PlannerConfig(ugv_speed_ratio=0.2)
     assert ugv_time((0.0, 0.0), (10.0, 0.0), cfg) == 50.0
-
-
-def test_coverage_leg():
-    cfg = PlannerConfig(fixed_wing_speed=2.0)
-    cell = Cell(0, Site(0, 0.0, 0.0), Site(1, 10.0, 0.0))
-    t_mr, exit_pose = coverage_leg(cell, "A", FlightMode.MULTI_ROTOR, cfg)
-    assert t_mr == 10.0
-    assert exit_pose.position == (10.0, 0.0)
-    assert exit_pose.heading == 0.0
-    t_fw, _ = coverage_leg(cell, "A", FlightMode.FIXED_WING, cfg)
-    assert t_fw == 5.0
-    _, exit_b = coverage_leg(cell, "B", FlightMode.MULTI_ROTOR, cfg)
-    assert exit_b.position == (0.0, 0.0)
 
 
 def test_segments_intersect():

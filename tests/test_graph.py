@@ -1,5 +1,5 @@
 """Graph construction tests: edge costs, the 18-option minimum, the
-depot cluster and the dense matrix."""
+depot cluster and the dense matrix, checked against oracle18."""
 
 import math
 import random
@@ -12,7 +12,7 @@ from oracle18 import oracle_edge_cost, oracle_type_cost
 from airmule.energy import PlannerConfig
 from airmule.geometry import Cell, Site
 from airmule.graph import (EdgeType, Vertex, build_instance, edge_breakdown,
-                           edge_cost, type_cost)
+                           type_cost)
 from airmule.instances import gen_random
 
 
@@ -71,11 +71,11 @@ def test_recharge_beats_nothing_when_battery_dead():
     winner must involve the UGV."""
     cfg = PlannerConfig(d_max=20.0, battery_levels=2, ugv_speed_ratio=1.0)
     cells = spec_cells()
-    u = Vertex(0, "A", 1)  # one level left, coverage eats it
-    v = Vertex(1, "A", 2)
-    edge = edge_cost(u, v, cells, cfg)
-    assert math.isfinite(edge.cost)
-    assert edge.best_type.stops in ("ride", "exit", "both")
+    g = build_instance(cells, cfg)
+    # one level left at cell 0's entry, coverage eats it
+    u, v = g.vertex_id(0, "A", 1), g.vertex_id(1, "A", 2)
+    assert math.isfinite(float(g.cost[u, v]))
+    assert EdgeType(int(g.best_type[u, v])).stops in ("ride", "exit", "both")
 
 
 def test_road_gating():
@@ -191,14 +191,19 @@ def test_matrix_matches_scalar_seeded():
             v = rng.randrange(1, g.n_vertices)
             if g.cluster_of(u) == g.cluster_of(v):
                 continue
-            edge = edge_cost(g.vertices[u], g.vertices[v], cells, cfg)
+            expect_cost, expect_idx = oracle_edge_cost(
+                g.vertices[u], g.vertices[v], cells, cfg)
             mat = float(g.cost[u, v])
-            if math.isinf(edge.cost):
+            if math.isinf(expect_cost):
                 assert math.isinf(mat)
                 assert int(g.best_type[u, v]) == -1
             else:
-                assert mat == edge.cost
-                assert int(g.best_type[u, v]) == edge.best_type.value
+                assert mat == expect_cost
+                assert int(g.best_type[u, v]) == expect_idx
+                # the scalar evaluation of the winning template agrees
+                got, _ = type_cost(EdgeType(expect_idx), g.vertices[u],
+                                   g.vertices[v], cells, cfg)
+                assert got == mat
 
 
 def test_matches_independent_oracle_seeded():
@@ -212,18 +217,21 @@ def test_matches_independent_oracle_seeded():
                             fixed_wing_speed=rng.choice([1.0, 1.5]))
         cells = gen_random(rng.randint(2, 4), 25.0, 7.0, seed=100 + trial,
                            road_fraction=0.8)
+        g = build_instance(cells, cfg)
         for _ in range(300):
             ci, cj = rng.sample(range(len(cells)), 2)
             u = Vertex(ci, rng.choice("AB"), rng.randint(1, cfg.battery_levels))
             v = Vertex(cj, rng.choice("AB"), rng.randint(1, cfg.battery_levels))
+            uid = g.vertex_id(ci, u.entry_end, u.level)
+            vid = g.vertex_id(cj, v.entry_end, v.level)
             expect_cost, expect_idx = oracle_edge_cost(u, v, cells, cfg)
-            edge = edge_cost(u, v, cells, cfg)
-            assert edge.cost == expect_cost
+            assert float(g.cost[uid, vid]) == expect_cost
+            code = int(g.best_type[uid, vid])
             if expect_idx is None:
-                assert edge.best_type is None
+                assert code == -1
             else:
-                assert edge.best_type.value == expect_idx
-                got, _ = type_cost(edge.best_type, u, v, cells, cfg)
+                assert code == expect_idx
+                got, _ = type_cost(EdgeType(code), u, v, cells, cfg)
                 assert got == expect_cost
 
 
@@ -260,11 +268,14 @@ def test_every_type_can_win_somewhere_seeded():
                             fixed_wing_speed=rng.choice([1.0, 2.0]),
                             turn_radius=rng.choice([0.5, 2.0]))
         cells = gen_random(3, 25.0, 8.0, seed=200 + trial, road_fraction=0.8)
+        g = build_instance(cells, cfg)
         for _ in range(150):
             ci, cj = rng.sample(range(3), 2)
-            u = Vertex(ci, rng.choice("AB"), rng.randint(1, cfg.battery_levels))
-            v = Vertex(cj, rng.choice("AB"), rng.randint(1, cfg.battery_levels))
-            edge = edge_cost(u, v, cells, cfg)
-            if edge.best_type is not None:
-                winners.add(edge.best_type)
+            u = g.vertex_id(ci, rng.choice("AB"),
+                            rng.randint(1, cfg.battery_levels))
+            v = g.vertex_id(cj, rng.choice("AB"),
+                            rng.randint(1, cfg.battery_levels))
+            code = int(g.best_type[u, v])
+            if code >= 0:
+                winners.add(EdgeType(code))
     assert len(winners) >= 8

@@ -179,3 +179,28 @@ def test_instance_rejects_missing_cell_field():
     del data["cells"][1]["index"]
     with pytest.raises(ValueError, match=r"cells\[1\]\.index is missing"):
         parse_instance(json.dumps(data))
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("uav_legs", 0, "battery_after"), "3",
+     "plan.uav_legs[0].battery_after must be a JSON integer"),
+    (("uav_legs", 0, "start_site"), None,
+     "plan.uav_legs[0].start_site must be a JSON object"),
+    (("uav_legs", 0, "end_heading"), "0.5",
+     "plan.uav_legs[0].end_heading must be a JSON number or null"),
+    (("cell_order", 0), [0],
+     "plan.cell_order[0] must hold two items"),
+    (("battery_trace", 0, 1), 2.5,
+     "plan.battery_trace[0][1] must be a JSON integer"),
+    (("total_time",), True, "plan.total_time must be a JSON number"),
+])
+def test_plan_rejects_mistyped_field(path, value, message):
+    cells, cfg = sample()
+    g = build_instance(cells, cfg)
+    data = json.loads(serialize_plan(decode(g, solve_exact(g), cfg)))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_plan(json.dumps(data))

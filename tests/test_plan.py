@@ -1,5 +1,6 @@
 """Plan decoding, validation and baseline tests."""
 
+import hashlib
 import math
 import random
 
@@ -9,7 +10,7 @@ from airmule.energy import PlannerConfig
 from airmule.errors import Infeasible
 from airmule.geometry import Cell, FlightMode, Site
 from airmule.graph import EdgeType, build_instance
-from airmule.instances import gen_random
+from airmule.instances import gen_random, serialize_plan
 from airmule.plan import (Issue, Leg, LegKind, Plan, UgvWaypoint, _Builder,
                           baseline_plan, decode, validate)
 from airmule.solver import GtspTour, SolverParams, solve_exact, solve_glns, tour_cost
@@ -129,6 +130,63 @@ def test_decode_rotates_depot_first():
     rotated = GtspTour(rotated.vertices, tour_cost(g, rotated))
     plan = decode(g, rotated, cfg)
     assert plan.cell_order[0][0] == 0
+
+
+def test_decoded_plans_pinned():
+    # sha256 of the serialized plans, recorded before decode and the edge
+    # breakdown moved onto the build's templates; any change to a leg's
+    # duration, battery levels, headings or the UGV schedule shows up here.
+    cases = [
+        # Tight battery, off-road ends: the tour rides the UGV once and
+        # stops to recharge once.
+        (gen_random(5, 40.0, 8.0, seed=0, road_fraction=0.7),
+         PlannerConfig(d_max=30.0, battery_levels=4, ugv_speed_ratio=1.0),
+         "e27ecf000fee582321a4d366dd80ca64bae1524517e76c86249857742336b82f"),
+        # Fast fixed wing: the closing leg flies fixed-wing.
+        (gen_random(4, 40.0, 8.0, seed=0),
+         PlannerConfig(d_max=80.0, battery_levels=4, fixed_wing_speed=2.0),
+         "cf2e03d76ae50bc0001b1073cbe34aa314c64d90822d3c08f045098d4812e98e"),
+        # Equal speeds: both modes can close and tie on time; multi-rotor wins.
+        (gen_random(4, 40.0, 8.0, seed=0),
+         PlannerConfig(d_max=80.0, battery_levels=4, fixed_wing_speed=1.0),
+         "6a5a79e727263a262223e17bd58870a0327e34f0d9d4d230da3c30f997ad761d"),
+    ]
+    for cells, cfg, digest in cases:
+        g = build_instance(cells, cfg)
+        plan = decode(g, solve_exact(g), cfg)
+        text = serialize_plan(plan)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fw_speed,faster", [
+    (0.5, EdgeType.M_M), (1.0, EdgeType.M_M), (2.0, EdgeType.F_F)])
+def test_closing_mode_stored_and_decoded(fw_speed, faster):
+    # A 10 m pass costs 4 levels multi-rotor and 2 levels fixed-wing.
+    cells = two_cells()
+    cfg = PlannerConfig(d_max=25.0, battery_levels=10, fixed_wing_ratio=2.0,
+                        fixed_wing_speed=fw_speed)
+    g = build_instance(cells, cfg)
+    for level in range(1, 11):
+        code = int(g.best_type[g.vertex_id(1, "A", level), 0])
+        if level < 2:
+            assert code == -1
+        elif level < 4:
+            assert code == EdgeType.F_F.value
+        else:
+            # the faster mode; multi-rotor on a tie
+            assert code == faster.value
+
+    u = g.vertex_id(0, "A", 10)
+    v = g.vertex_id(1, "A", 10)
+    assert math.isfinite(float(g.cost[u, v]))
+    tour = GtspTour((0, u, v), 0.0)
+    tour = GtspTour(tour.vertices, tour_cost(g, tour))
+    # decode flies the mode the graph stores, not one of its own choice
+    for t, levels in ((EdgeType.M_M, 4), (EdgeType.F_F, 2)):
+        g.best_type[v, 0] = t.value
+        last = decode(g, tour, cfg).uav_legs[-1]
+        assert last.mode is t.cover_mode
+        assert last.battery_before - last.battery_after == levels
 
 
 def make_leg(kind=LegKind.FLY, start=None, end=None, duration=1.0,
