@@ -85,7 +85,7 @@ class DubinsPath:
     total_length: float
 
 
-PointLike = Union[Site, Pose, tuple]
+PointLike = Union[Site, Pose]
 
 
 def mod2pi(theta: float) -> float:
@@ -98,9 +98,7 @@ def mod2pi(theta: float) -> float:
 def position_of(p: PointLike) -> tuple[float, float]:
     if isinstance(p, Site):
         return (p.x, p.y)
-    if isinstance(p, Pose):
-        return p.position
-    return (p[0], p[1])
+    return p.position
 
 
 def euclid(p: PointLike, q: PointLike) -> float:

@@ -11,8 +11,11 @@ options that combine the coverage-leg flight mode with land, recharge,
 take-off and UGV-ride choices on the transit leg.  Each option is one of
 five stop-layout templates applied to a coverage leg and a transit leg.
 The template is the single formula for an edge's cost and its recharge
-split: build_instance evaluates it on grids of battery levels, and
+split: build_instance evaluates it once per source cell, on a grid over
+every end pair leaving that cell and every pair of battery levels, and
 edge_breakdown, which decode expands into legs, on one pair of levels.
+Off-road landing sites are mask terms of the templates, so a template
+always returns a grid, infinite where the layout cannot be flown.
 """
 
 from __future__ import annotations
@@ -170,11 +173,13 @@ def _pair_legs(exit_i: Site, entry_j: Site, h_i: float, h_j: float,
 
 
 # Stop-layout templates.  Each prices one edge type over arrays of levels
-# KI (leaving cell i) and KJ (arriving at cell j) and returns the cost
-# grid, inf where the battery would leave [0, C], with the recharge grids
-# (at exit, at entry, in transit) it implies; or None when a site the
-# layout lands at is off the road.  build_instance calls them on the C x C
-# level grid and edge_breakdown on one pair of levels, so they are the one
+# KI (leaving cell i) and KJ (arriving at cell j), transit legs and road
+# flags (exit site, entry site) that broadcast against them, and returns
+# the cost grid with the recharge grids (at exit, at entry, in transit) it
+# implies.  The cost is inf where the battery would leave [0, C] or a site
+# the layout lands at is off the road.  build_instance calls them once per
+# source cell, on the grid of every end pair leaving it by every pair of
+# levels, and edge_breakdown on one pair of levels, so they are the one
 # formula for both the cost and the recharge split of a typed edge.
 
 
@@ -184,35 +189,30 @@ def _pure(KI, KJ, cfg, cover, leg, roads):
 
 
 def _ride(KI, KJ, cfg, cover, leg, roads):
-    if not (roads[0] and roads[1]):
-        return None
     (t1, c1), (t_g, _) = cover, leg
     e = KJ - (KI - c1)
-    mask = (KI - c1 >= 0) & (e >= 0)
+    mask = (KI - c1 >= 0) & (e >= 0) & roads[0] & roads[1]
     cost = (t1 + cfg.t_land) + np.maximum(t_g, cfg.recharge_rate * e) \
         + cfg.t_takeoff
     return np.where(mask, cost, INF), 0, 0, e
 
 
 def _entry(KI, KJ, cfg, cover, leg, roads):
-    if not roads[1]:
-        return None
     (t1, c1), (t2, c2) = cover, leg
     arrival = KI - (c1 + c2)
     e = KJ - arrival
-    mask = (arrival >= 0) & (e >= 0)
+    mask = (arrival >= 0) & (e >= 0) & roads[1]
     cost = ((t1 + t2) + cfg.t_land) + cfg.recharge_rate * e + cfg.t_takeoff
     return np.where(mask, cost, INF), 0, e, 0
 
 
 def _exit(KI, KJ, cfg, cover, leg, roads):
-    if not roads[0]:
-        return None
     (t1, c1), (t2, c2) = cover, leg
     after = KI - c1
     departure = KJ + c2
     e = departure - after
-    mask = (after >= 0) & (departure <= cfg.battery_levels) & (e >= 0)
+    mask = ((after >= 0) & (departure <= cfg.battery_levels) & (e >= 0)
+            & roads[0])
     cost = ((t1 + cfg.t_land) + cfg.recharge_rate * e + cfg.t_takeoff) + t2
     return np.where(mask, cost, INF), e, 0, 0
 
@@ -220,8 +220,6 @@ def _exit(KI, KJ, cfg, cover, leg, roads):
 def _both(KI, KJ, cfg, cover, leg, roads):
     C = cfg.battery_levels
     (t1, c1), (t2, c2) = cover, leg
-    if not (roads[0] and roads[1]) or c2 > C:
-        return None
     r, t_l, t_to = cfg.recharge_rate, cfg.t_land, cfg.t_takeoff
     after = KI - c1
     total = (KJ + c2) - after
@@ -229,7 +227,7 @@ def _both(KI, KJ, cfg, cover, leg, roads):
     # moves to the entry site.  Total time is split-invariant.
     e1 = np.maximum(0, np.minimum(C, KJ + c2) - after)
     e2 = total - e1
-    mask = (after >= 0) & (total >= 0)
+    mask = (after >= 0) & (total >= 0) & (c2 <= C) & roads[0] & roads[1]
     cost = ((((t1 + t_l) + r * e1 + t_to) + t2) + t_l) + r * e2 + t_to
     return np.where(mask, cost, INF), e1, e2, 0
 
@@ -271,7 +269,7 @@ def edge_breakdown(t: EdgeType, v_from: Vertex, v_to: Vertex,
     t2, c2 = _pair_legs(exit_i, entry_j, h_i, h_j, cfg)[leg]
     out = template(v_from.level, v_to.level, cfg, (t1, c1), (t2, c2),
                    (exit_i.on_road, entry_j.on_road))
-    if out is None or not math.isfinite(out[0]):
+    if not math.isfinite(out[0]):
         return None
     split = RechargeSplit(*(int(e) for e in out[1:]))
     riding = leg == _RIDE_LEG
@@ -374,43 +372,53 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
 
     cost = np.full((V, V), INF)
     best_type = np.full((V, V), -1, dtype=np.int16)
-
-    KI = np.arange(C, 0, -1, dtype=np.int64)[:, None]
-    KJ = np.arange(C, 0, -1, dtype=np.int64)[None, :]
-    inf_grid = np.full((C, C), INF)
-
     covers = [_cover_legs(cell, cfg) for cell in cells]
-    headings = {(i, e): traversal_heading(cells[i], e)
-                for i in range(n) for e in (END_A, END_B)}
+    ends = (END_A, END_B)
 
-    def block_base(i: int, end: str) -> int:
-        return 1 + i * 2 * C + (0 if end == END_A else C)
-
+    # (time, levels) of every transit leg of every ordered end pair, on
+    # axes (leg, i, x, j, y) for exit i.other_end(x) and entry j.end(y);
+    # the j == i entries stay 0 and their edges are cleared below.
+    leg_t = np.zeros((4, n, 2, n, 2))
+    leg_c = np.zeros((4, n, 2, n, 2), dtype=np.int64)
+    headings = [[traversal_heading(cell, e) for e in ends] for cell in cells]
     for i in range(n):
-        for x in (END_A, END_B):
-            exit_i = cells[i].other_end(x)
-            h_i = headings[(i, x)]
-            rows = slice(block_base(i, x), block_base(i, x) + C)
+        for x, end_x in enumerate(ends):
+            exit_i = cells[i].other_end(end_x)
             for j in range(n):
                 if j == i:
                     continue
-                for y in (END_A, END_B):
-                    entry_j = cells[j].end(y)
-                    legs = _pair_legs(exit_i, entry_j, h_i, headings[(j, y)],
-                                      cfg)
-                    roads = (exit_i.on_road, entry_j.on_road)
-                    grids = []
-                    for template, cover, leg in _TABLE:
-                        out = template(KI, KJ, cfg, covers[i][cover],
-                                       legs[leg], roads)
-                        grids.append(inf_grid if out is None else out[0])
-                    stacked = np.stack(grids)
-                    block = stacked.min(axis=0)
-                    types = stacked.argmin(axis=0).astype(np.int16)
-                    types[~np.isfinite(block)] = -1
-                    cols = slice(block_base(j, y), block_base(j, y) + C)
-                    cost[rows, cols] = block
-                    best_type[rows, cols] = types
+                for y, end_y in enumerate(ends):
+                    legs = _pair_legs(exit_i, cells[j].end(end_y),
+                                      headings[i][x], headings[j][y], cfg)
+                    leg_t[:, i, x, j, y] = [t for t, _ in legs]
+                    leg_c[:, i, x, j, y] = [c for _, c in legs]
+    exit_road = np.array([[c.other_end(e).on_road for e in ends]
+                          for c in cells])
+    entry_road = np.array([[c.end(e).on_road for e in ends] for c in cells])
+
+    # Per source cell i, every template runs once on a grid with axes
+    # (x, level_i, j, y, level_j); levels descend along their axes, which
+    # is the vertex order inside each endpoint block.  A strict < keeps
+    # the first minimum in _TABLE order, the tie-break.
+    KI = np.arange(C, 0, -1, dtype=np.int64)[None, :, None, None, None]
+    KJ = np.arange(C, 0, -1, dtype=np.int64)
+    roads_j = entry_road[None, None, :, :, None]
+    for i in range(n):
+        legs = [(leg_t[k, i][:, None, :, :, None],
+                 leg_c[k, i][:, None, :, :, None]) for k in range(4)]
+        roads = (exit_road[i][:, None, None, None, None], roads_j)
+        block = np.full((2, C, n, 2, C), INF)
+        types = np.full(block.shape, -1, dtype=np.int16)
+        for code, (template, cover, leg) in enumerate(_TABLE):
+            grid = template(KI, KJ, cfg, covers[i][cover], legs[leg], roads)[0]
+            better = grid < block
+            np.minimum(block, grid, out=block)
+            types[better] = code
+        block[:, :, i] = INF
+        types[:, :, i] = -1
+        rows = slice(1 + i * 2 * C, 1 + (i + 1) * 2 * C)
+        cost[rows, 1:] = block.reshape(2 * C, 2 * n * C)
+        best_type[rows, 1:] = types.reshape(2 * C, 2 * n * C)
 
     # Depot edges: free departure into full-battery vertices, and the final
     # coverage pass on the way back, in the faster battery-feasible mode
@@ -424,8 +432,8 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
         modes = np.where(back_m <= back_f, EdgeType.M_M.value,
                          EdgeType.F_F.value)
         modes[~np.isfinite(back)] = -1
-        for x in (END_A, END_B):
-            base = block_base(i, x)
+        for x in range(2):
+            base = 1 + i * 2 * C + x * C
             cost[0, base] = 0.0
             cost[base:base + C, 0] = back
             best_type[base:base + C, 0] = modes

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from enum import Enum
 
 from .energy import PlannerConfig
 from .errors import SamplingExhausted
@@ -64,6 +65,15 @@ def _check(value: object, kind: tuple[tuple[type, ...], str], where: str):
                                         and bool not in types):
         raise ValueError(f"{where} must be a JSON {label}, got {value!r}")
     return value
+
+
+def _member(value: str, enum_type: type[Enum], where: str):
+    """The member of enum_type with this value; else a ValueError naming where."""
+    members = {m.value: m for m in enum_type}
+    if value not in members:
+        allowed = ", ".join(repr(v) for v in members)
+        raise ValueError(f"{where} must be one of {allowed}, got {value!r}")
+    return members[value]
 
 
 def _field(data: object, name: str, kind: tuple[tuple[type, ...], str],
@@ -169,13 +179,14 @@ def _leg_from_dict(data: object, where: str) -> Leg:
     start_heading = get("start_heading", _NUMBER_OR_NULL)
     end_heading = get("end_heading", _NUMBER_OR_NULL)
     return Leg(
-        kind=LegKind(get("kind", _STRING)),
+        kind=_member(get("kind", _STRING), LegKind, f"{where}.kind"),
         start_site=_site_field(data, "start_site", where),
         end_site=_site_field(data, "end_site", where),
         duration=float(get("duration", _NUMBER)),
         battery_before=get("battery_before", _INTEGER),
         battery_after=get("battery_after", _INTEGER),
-        mode=FlightMode(mode) if mode is not None else None,
+        mode=(_member(mode, FlightMode, f"{where}.mode")
+              if mode is not None else None),
         levels=get("levels", _INTEGER),
         covers_cell=get("covers_cell", _INTEGER_OR_NULL),
         start_heading=(float(start_heading)

@@ -140,6 +140,10 @@ def solve_exact(g: ClusteredGraph, cluster_cap: int = 8) -> GtspTour:
         order.append(c)
         dfs(all_clusters[:pick] + all_clusters[pick + 1:], dp0)
         order.pop()
+    # dfs refers to itself through its closure; clearing the name breaks
+    # that cycle, so the matrix it holds is freed now and not whenever the
+    # cyclic garbage collector next runs.
+    del dfs
 
     if not math.isfinite(best_cost):
         raise Infeasible("every cluster ordering hits an infeasible edge")

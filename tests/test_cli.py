@@ -214,3 +214,13 @@ def test_string_via_ride_exit_code(tmp_path, capsys):
                        "-o", str(tmp_path / "out.svg"))
     assert code == 2
     assert "plan.ugv_waypoints[0].via_ride" in err and "boolean" in err
+
+
+def test_unknown_leg_kind_exit_code(tmp_path, capsys):
+    inst, plan_path, data = planned(tmp_path, capsys)
+    data["uav_legs"][0]["kind"] = "hover"
+    plan_path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "render", str(inst), "--plan", str(plan_path),
+                       "-o", str(tmp_path / "out.svg"))
+    assert code == 2
+    assert "plan.uav_legs[0].kind must be one of" in err and "'hover'" in err

@@ -122,7 +122,7 @@ def test_dubins_collinear_matches_euclid():
 
 def test_ugv_time():
     cfg = PlannerConfig(ugv_speed_ratio=0.2)
-    assert ugv_time((0.0, 0.0), (10.0, 0.0), cfg) == 50.0
+    assert ugv_time(Site(0, 0.0, 0.0), Site(1, 10.0, 0.0), cfg) == 50.0
 
 
 def test_segments_intersect():

@@ -1,6 +1,7 @@
 """Graph construction tests: edge costs, the 18-option minimum, the
 depot cluster and the dense matrix, checked against oracle18."""
 
+import hashlib
 import math
 import random
 
@@ -93,6 +94,32 @@ def test_road_gating():
     cost, _ = type_cost(EdgeType.M_MDU, u, v, cells, cfg)
     assert math.isfinite(cost)
 
+    # an off-road entry site rules out every layout that lands there;
+    # arriving with 18 levels, each of them balances on the road
+    cells = [
+        Cell(0, Site(0, 0.0, 0.0), Site(1, 10.0, 0.0)),
+        Cell(1, Site(2, 20.0, 0.0, on_road=False), Site(3, 30.0, 0.0)),
+    ]
+    v = Vertex(1, "A", 18)
+    for t in (EdgeType.M_DTU, EdgeType.M_MDU, EdgeType.M_DUMDU):
+        assert type_cost(t, u, v, cells, cfg) == (math.inf, None)
+    cost, _ = type_cost(EdgeType.M_DUM, u, v, cells, cfg)
+    assert math.isfinite(cost)
+
+    # 490 m between the cells: 98 levels multi-rotor and 33 fixed-wing
+    # against C = 20, so no recharge at either end makes the leg flyable,
+    # though the battery arithmetic alone would balance; riding still works.
+    cells = [
+        Cell(0, Site(0, 0.0, 0.0), Site(1, 10.0, 0.0)),
+        Cell(1, Site(2, 500.0, 0.0), Site(3, 510.0, 0.0)),
+    ]
+    v = Vertex(1, "A", 20)
+    for t in EdgeType:
+        if t.stops == "both":
+            assert type_cost(t, u, v, cells, cfg) == (math.inf, None)
+    cost, split = type_cost(EdgeType.M_DTU, u, v, cells, cfg)
+    assert math.isfinite(cost) and split.in_transit == 2
+
 
 def test_edge_breakdown_rejects_depot_and_same_cell():
     cells, cfg = spec_cells(), spec_cfg()
@@ -172,6 +199,41 @@ def test_build_instance_rejects_bad_indices():
         build_instance(cells, cfg)
     with pytest.raises(ValueError):
         build_instance([], cfg)
+
+
+@pytest.mark.parametrize("gen, cfg, cost_sha, type_sha", [
+    # Tight battery, 70% off-road ends: off-road exits and entries occur,
+    # stop templates win, and some transit legs need more than C levels.
+    ((6, 100.0, 10.0, 2, 0.3), dict(d_max=60.0, battery_levels=4),
+     "b35c44c8d08dd2c788a6577c5a4c3c65363af574f69baf52fd6e3a4ff1a227a0",
+     "688934c0aab49ad62fbfdb22aa324e4b8c6c617cca4c57762b4cb75eef68b8e7"),
+    ((1, 40.0, 8.0, 1, 1.0), dict(d_max=90.0, battery_levels=5),
+     "d2a876ebfc0ef1611896a7d0926f93e5684d55973d93af1b4607797a3e5004ab",
+     "552e3a65fa8fc1df1701b3ad2abf163867262016e5254bce24cd25614f459994"),
+    ((2, 40.0, 8.0, 4, 0.5), dict(d_max=90.0, battery_levels=20),
+     "5605feffd9bd2890e6f6a0c65a3b072b1c0c4581140b8ba2951f6d77a234a727",
+     "eaa953611ffc9f8859f3346f13a44440ff421002b2a2fd08cf3961c0d92712f6"),
+    ((4, 40.0, 8.0, 5, 1.0), dict(d_max=90.0, battery_levels=1),
+     "f54b1d9b64683ad69023a4685b7036898d368d99cff717188c6560c8ae50c428",
+     "dce356be16afb30cdff135d2b2a5d6a8dd5ed43d2b74820be1c512cb5cc488fe"),
+    ((5, 60.0, 10.0, 6, 0.7), dict(d_max=120.0, battery_levels=6,
+                                   fixed_wing_speed=1.5, turn_radius=8.0),
+     "f2a19e5664a915cebc67a32f8bc7801d8af7e4373f2997e38b7c65926c42c47b",
+     "d8dba2da0d7d92906eb9de9539c749d8d7aa3c4efb7319a6f5e85e7f54951005"),
+    # Cells far apart for d_max: 60 end pairs have a transit leg longer
+    # than a full battery, so only rides and the guard of _both decide.
+    ((5, 200.0, 10.0, 8, 0.8), dict(d_max=40.0, battery_levels=4),
+     "1bf2d77fc9a4a9b43fd72a41969dafe157c61131274c0f700c740a678f027c87",
+     "72af0ae20be222bb6b39cb55af1480ea801289f3760b3948d218afe6f1176207"),
+], ids=["tight-offroad", "n1", "n2", "C1", "fw-speed-turn", "long-legs"])
+def test_build_pinned(gen, cfg, cost_sha, type_sha):
+    # Values recorded before the build evaluated its templates per source
+    # cell; a changed float, tie-break or mask shows up as a new digest.
+    n, extent, max_len, seed, roads = gen
+    g = build_instance(gen_random(n, extent, max_len, seed=seed,
+                                  road_fraction=roads), PlannerConfig(**cfg))
+    assert hashlib.sha256(g.cost.tobytes()).hexdigest() == cost_sha
+    assert hashlib.sha256(g.best_type.tobytes()).hexdigest() == type_sha
 
 
 def test_matrix_matches_scalar_seeded():

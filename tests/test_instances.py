@@ -193,6 +193,12 @@ def test_instance_rejects_missing_cell_field():
     (("battery_trace", 0, 1), 2.5,
      "plan.battery_trace[0][1] must be a JSON integer"),
     (("total_time",), True, "plan.total_time must be a JSON number"),
+    (("uav_legs", 0, "kind"), "hover",
+     "plan.uav_legs[0].kind must be one of 'fly', 'land', 'take_off', "
+     "'recharge_in_place', 'ride_and_recharge', got 'hover'"),
+    (("uav_legs", 0, "mode"), "glide",
+     "plan.uav_legs[0].mode must be one of 'multi_rotor', 'fixed_wing', "
+     "got 'glide'"),
 ])
 def test_plan_rejects_mistyped_field(path, value, message):
     cells, cfg = sample()

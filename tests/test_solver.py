@@ -1,6 +1,7 @@
 """Solver tests: exact solver against brute force, heuristic against
 exact, determinism and error paths."""
 
+import gc
 import itertools
 import math
 import random
@@ -74,6 +75,20 @@ def test_exact_respects_cluster_cap():
     g = build_instance(cells, PlannerConfig(d_max=90.0, battery_levels=2))
     with pytest.raises(InstanceTooLarge):
         solve_exact(g, cluster_cap=3)
+
+
+def test_exact_leaves_no_reference_cycle():
+    # Garbage in a cycle waits for the cyclic collector; the exact search
+    # holds the cost matrix, which must be freed as soon as it returns.
+    g = build_instance(gen_random(4, 30.0, 6.0, seed=1),
+                       PlannerConfig(d_max=90.0, battery_levels=3))
+    gc.collect()
+    gc.disable()
+    try:
+        solve_exact(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exact_infeasible_instance():
