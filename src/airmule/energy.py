@@ -40,10 +40,13 @@ class PlannerConfig:
             "ugv_speed_ratio": self.ugv_speed_ratio,
             "fixed_wing_speed": self.fixed_wing_speed,
         }
+        # bool is a subclass of int, so a JSON true would pass as 1.
         for name, value in numeric.items():
-            if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if not (isinstance(self.battery_levels, int) and self.battery_levels >= 1):
+        if isinstance(self.battery_levels, bool) or not (
+                isinstance(self.battery_levels, int) and self.battery_levels >= 1):
             raise ValueError(f"battery_levels must be a positive integer, got {self.battery_levels!r}")
 
 

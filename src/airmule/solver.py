@@ -13,6 +13,13 @@ vertex 0 and cluster c >= 1 holds the 2C consecutive vertices
 1 + (c - 1) * 2C ... c * 2C.  So mat[1:, 1:] reshapes without a copy to
 an (m, 2C, m, 2C) array of cluster blocks, and every cluster-to-cluster
 cost read is a slice of the matrix instead of a gather.
+
+The search evaluates its moves incrementally, with the same floats as a
+full evaluation.  The layered DP keeps its forward steps and, after a
+move, recomputes only those past the first position where the cluster
+order changed.  An insertion call prices every remaining cluster once,
+then after each insert replaces only the broken edge's deltas by those
+of the two new edges.
 """
 
 from __future__ import annotations
@@ -60,7 +67,8 @@ class SolverParams:
     def __post_init__(self) -> None:
         if self.mode not in _MODE_ITER_FACTOR:
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.time_budget <= 0:
+        # Written so that NaN fails too: every comparison with it is False.
+        if not self.time_budget > 0:
             raise ValueError("time_budget must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
@@ -157,32 +165,137 @@ def solve_exact(g: ClusteredGraph, cluster_cap: int = 8) -> GtspTour:
     return _as_tour(g, vertices)
 
 
-def _layered_dp(mat: np.ndarray, blocks: np.ndarray,
-                order: list[int]) -> tuple[float, dict[int, int]]:
+# One forward DP step: (cluster, best cost to reach each of its vertices,
+# best predecessor vertex index of each, None for the first cluster).
+_Step = tuple[int, np.ndarray, np.ndarray | None]
+
+
+def _layered_dp(mat: np.ndarray, blocks: np.ndarray, order: list[int],
+                steps: list[_Step] | None = None
+                ) -> tuple[float, dict[int, int]]:
     """Best vertex per cluster for a fixed cyclic cluster order.
 
     blocks is _cluster_blocks(mat, m).  The order must start with the
     depot cluster; returns the cycle cost and a cluster -> vertex id
-    mapping.
+    mapping.  steps, when given, holds the forward DP of an earlier call,
+    one step per order position after the depot.  A step depends only on
+    the order up to its position, so the steps along the prefix this
+    order shares with that call are kept as they are, the rest are
+    recomputed, and steps is left holding this order's DP.
     """
     width = blocks.shape[1]
-    first = order[1]
-    dp = mat[0, _span(first, width)]
-    parent: list[np.ndarray] = []
-    for c_prev, c in zip(order[1:], order[2:]):
+    if steps is None:
+        steps = []
+    keep = 0
+    for (c, _, _), c_now in zip(steps, order[1:]):
+        if c != c_now:
+            break
+        keep += 1
+    del steps[keep:]
+    if not steps:
+        steps.append((order[1], mat[0, _span(order[1], width)], None))
+    for c in order[len(steps) + 1:]:
+        c_prev, dp, _ = steps[-1]
         trans = dp[:, None] + blocks[c_prev - 1, :, c - 1, :]
-        dp = trans.min(axis=0)
-        parent.append(trans.argmin(axis=0))
-    last = order[-1]
+        steps.append((c, trans.min(axis=0), trans.argmin(axis=0)))
+    last, dp, _ = steps[-1]
     closing = dp + mat[_span(last, width), 0]
     idx = int(np.argmin(closing))
     total = float(closing[idx])
     choice = {0: 0}
-    for c, par in zip(reversed(order[2:]), reversed(parent)):
+    for c, _, parent in reversed(steps):
         choice[c] = _span(c, width).start + idx
-        idx = int(par[idx])
-    choice[first] = _span(first, width).start + idx
+        if parent is not None:
+            idx = int(parent[idx])
     return total, choice
+
+
+class _Insertions:
+    """Insertion deltas of the clusters still to insert into a _Search
+    tour, kept across the rounds of one insertion call.
+
+    raw[r, p, k] prices vertex ids[r, k] of clusters[r] (sorted) between
+    tour[p] and its successor: (enter + leave) - the edge it breaks, or
+    enter + leave on a depot-only tour, which has no edge to break
+    (pmat[0, 0] is BIG).  prox[r] is the smallest edge between
+    clusters[r] and any tour vertex.  An insertion drops its cluster's
+    entries (axis 0) and replaces the broken edge's entries (axis 1) by
+    those of its two new edges, so a round gathers 2 * len(clusters) * 2C
+    entries, not the whole array again.
+    """
+
+    def __init__(self, search: _Search, clusters: list[int]) -> None:
+        self.search = search
+        self.clusters = list(clusters)
+        self.picked = np.array(clusters, dtype=np.intp) - 1
+        self.ids = (1 + self.picked[:, None] * search.width
+                    + np.arange(search.width))
+        tour = np.array(search.tour_vertices(), dtype=np.intp)
+        succ = np.concatenate((tour[1:], tour[:1]))
+        enter, leave = self._edges(tour, succ)
+        self.raw = enter + leave
+        if len(tour) > 1:
+            self.raw -= search.pmat[tour, succ][:, None]
+        self.prox = np.minimum(enter.min(axis=(1, 2)), leave.min(axis=(1, 2)))
+
+    def _edges(self, heads: np.ndarray,
+               tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(len(clusters), len(heads), 2C) edges from heads[p] into each
+        vertex, and from each vertex to tails[p]."""
+        s = self.search
+        enter = s.out_blocks[heads, self.picked[:, None]]
+        leave = s.flat.take(self.ids[:, None, :] * len(s.pmat)
+                            + tails[:, None])
+        return enter, leave
+
+    def best(self, noisy: bool, nearest: bool) -> tuple[float, int, int, int]:
+        """Cheapest (delta, cluster, position, vertex) insertion.
+
+        With noisy, each position delta is scaled by 1 + _NOISE * u,
+        drawing len(tour) values per cluster in cluster order.  With
+        nearest, the cluster is not the cheapest one but the one with the
+        smallest prox.  Ties go to the first cluster, then the first
+        position, then the first vertex.
+        """
+        delta = self.raw
+        if noisy and delta.shape[1] > 1:
+            count = delta.shape[0] * delta.shape[1]
+            draws = itertools.starmap(self.search.rng.random,
+                                      itertools.repeat((), count))
+            u = np.fromiter(draws, float, count)
+            delta = delta * (1.0 + _NOISE * u).reshape(delta.shape[:2])[
+                :, :, None]
+        if nearest:
+            r = int(np.argmin(self.prox))
+        else:
+            r = int(np.argmin(delta.min(axis=(1, 2))))
+        pos, k = divmod(int(np.argmin(delta[r])), delta.shape[2])
+        return float(delta[r, pos, k]), self.clusters[r], pos, int(
+            self.ids[r, k])
+
+    def insert(self, cluster: int, pos: int, vertex: int) -> None:
+        """Insert into the search's tour and update the kept deltas."""
+        s = self.search
+        s.insert(cluster, pos, vertex)
+        r = self.clusters.index(cluster)
+        del self.clusters[r]
+        if not self.clusters:
+            return
+        keep = np.ones(len(self.picked), dtype=bool)
+        keep[r] = False
+        self.picked = self.picked[keep]
+        self.ids = self.ids[keep]
+        order = s.order
+        heads = np.array([s.choice[order[pos]], vertex], dtype=np.intp)
+        tails = np.array([vertex, s.choice[order[(pos + 2) % len(order)]]],
+                         dtype=np.intp)
+        enter, leave = self._edges(heads, tails)
+        fresh = (enter + leave) - s.pmat[heads, tails][:, None]
+        raw = self.raw[keep]
+        self.raw = np.concatenate((raw[:, :pos], fresh, raw[:, pos + 1:]),
+                                  axis=1)
+        self.prox = np.minimum(self.prox[keep], np.minimum(
+            enter[:, 1].min(axis=1), leave[:, 0].min(axis=1)))
 
 
 class _Search:
@@ -199,6 +312,9 @@ class _Search:
         self.rng = rng
         self.order: list[int] = [0]
         self.choice: dict[int, int] = {0: 0}
+        # Forward DP of the last reoptimize_vertices, reused along the
+        # prefix the next order shares with it.
+        self.steps: list[_Step] = []
 
     def tour_vertices(self) -> list[int]:
         return [self.choice[c] for c in self.order]
@@ -209,43 +325,9 @@ class _Search:
 
     def price_insertion(self, clusters: list[int], noisy: bool = False,
                         nearest: bool = False) -> tuple[float, int, int, int]:
-        """Cheapest (delta, cluster, position, vertex) insertion.
-
-        One gather prices every vertex of every given cluster (sorted)
-        between every pair of tour neighbours.  With noisy, each position
-        delta is scaled by 1 + _NOISE * u, drawing len(tour) values per
-        cluster in the given order.  With nearest, the cluster is not the
-        cheapest one but the one with the smallest edge to or from a tour
-        vertex.  Ties go to the first cluster, then the first position,
-        then the first vertex.
-        """
-        tour = np.array(self.tour_vertices(), dtype=np.intp)
-        succ = np.concatenate((tour[1:], tour[:1]))
-        picked = np.array(clusters, dtype=np.intp) - 1
-        # (len(tour), len(clusters), 2C): enter[p, r, k] is the edge from
-        # tour[p] into vertex k of clusters[r], leave[p, r, k] the edge
-        # from that vertex to succ[p].
-        enter = self.out_blocks[tour[:, None], picked]
-        rows = 1 + picked[:, None] * self.width + np.arange(self.width)
-        leave = self.flat.take(rows * len(self.pmat) + succ[:, None, None])
-        delta = enter + leave
-        # A depot-only tour has no edge to break: pmat[0, 0] is BIG.
-        if len(tour) > 1:
-            delta -= self.pmat[tour, succ][:, None, None]
-            if noisy:
-                draws = itertools.starmap(self.rng.random, itertools.repeat(
-                    (), len(clusters) * len(tour)))
-                u = np.fromiter(draws, float, len(clusters) * len(tour))
-                delta *= (1.0 + _NOISE * u).reshape(len(clusters), -1).T[
-                    :, :, None]
-        if nearest:
-            r = int(np.argmin(np.minimum(enter.min(axis=0).min(axis=1),
-                                         leave.min(axis=0).min(axis=1))))
-        else:
-            r = int(np.argmin(delta.min(axis=0).min(axis=1)))
-        block = delta[:, r, :]
-        pos, k = divmod(int(np.argmin(block)), self.width)
-        return float(block[pos, k]), clusters[r], pos, int(rows[r, k])
+        """The first round of insert_greedy on the given (sorted) clusters:
+        its (delta, cluster, position, vertex), without inserting."""
+        return _Insertions(self, clusters).best(noisy, nearest)
 
     def insert(self, cluster: int, pos: int, vertex: int) -> None:
         self.order.insert(pos + 1, cluster)
@@ -260,7 +342,8 @@ class _Search:
     def reoptimize_vertices(self) -> None:
         if len(self.order) < 2:
             return
-        _, self.choice = _layered_dp(self.pmat, self.blocks, self.order)
+        _, self.choice = _layered_dp(self.pmat, self.blocks, self.order,
+                                     self.steps)
 
     def _relocate_to_local_opt(self, deadline: float) -> None:
         improved = True
@@ -291,20 +374,20 @@ class _Search:
         self._relocate_to_local_opt(deadline)
         fwd = self.snapshot()
         fwd_cost = self.cost()
-        rev = [0] + self.order[:0:-1]
-        _, choice = _layered_dp(self.pmat, self.blocks, rev)
-        self.order = rev
-        self.choice = choice
+        self.order = [0] + self.order[:0:-1]
+        self.reoptimize_vertices()
         self._relocate_to_local_opt(deadline)
         if self.cost() >= fwd_cost - 1e-12:
             self.restore(fwd)
 
-    def snapshot(self) -> tuple[list[int], dict[int, int]]:
-        return self.order.copy(), self.choice.copy()
+    def snapshot(self) -> tuple[list[int], dict[int, int], list[_Step]]:
+        return self.order.copy(), self.choice.copy(), self.steps.copy()
 
-    def restore(self, snap: tuple[list[int], dict[int, int]]) -> None:
+    def restore(self,
+                snap: tuple[list[int], dict[int, int], list[_Step]]) -> None:
         self.order = snap[0].copy()
         self.choice = snap[1].copy()
+        self.steps = snap[2].copy()
 
     # Removal heuristics.  Each returns the removed cluster list.
 
@@ -349,12 +432,11 @@ class _Search:
 
     def insert_greedy(self, removed: list[int], noisy: bool = False,
                       nearest: bool = False) -> None:
-        """Repeatedly insert the cluster price_insertion picks."""
-        remaining = sorted(removed)
-        while remaining:
-            _, c, pos, vertex = self.price_insertion(remaining, noisy, nearest)
-            self.insert(c, pos, vertex)
-            remaining.remove(c)
+        """Repeatedly insert the cluster _Insertions.best picks."""
+        prices = _Insertions(self, sorted(removed))
+        while prices.clusters:
+            _, c, pos, vertex = prices.best(noisy, nearest)
+            prices.insert(c, pos, vertex)
 
     def insert_random(self, removed: list[int]) -> None:
         """Random cluster into a random position, best vertex for it."""

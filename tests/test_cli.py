@@ -224,3 +224,22 @@ def test_unknown_leg_kind_exit_code(tmp_path, capsys):
                        "-o", str(tmp_path / "out.svg"))
     assert code == 2
     assert "plan.uav_legs[0].kind must be one of" in err and "'hover'" in err
+
+
+def test_boolean_config_value_exit_code(tmp_path, capsys):
+    # JSON true is a Python bool, an int subclass; it must not pass as 1.
+    inst = gen_instance(tmp_path, capsys)
+    data = json.loads(inst.read_text(encoding="utf-8"))
+    data["config"]["battery_levels"] = True
+    inst.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "plan", str(inst))
+    assert code == 2
+    assert "battery_levels" in err
+
+
+def test_nan_time_budget_exit_code(tmp_path, capsys):
+    # A NaN deadline is never reached and fails every deadline check.
+    inst = gen_instance(tmp_path, capsys)
+    code, _, err = run(capsys, "plan", str(inst), "--time-budget", "nan")
+    assert code == 2
+    assert "time_budget" in err

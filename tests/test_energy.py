@@ -34,6 +34,16 @@ def test_config_defaults_valid():
     ("turn_radius", 0.0),
     ("ugv_speed_ratio", 0.0),
     ("fixed_wing_speed", 0.0),
+    # JSON true is a Python bool, which is an int.
+    ("t_takeoff", True),
+    ("t_land", True),
+    ("recharge_rate", True),
+    ("d_max", True),
+    ("battery_levels", True),
+    ("fixed_wing_ratio", True),
+    ("turn_radius", True),
+    ("ugv_speed_ratio", True),
+    ("fixed_wing_speed", True),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError):

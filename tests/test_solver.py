@@ -172,6 +172,8 @@ def test_solver_params_validation():
     with pytest.raises(ValueError):
         SolverParams(time_budget=0.0)
     with pytest.raises(ValueError):
+        SolverParams(time_budget=math.nan)
+    with pytest.raises(ValueError):
         SolverParams(restarts=0)
 
 
@@ -196,6 +198,24 @@ def test_glns_output_pinned():
     tour = solve_glns(g, params)
     assert tour.vertices == (0, 37, 11, 25, 42, 18, 8)
     assert repr(tour.cost) == "345.59111677268976"
+
+    # Longer searches, recorded before the search kept its DP prefix and
+    # insertion deltas across calls: many-round insertions and long DP
+    # prefixes, on a plain farm and on a tight-battery off-road one.
+    g = build_instance(gen_random(15, 60.0, 8.0, seed=5),
+                       PlannerConfig(d_max=120.0, battery_levels=5))
+    tour = solve_glns(g, SolverParams(mode="default", restarts=1, rng_seed=3))
+    assert tour.vertices == (0, 11, 74, 26, 43, 100, 82, 149, 51, 8, 130, 107,
+                             119, 36, 68, 140)
+    assert repr(tour.cost) == "537.4794378589206"
+
+    g = build_instance(gen_random(12, 100.0, 10.0, seed=8, road_fraction=0.7),
+                       PlannerConfig(d_max=60.0, battery_levels=5,
+                                     ugv_speed_ratio=0.2))
+    tour = solve_glns(g, SolverParams(mode="fast", restarts=2, rng_seed=4))
+    assert tour.vertices == (0, 16, 74, 61, 59, 101, 33, 10, 27, 84, 46, 118,
+                             95)
+    assert repr(tour.cost) == "492.05789769786156"
 
     g = build_instance(gen_random(5, 40.0, 8.0, seed=7, road_fraction=0.7),
                        PlannerConfig(d_max=60.0, battery_levels=3,
@@ -301,3 +321,86 @@ def test_batched_insertion_matches_scan(data, case, rule, seed):
                                  nearest=rule == "nearest")
     assert got == expect
     assert search.rng.random() == ref_rng.random()
+
+
+class RecordingSearch(_Search):
+    """_Search that logs every (cluster, pos, vertex) it inserts."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def insert(self, cluster, pos, vertex):
+        self.log.append((cluster, pos, vertex))
+        super().insert(cluster, pos, vertex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       case=block_matrices(st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.5, BIG]),
+                           6),
+       rule=st.sampled_from(["cheapest", "noisy", "nearest"]),
+       seed=st.integers(0, 2**32))
+def test_insert_greedy_matches_scan_loop(data, case, rule, seed):
+    # insert_greedy keeps its deltas across rounds; a loop that scans the
+    # whole tour afresh each round must insert the same clusters at the
+    # same positions and vertices, drawing the same random numbers.
+    m, width, pmat = case
+    perm = data.draw(st.permutations(range(1, m + 1)))
+    split = data.draw(st.integers(0, m - 1))
+    search = RecordingSearch(pmat, m, random.Random(seed))
+    ref = RecordingSearch(pmat, m, random.Random(seed))
+    for c in perm[:split]:
+        v = data.draw(st.sampled_from(cluster_vertices(c, width)))
+        search.insert(c, len(search.order) - 1, v)
+        ref.insert(c, len(ref.order) - 1, v)
+    search.log.clear()
+    ref.log.clear()
+    remaining = sorted(perm[split:])
+    while remaining:
+        _, c, pos, v = scan_insertion(pmat, width, ref.tour_vertices(),
+                                      remaining, rule == "noisy",
+                                      rule == "nearest", ref.rng)
+        ref.insert(c, pos, v)
+        remaining.remove(c)
+    search.insert_greedy(list(perm[split:]), noisy=rule == "noisy",
+                         nearest=rule == "nearest")
+    assert search.log == ref.log
+    assert search.order == ref.order
+    assert search.rng.random() == ref.rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), case=block_matrices(_DP_VALUES, 5))
+def test_reoptimize_matches_fresh_dp(data, case):
+    # reoptimize_vertices reuses the forward DP along the prefix the order
+    # shares with its last call, and snapshot/restore carry that state;
+    # after any sequence of moves it must pick what a fresh DP picks.
+    m, width, mat = case
+    blocks = _cluster_blocks(mat, m)
+    search = _Search(mat, m, random.Random(0))
+    for c in data.draw(st.permutations(range(1, m + 1))):
+        search.insert(c, len(search.order) - 1, cluster_vertices(c, width)[0])
+    snaps = [search.snapshot()]
+    moves = st.sampled_from(["remove", "insert", "reverse", "reoptimize",
+                             "snapshot", "restore"])
+    for move in data.draw(st.lists(moves, max_size=25)) + ["reoptimize"]:
+        missing = sorted(set(range(1, m + 1)) - set(search.order))
+        if move == "remove" and len(search.order) > 1:
+            search.remove_clusters(data.draw(st.lists(
+                st.sampled_from(search.order[1:]), min_size=1, unique=True)))
+        elif move == "insert" and missing:
+            c = data.draw(st.sampled_from(missing))
+            search.insert(c, data.draw(st.integers(0, len(search.order) - 1)),
+                          data.draw(st.sampled_from(
+                              cluster_vertices(c, width))))
+        elif move == "reverse":
+            search.order = [0] + search.order[:0:-1]
+        elif move == "reoptimize" and len(search.order) > 1:
+            search.reoptimize_vertices()
+            _, expect = _layered_dp(mat, blocks, search.order)
+            assert search.choice == expect
+        elif move == "snapshot":
+            snaps.append(search.snapshot())
+        elif move == "restore":
+            search.restore(data.draw(st.sampled_from(snaps)))
