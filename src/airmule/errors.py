@@ -10,7 +10,8 @@ class Infeasible(PlanningError):
 
 
 class InstanceTooLarge(PlanningError):
-    """The exact solver refuses instances above its cluster cap."""
+    """The exact solver refuses instances above its cluster cap, or whose
+    DP tables would exceed its byte bound."""
 
 
 class NoFeasibleTour(PlanningError):

@@ -1,10 +1,9 @@
 """GTSP solvers.
 
-solve_exact enumerates cluster orders with the depot fixed first and
-picks vertices by dynamic programming over the layered sequence, with
-branch-and-bound pruning; it is the optimality oracle for small
-instances.  solve_glns is an adaptive large neighborhood search in the
-style of GLNS: removal and insertion heuristics with adaptive weights,
+solve_exact is the optimality oracle: a Held-Karp dynamic program over
+subsets of clusters (GTSP form, after Noon & Bean), with the depot fixed
+first.  solve_glns is an adaptive large neighborhood search in the style
+of GLNS: removal and insertion heuristics with adaptive weights,
 simulated-annealing acceptance and a cluster-reoptimization move that
 re-picks vertices along a fixed cluster order.
 
@@ -47,6 +46,12 @@ _NOISE = 0.25
 _SIGMA_BEST, _SIGMA_BETTER, _SIGMA_ACCEPTED = 10.0, 6.0, 3.0
 _REACTION = 0.5
 _MIN_WEIGHT = 0.05
+
+# solve_exact's default cluster cap, and the bound on its DP tables: 12
+# bytes per (set, cluster, vertex), 23.6 MB for 12 clusters of 40 vertices.
+# Within the bound every rank key fits in the tables' int32.
+EXACT_CLUSTER_CAP = 8
+_HELD_KARP_MAX_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -98,71 +103,74 @@ def _span(c: int, width: int) -> slice:
     return slice(1 + (c - 1) * width, 1 + c * width)
 
 
-def solve_exact(g: ClusteredGraph, cluster_cap: int = 8) -> GtspTour:
-    """Globally optimal tour via depth-first order enumeration plus DP."""
+def solve_exact(g: ClusteredGraph,
+                cluster_cap: int = EXACT_CLUSTER_CAP) -> GtspTour:
+    """Globally optimal tour by the Held-Karp subset DP (_held_karp)."""
     m = len(g.clusters) - 1
     if m > cluster_cap:
         raise InstanceTooLarge(
             f"{m} clusters exceed the exact-solver cap of {cluster_cap}")
+    return _as_tour(g, _held_karp(g.cost, m)[1])
 
-    cost = g.cost
-    blocks = _cluster_blocks(cost, m)
-    width = blocks.shape[1]
-    best_cost = math.inf
-    best_order: list[int] = []
-    best_last = -1
-    best_parents: list[np.ndarray] = []
 
-    order: list[int] = []
-    parents: list[np.ndarray] = []
+def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
+    """Optimal cycle over every cluster order: (cost, vertex ids).
 
-    def dfs(remaining: list[int], dp: np.ndarray) -> None:
-        nonlocal best_cost, best_order, best_last, best_parents
-        last = order[-1]
-        if not remaining:
-            closing = dp + cost[_span(last, width), 0]
-            idx = int(np.argmin(closing))
-            total = float(closing[idx])
-            if total < best_cost:
-                best_cost = total
-                best_order = order.copy()
-                best_last = idx
-                best_parents = [p.copy() for p in parents]
-            return
-        for pick, c in enumerate(remaining):
-            trans = dp[:, None] + blocks[last - 1, :, c - 1, :]
-            dp2 = trans.min(axis=0)
-            if float(dp2.min()) >= best_cost:
-                continue
-            order.append(c)
-            parents.append(trans.argmin(axis=0))
-            dfs(remaining[:pick] + remaining[pick + 1:], dp2)
-            order.pop()
-            parents.pop()
+    value[S, c, v] is the cheapest path from the depot through the set S
+    that ends on vertex v of c in S, the minimum of _layered_dp's sums
+    over the orders of S.  Sets grow in order of size, one min-plus step
+    per set.  Ties go to the lexicographically smallest cluster order:
+    rank[S, c, v] ranks the order behind value[S, c, v] among all orders
+    of its length, a step keeps the smallest rank among its cheapest
+    candidates, and the new ranks are the dense ranks of (predecessor
+    rank, cluster).  The vertices are _layered_dp's along that order.
+    """
+    width = (mat.shape[0] - 1) // m
+    need = 12 * (1 << m) * m * width
+    if need > _HELD_KARP_MAX_BYTES:
+        raise InstanceTooLarge(f"{m} clusters need {need} bytes of exact-"
+                               f"solver tables, over {_HELD_KARP_MAX_BYTES}")
+    blocks = _cluster_blocks(mat, m)
+    every = np.arange(m)
+    vertex = np.arange(width)[:, None]
+    value = np.full((1 << m, m, width), np.inf)
+    rank = np.zeros((1 << m, m, width), dtype=np.int32)
+    value[1 << every, every] = mat[0, 1:].reshape(m, width)
+    rank[1 << every, every] = every[:, None]
+    keys = []  # keys[k - 1][r]: predecessor rank * m + cluster of rank r
+    for k in range(1, m):
+        for inside in itertools.combinations(range(m), k):
+            cs = np.array(inside)
+            ds = np.array([d for d in range(m) if d not in inside])
+            s = sum(1 << c for c in inside)
+            # trans[(c, u), (d, v)]: via vertex u of cs[c] to v of ds[d].
+            trans = blocks[cs[:, None, None], vertex, ds].reshape(k * width, -1)
+            trans += value[s, cs].reshape(-1, 1)
+            best = trans.min(axis=0)
+            pred = np.where(trans == best, rank[s, cs].reshape(-1, 1),
+                            np.iinfo(np.int32).max).min(axis=0)
+            value[s + (1 << ds), ds] = best.reshape(-1, width)
+            rank[s + (1 << ds), ds] = pred.reshape(-1, width) * m + ds[:, None]
+        # Dense ranks by counting; unused entries' 0 keys leave the order as is.
+        layer = [sum(1 << c for c in inside)
+                 for inside in itertools.combinations(range(m), k + 1)]
+        new = rank[layer]
+        seen = np.bincount(new.ravel()) > 0
+        rank[layer] = (np.cumsum(seen) - 1)[new]
+        keys.append(np.flatnonzero(seen))
 
-    all_clusters = list(range(1, m + 1))
-    for pick, c in enumerate(all_clusters):
-        dp0 = cost[0, _span(c, width)]
-        if float(dp0.min()) >= best_cost:
-            continue
-        order.append(c)
-        dfs(all_clusters[:pick] + all_clusters[pick + 1:], dp0)
-        order.pop()
-    # dfs refers to itself through its closure; clearing the name breaks
-    # that cycle, so the matrix it holds is freed now and not whenever the
-    # cyclic garbage collector next runs.
-    del dfs
-
-    if not math.isfinite(best_cost):
+    closing = value[-1] + mat[1:, 0].reshape(m, width)
+    total = float(closing.min())
+    if not math.isfinite(total):
         raise Infeasible("every cluster ordering hits an infeasible edge")
-
-    picks = [0] * len(best_order)
-    picks[-1] = best_last
-    for level in range(len(best_order) - 2, -1, -1):
-        picks[level] = int(best_parents[level][picks[level + 1]])
-    vertices = [0] + [_span(c, width).start + i
-                      for c, i in zip(best_order, picks)]
-    return _as_tour(g, vertices)
+    r = int(rank[-1][closing == total].min())
+    order = []
+    for uniq in reversed(keys):
+        r, d = divmod(int(uniq[r]), m)
+        order.append(d + 1)
+    order = [0, r + 1] + order[::-1]
+    _, choice = _layered_dp(mat, blocks, order)
+    return total, [choice[c] for c in order]
 
 
 # One forward DP step: (cluster, best cost to reach each of its vertices,
@@ -399,32 +407,23 @@ class _Search:
         return removed
 
     def remove_distance(self, count: int) -> list[int]:
-        ring = self.order[1:]
-        seed = self.rng.choice(ring)
-        sv = self.choice[seed]
-        scored = []
-        for c in ring:
-            v = self.choice[c]
-            d = min(float(self.pmat[sv, v]), float(self.pmat[v, sv]))
-            scored.append((d, c))
-        scored.sort()
-        removed = [c for _, c in scored[:count]]
+        ring = np.array(self.order[1:])
+        sv = self.choice[self.rng.choice(self.order[1:])]
+        vs = np.array(self.tour_vertices()[1:], dtype=np.intp)
+        near = np.minimum(self.pmat[sv, vs], self.pmat[vs, sv])
+        # Nearest first, ties to the smaller cluster.
+        removed = ring[np.lexsort((ring, near))[:count]].tolist()
         self.remove_clusters(removed)
         return removed
 
     def remove_worst(self, count: int) -> list[int]:
-        tour = self.tour_vertices()
-        scored = []
-        for pos in range(1, len(self.order)):
-            prev_v = tour[pos - 1]
-            v = tour[pos]
-            next_v = tour[(pos + 1) % len(tour)]
-            gain = (float(self.pmat[prev_v, v]) + float(self.pmat[v, next_v])
-                    - float(self.pmat[prev_v, next_v]))
-            noisy = gain * (1.0 + _NOISE * self.rng.random())
-            scored.append((-noisy, self.order[pos]))
-        scored.sort()
-        removed = [c for _, c in scored[:count]]
+        ring = np.array(self.order[1:])
+        vs = np.array(self.tour_vertices(), dtype=np.intp)
+        prev, v, succ = vs[:-1], vs[1:], np.concatenate((vs[2:], vs[:1]))
+        gain = (self.pmat[prev, v] + self.pmat[v, succ]) - self.pmat[prev, succ]
+        noisy = gain * (1.0 + _NOISE * np.array([self.rng.random() for _ in ring]))
+        # Largest noisy gain first, ties to the smaller cluster.
+        removed = ring[np.lexsort((ring, -noisy))[:count]].tolist()
         self.remove_clusters(removed)
         return removed
 
@@ -463,6 +462,16 @@ def _roulette(weights: list[float], rng: random.Random) -> int:
         if pick < acc:
             return idx
     return len(weights) - 1
+
+
+def _adapt(weights: list[float], scores: list[float], tries: list[int]) -> None:
+    """Segment end, in place: tried weights move toward their mean score."""
+    for k, n in enumerate(tries):
+        if n:
+            weights[k] = max(_MIN_WEIGHT, (1 - _REACTION) * weights[k]
+                             + _REACTION * scores[k] / n)
+    scores[:] = [0.0] * len(scores)
+    tries[:] = [0] * len(tries)
 
 
 def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTour:
@@ -544,18 +553,8 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
 
             temperature *= _COOLING
             if it % _SEGMENT == _SEGMENT - 1:
-                for k in range(len(w_rm)):
-                    if tries_rm[k]:
-                        w_rm[k] = max(_MIN_WEIGHT, (1 - _REACTION) * w_rm[k]
-                                      + _REACTION * score_rm[k] / tries_rm[k])
-                for k in range(len(w_ins)):
-                    if tries_ins[k]:
-                        w_ins[k] = max(_MIN_WEIGHT, (1 - _REACTION) * w_ins[k]
-                                       + _REACTION * score_ins[k] / tries_ins[k])
-                score_rm = [0.0] * len(w_rm)
-                score_ins = [0.0] * len(w_ins)
-                tries_rm = [0] * len(w_rm)
-                tries_ins = [0] * len(w_ins)
+                _adapt(w_rm, score_rm, tries_rm)
+                _adapt(w_ins, score_ins, tries_ins)
 
         search.restore(restart_best)
         search.polish(deadline)

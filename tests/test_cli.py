@@ -1,6 +1,7 @@
 """End-to-end CLI tests through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -109,6 +110,20 @@ def test_cluster_cap_exit_code(tmp_path, capsys):
                        "--cluster-cap", "2")
     assert code == 2
     assert "glns" in err
+
+
+def test_exact_table_bound_exit_code(tmp_path, capsys):
+    # 30 cells pass a cap of 64, but their DP tables would take terabytes:
+    # the exact solver refuses them up front instead of running.
+    inst = tmp_path / "inst.json"
+    assert run(capsys, "gen", "-n", "30", "--extent", "200", "--max-len", "6",
+               "--gen-seed", "1", "-o", str(inst))[0] == 0
+    start = time.monotonic()
+    code, _, err = run(capsys, "plan", str(inst), "--solver", "exact",
+                       "--cluster-cap", "64")
+    assert code == 2
+    assert "bytes" in err and "glns" in err
+    assert time.monotonic() - start < 30.0
 
 
 def test_compare_reports_improvement(tmp_path, capsys):

@@ -17,8 +17,8 @@ from airmule.geometry import Cell, Site
 from airmule.graph import build_instance
 from airmule.instances import gen_random
 from airmule.solver import (_NOISE, BIG, GtspTour, SolverParams,
-                            _cluster_blocks, _layered_dp, _Search,
-                            solve_exact, solve_glns, tour_cost)
+                            _cluster_blocks, _held_karp, _layered_dp,
+                            _Search, solve_exact, solve_glns, tour_cost)
 
 
 def brute_force(g):
@@ -75,6 +75,34 @@ def test_exact_respects_cluster_cap():
     g = build_instance(cells, PlannerConfig(d_max=90.0, battery_levels=2))
     with pytest.raises(InstanceTooLarge):
         solve_exact(g, cluster_cap=3)
+
+
+def test_exact_table_bound_checked_before_allocation(monkeypatch):
+    # 30 clusters of 8 vertices would need 30 * 8 * 2**30 table entries; the
+    # bound must refuse them before numpy is asked for any table.
+    g = build_instance(gen_random(30, 200.0, 6.0, seed=1),
+                       PlannerConfig(d_max=90.0, battery_levels=4))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("table allocated")
+
+    monkeypatch.setattr(np, "full", no_table)
+    monkeypatch.setattr(np, "zeros", no_table)
+    with pytest.raises(InstanceTooLarge, match="bytes"):
+        solve_exact(g, cluster_cap=30)
+
+
+def test_exact_twelve_clusters():
+    # 12 clusters of C=20 levels fit the table bound.  The farm is as in
+    # the glns-n20-recharge benchmark: tight battery, 30% off-road ends.
+    cells = gen_random(12, 100.0, 10.0, seed=0, road_fraction=0.7)
+    g = build_instance(cells, PlannerConfig(d_max=60.0, battery_levels=20,
+                                            ugv_speed_ratio=0.2))
+    tour = solve_exact(g, cluster_cap=12)
+    assert sorted(g.cluster_of(v) for v in tour.vertices) == list(range(13))
+    assert tour.cost == tour_cost(g, tour)
+    heur = solve_glns(g, SolverParams(mode="fast", restarts=1))
+    assert heur.cost >= tour.cost
 
 
 def test_exact_leaves_no_reference_cycle():
@@ -404,3 +432,82 @@ def test_reoptimize_matches_fresh_dp(data, case):
             snaps.append(search.snapshot())
         elif move == "restore":
             search.restore(data.draw(st.sampled_from(snaps)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), exact_sums=st.booleans())
+def test_held_karp_matches_brute_force(data, exact_sums):
+    # Sums of {0, 1, 2.5, inf} are exact, so equal-cost orders really tie
+    # there and the tie-break is checked: the lexicographically smallest
+    # optimal order, with _layered_dp's vertices along it.
+    values = (st.sampled_from([0.0, 1.0, 2.5, math.inf]) if exact_sums
+              else _DP_VALUES)
+    m, width, mat = data.draw(block_matrices(values, 4))
+    costs = {order: min(cycle_cost(mat, [0] + list(vs))
+                        for vs in itertools.product(
+                            *(cluster_vertices(c, width) for c in order)))
+             for order in itertools.permutations(range(1, m + 1))}
+    expect = min(costs.values())
+    if math.isinf(expect):
+        with pytest.raises(Infeasible):
+            _held_karp(mat, m)
+        return
+    total, vertices = _held_karp(mat, m)
+    assert total == expect
+    assert cycle_cost(mat, vertices) == total
+    order = [0] + [1 + (v - 1) // width for v in vertices[1:]]
+    assert vertices[0] == 0 and sorted(order) == list(range(m + 1))
+    if exact_sums:
+        assert tuple(order[1:]) == min(o for o, c in costs.items()
+                                       if c == expect)
+        _, choice = _layered_dp(mat, _cluster_blocks(mat, m), order)
+        assert vertices == [choice[c] for c in order]
+
+
+def worst_scan(search, count):
+    """remove_worst's choice by a per-position loop with scalar reads."""
+    tour = search.tour_vertices()
+    scored = []
+    for pos in range(1, len(tour)):
+        a, v, b = tour[pos - 1], tour[pos], tour[(pos + 1) % len(tour)]
+        gain = (float(search.pmat[a, v]) + float(search.pmat[v, b])
+                - float(search.pmat[a, b]))
+        noisy = gain * (1.0 + _NOISE * search.rng.random())
+        scored.append((-noisy, search.order[pos]))
+    return [c for _, c in sorted(scored)[:count]]
+
+
+def distance_scan(search, count):
+    """remove_distance's choice by a per-cluster loop with scalar reads."""
+    ring = search.order[1:]
+    sv = search.choice[search.rng.choice(ring)]
+    scored = sorted((min(float(search.pmat[sv, search.choice[c]]),
+                         float(search.pmat[search.choice[c], sv])), c)
+                    for c in ring)
+    return [c for _, c in scored[:count]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       case=block_matrices(st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5, BIG]),
+                           6),
+       seed=st.integers(0, 2**32))
+def test_removals_match_scan_loop(data, case, seed):
+    # The removal heuristics score the tour with array reads; the loops
+    # they replaced must remove the same clusters in the same order and
+    # leave the RNG in the same state.  Mostly-zero matrices give many
+    # zero gains, whose noisy scores tie and go to the smaller cluster.
+    m, width, pmat = case
+    perm = data.draw(st.permutations(range(1, m + 1)))
+    picks = [data.draw(st.sampled_from(cluster_vertices(c, width)))
+             for c in perm]
+    count = data.draw(st.integers(1, m))
+    for remove, scan in ((_Search.remove_worst, worst_scan),
+                         (_Search.remove_distance, distance_scan)):
+        search, ref = (_Search(pmat, m, random.Random(seed)) for _ in "ab")
+        for s in (search, ref):
+            for c, v in zip(perm, picks):
+                s.insert(c, len(s.order) - 1, v)
+        expect = scan(ref, count)
+        assert remove(search, count) == expect
+        assert search.rng.random() == ref.rng.random()
