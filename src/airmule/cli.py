@@ -224,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InstanceTooLarge as exc:
-        print(f"error: {exc} (use --solver glns)", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,9 @@ class Infeasible(PlanningError):
 
 
 class InstanceTooLarge(PlanningError):
-    """The exact solver refuses instances above its cluster cap, or whose
-    DP tables would exceed its byte bound."""
+    """The instance's matrices would exceed build_instance's byte bound, or
+    the exact solver refuses it: above its cluster cap, or with DP tables
+    over its byte bound."""
 
 
 class NoFeasibleTour(PlanningError):

@@ -29,6 +29,7 @@ import numpy as np
 
 from .energy import (PlannerConfig, RechargeSplit, consumption_levels,
                      recharge_time)
+from .errors import InstanceTooLarge
 from .geometry import (
     END_A,
     END_B,
@@ -43,6 +44,12 @@ from .geometry import (
 )
 
 INF = math.inf
+
+# Bound on V * V * 18 bytes for V vertices: the cost matrix, best_type and
+# the search's transposed penalty copy.  n=100 cells at C=20 levels take
+# 288 MB.  build_instance refuses an instance over the bound before it
+# allocates anything.
+_MATRIX_MAX_BYTES = 512 << 20
 
 _MR = FlightMode.MULTI_ROTOR
 _FW = FlightMode.FIXED_WING
@@ -355,6 +362,10 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
     n = len(cells)
     C = cfg.battery_levels
     V = 1 + 2 * n * C
+    need = V * V * 18
+    if need > _MATRIX_MAX_BYTES:
+        raise InstanceTooLarge(f"{n} cells at {C} battery levels need {need} "
+                               f"bytes of matrices, over {_MATRIX_MAX_BYTES}")
 
     # Levels are stored descending inside each endpoint block so that
     # argmin ties between equal-cost tours prefer arriving with more

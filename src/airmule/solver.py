@@ -13,6 +13,15 @@ vertex 0 and cluster c >= 1 holds the 2C consecutive vertices
 an (m, 2C, m, 2C) array of cluster blocks, and every cluster-to-cluster
 cost read is a slice of the matrix instead of a gather.
 
+The search holds one V x V array besides the graph's cost matrix: tmat,
+the costs transposed with BIG for every infinite edge, so tmat[v, u]
+prices u -> v.  Each kernel reads contiguous rows along the axis it
+reduces, where a column would cost one cache line per element: a DP
+step picks each vertex's cheapest predecessor along a row of tmat's
+blocks, and an insertion gathers a cluster's edges into a tour vertex
+from a tmat row and those out of a tour vertex from a cost row,
+penalized after the gather.  Every other read takes tmat.
+
 The search evaluates its moves incrementally, with the same floats as a
 full evaluation.  The layered DP keeps its forward steps and, after a
 move, recomputes only those past the first position where the cluster
@@ -108,8 +117,8 @@ def solve_exact(g: ClusteredGraph,
     """Globally optimal tour by the Held-Karp subset DP (_held_karp)."""
     m = len(g.clusters) - 1
     if m > cluster_cap:
-        raise InstanceTooLarge(
-            f"{m} clusters exceed the exact-solver cap of {cluster_cap}")
+        raise InstanceTooLarge(f"{m} clusters exceed the exact-solver cap "
+                               f"of {cluster_cap} (use --solver glns)")
     return _as_tour(g, _held_karp(g.cost, m)[1])
 
 
@@ -129,13 +138,16 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
     need = 12 * (1 << m) * m * width
     if need > _HELD_KARP_MAX_BYTES:
         raise InstanceTooLarge(f"{m} clusters need {need} bytes of exact-"
-                               f"solver tables, over {_HELD_KARP_MAX_BYTES}")
+                               f"solver tables, over {_HELD_KARP_MAX_BYTES} "
+                               "(use --solver glns)")
     blocks = _cluster_blocks(mat, m)
+    depart = mat[0, 1:].reshape(m, width)
+    arrive = mat[1:, 0].reshape(m, width)
     every = np.arange(m)
     vertex = np.arange(width)[:, None]
     value = np.full((1 << m, m, width), np.inf)
     rank = np.zeros((1 << m, m, width), dtype=np.int32)
-    value[1 << every, every] = mat[0, 1:].reshape(m, width)
+    value[1 << every, every] = depart
     rank[1 << every, every] = every[:, None]
     keys = []  # keys[k - 1][r]: predecessor rank * m + cluster of rank r
     for k in range(1, m):
@@ -159,7 +171,7 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
         rank[layer] = (np.cumsum(seen) - 1)[new]
         keys.append(np.flatnonzero(seen))
 
-    closing = value[-1] + mat[1:, 0].reshape(m, width)
+    closing = value[-1] + arrive
     total = float(closing.min())
     if not math.isfinite(total):
         raise Infeasible("every cluster ordering hits an infeasible edge")
@@ -169,7 +181,8 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
         r, d = divmod(int(uniq[r]), m)
         order.append(d + 1)
     order = [0, r + 1] + order[::-1]
-    _, choice = _layered_dp(mat, blocks, order)
+    _, choice = _layered_dp(blocks.transpose(2, 3, 0, 1), depart, arrive,
+                            order)
     return total, [choice[c] for c in order]
 
 
@@ -178,20 +191,24 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
 _Step = tuple[int, np.ndarray, np.ndarray | None]
 
 
-def _layered_dp(mat: np.ndarray, blocks: np.ndarray, order: list[int],
-                steps: list[_Step] | None = None
+def _layered_dp(into: np.ndarray, depart: np.ndarray, arrive: np.ndarray,
+                order: list[int], steps: list[_Step] | None = None
                 ) -> tuple[float, dict[int, int]]:
     """Best vertex per cluster for a fixed cyclic cluster order.
 
-    blocks is _cluster_blocks(mat, m).  The order must start with the
-    depot cluster; returns the cycle cost and a cluster -> vertex id
-    mapping.  steps, when given, holds the forward DP of an earlier call,
-    one step per order position after the depot.  A step depends only on
-    the order up to its position, so the steps along the prefix this
-    order shares with that call are kept as they are, the rest are
-    recomputed, and steps is left holding this order's DP.
+    into[b, v, a, u] is the cost from vertex u of cluster a + 1 to v of
+    b + 1, so a step reduces along the last axis; depart[c - 1] and
+    arrive[c - 1] are the costs from the depot into cluster c and back.
+    The order must start with the depot cluster; returns the cycle cost
+    and a cluster -> vertex id mapping.  steps, when given, holds the
+    forward DP of an earlier call, one step per order position after the
+    depot.  A step depends only on the order up to its position, so the
+    steps along the prefix this order shares with that call are kept as
+    they are, the rest are recomputed, and steps is left holding this
+    order's DP.
     """
-    width = blocks.shape[1]
+    width = into.shape[1]
+    rows = np.arange(width)
     if steps is None:
         steps = []
     keep = 0
@@ -201,13 +218,14 @@ def _layered_dp(mat: np.ndarray, blocks: np.ndarray, order: list[int],
         keep += 1
     del steps[keep:]
     if not steps:
-        steps.append((order[1], mat[0, _span(order[1], width)], None))
+        steps.append((order[1], depart[order[1] - 1], None))
     for c in order[len(steps) + 1:]:
         c_prev, dp, _ = steps[-1]
-        trans = dp[:, None] + blocks[c_prev - 1, :, c - 1, :]
-        steps.append((c, trans.min(axis=0), trans.argmin(axis=0)))
+        trans = into[c - 1, :, c_prev - 1, :] + dp
+        parent = trans.argmin(axis=1)
+        steps.append((c, trans[rows, parent], parent))
     last, dp, _ = steps[-1]
-    closing = dp + mat[_span(last, width), 0]
+    closing = dp + arrive[last - 1]
     idx = int(np.argmin(closing))
     total = float(closing[idx])
     choice = {0: 0}
@@ -222,101 +240,106 @@ class _Insertions:
     """Insertion deltas of the clusters still to insert into a _Search
     tour, kept across the rounds of one insertion call.
 
-    raw[r, p, k] prices vertex ids[r, k] of clusters[r] (sorted) between
-    tour[p] and its successor: (enter + leave) - the edge it breaks, or
-    enter + leave on a depot-only tour, which has no edge to break
-    (pmat[0, 0] is BIG).  prox[r] is the smallest edge between
-    clusters[r] and any tour vertex.  An insertion drops its cluster's
-    entries (axis 0) and replaces the broken edge's entries (axis 1) by
+    raw[r, p, k] prices vertex k of clusters[r] (sorted) between tour[p]
+    and its successor: (enter + leave) - the edge it breaks, or enter +
+    leave on a depot-only tour, which has no edge to break (tmat[0, 0] is
+    BIG).  An insertion sets its cluster's row of raw to inf, a dead row
+    no pick can reach, and replaces the broken edge's entries (axis 1) by
     those of its two new edges, so a round gathers 2 * len(clusters) * 2C
-    entries, not the whole array again.
+    entries, not the whole array again.  prox[r], the smallest edge
+    between clusters[r] and any tour vertex (inf once inserted), is kept
+    only for nearest calls; it is None otherwise.
     """
 
-    def __init__(self, search: _Search, clusters: list[int]) -> None:
+    def __init__(self, search: _Search, clusters: list[int],
+                 nearest: bool) -> None:
         self.search = search
-        self.clusters = list(clusters)
-        self.picked = np.array(clusters, dtype=np.intp) - 1
-        self.ids = (1 + self.picked[:, None] * search.width
-                    + np.arange(search.width))
+        self.clusters = clusters
+        self.left = len(clusters)
+        self.dead = np.zeros(len(clusters), dtype=bool)
+        self.picked = np.array(clusters, dtype=np.intp)[:, None] - 1
         tour = np.array(search.tour_vertices(), dtype=np.intp)
         succ = np.concatenate((tour[1:], tour[:1]))
         enter, leave = self._edges(tour, succ)
         self.raw = enter + leave
         if len(tour) > 1:
-            self.raw -= search.pmat[tour, succ][:, None]
-        self.prox = np.minimum(enter.min(axis=(1, 2)), leave.min(axis=(1, 2)))
+            self.raw -= search.tmat[succ, tour][:, None]
+        self.prox = np.minimum(enter, leave).min(axis=(1, 2)) \
+            if nearest else None
 
     def _edges(self, heads: np.ndarray,
                tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(len(clusters), len(heads), 2C) edges from heads[p] into each
         vertex, and from each vertex to tails[p]."""
         s = self.search
-        enter = s.out_blocks[heads, self.picked[:, None]]
-        leave = s.flat.take(self.ids[:, None, :] * len(s.pmat)
-                            + tails[:, None])
-        return enter, leave
+        enter = s.cost_out[heads, self.picked]
+        enter = np.where(np.isfinite(enter), enter, BIG)
+        return enter, s.tmat_out[tails, self.picked]
 
-    def best(self, noisy: bool, nearest: bool) -> tuple[float, int, int, int]:
+    def best(self, noisy: bool) -> tuple[float, int, int, int]:
         """Cheapest (delta, cluster, position, vertex) insertion.
 
         With noisy, each position delta is scaled by 1 + _NOISE * u,
-        drawing len(tour) values per cluster in cluster order.  With
-        nearest, the cluster is not the cheapest one but the one with the
-        smallest prox.  Ties go to the first cluster, then the first
+        drawing len(tour) values per cluster left, in cluster order.  In a
+        nearest call, the cluster is not the cheapest one but the one with
+        the smallest prox.  Ties go to the first cluster, then the first
         position, then the first vertex.
         """
         delta = self.raw
-        if noisy and delta.shape[1] > 1:
-            count = delta.shape[0] * delta.shape[1]
+        places, width = delta.shape[1:]
+        if noisy and places > 1:
+            count = self.left * places
             draws = itertools.starmap(self.search.rng.random,
                                       itertools.repeat((), count))
-            u = np.fromiter(draws, float, count)
-            delta = delta * (1.0 + _NOISE * u).reshape(delta.shape[:2])[
-                :, :, None]
-        if nearest:
-            r = int(np.argmin(self.prox))
+            scale = np.ones(delta.shape[:2])
+            scale[~self.dead] = 1.0 + _NOISE * np.fromiter(
+                draws, float, count).reshape(-1, places)
+            delta = delta * scale[:, :, None]
+        if self.prox is None:
+            r, rest = divmod(int(delta.argmin()), places * width)
         else:
-            r = int(np.argmin(delta.min(axis=(1, 2))))
-        pos, k = divmod(int(np.argmin(delta[r])), delta.shape[2])
-        return float(delta[r, pos, k]), self.clusters[r], pos, int(
-            self.ids[r, k])
+            r = int(self.prox.argmin())
+            rest = int(delta[r].argmin())
+        pos, k = divmod(rest, width)
+        c = self.clusters[r]
+        return float(delta[r, pos, k]), c, pos, _span(c, width).start + k
 
     def insert(self, cluster: int, pos: int, vertex: int) -> None:
         """Insert into the search's tour and update the kept deltas."""
         s = self.search
         s.insert(cluster, pos, vertex)
-        r = self.clusters.index(cluster)
-        del self.clusters[r]
-        if not self.clusters:
+        self.dead[self.clusters.index(cluster)] = True
+        self.left -= 1
+        if not self.left:
             return
-        keep = np.ones(len(self.picked), dtype=bool)
-        keep[r] = False
-        self.picked = self.picked[keep]
-        self.ids = self.ids[keep]
         order = s.order
-        heads = np.array([s.choice[order[pos]], vertex], dtype=np.intp)
-        tails = np.array([vertex, s.choice[order[(pos + 2) % len(order)]]],
-                         dtype=np.intp)
+        a, b = s.choice[order[pos]], s.choice[order[(pos + 2) % len(order)]]
+        heads, tails = np.array([[a, vertex], [vertex, b]], dtype=np.intp)
         enter, leave = self._edges(heads, tails)
-        fresh = (enter + leave) - s.pmat[heads, tails][:, None]
-        raw = self.raw[keep]
-        self.raw = np.concatenate((raw[:, :pos], fresh, raw[:, pos + 1:]),
-                                  axis=1)
-        self.prox = np.minimum(self.prox[keep], np.minimum(
-            enter[:, 1].min(axis=1), leave[:, 0].min(axis=1)))
+        fresh = (enter + leave) - s.tmat[tails, heads][:, None]
+        self.raw = np.concatenate(
+            (self.raw[:, :pos], fresh, self.raw[:, pos + 1:]), axis=1)
+        self.raw[self.dead] = np.inf
+        if self.prox is not None:
+            self.prox = np.minimum(self.prox, np.minimum(
+                enter[:, 1], leave[:, 0]).min(axis=1))
+            self.prox[self.dead] = np.inf
 
 
 class _Search:
     """Mutable ALNS state for one restart."""
 
-    def __init__(self, pmat: np.ndarray, m: int, rng: random.Random) -> None:
-        self.m = m
-        self.pmat = pmat
-        self.blocks = _cluster_blocks(pmat, m)
-        self.width = self.blocks.shape[1]
-        # pmat[v, 1:] split by cluster, and pmat flattened for take().
-        self.out_blocks = pmat[:, 1:].reshape(len(pmat), self.m, self.width)
-        self.flat = pmat.reshape(-1)
+    def __init__(self, cost: np.ndarray, tmat: np.ndarray, m: int,
+                 rng: random.Random) -> None:
+        self.tmat = tmat
+        self.into = _cluster_blocks(tmat, m)
+        self.width = self.into.shape[1]
+        self.depart = tmat[1:, 0].reshape(m, self.width)
+        self.arrive = tmat[0, 1:].reshape(m, self.width)
+        # Rows split by cluster: edges from a vertex into each cluster, and
+        # from each cluster into a vertex.
+        self.cost_out = cost[:, 1:].reshape(len(cost), m, self.width)
+        self.tmat_out = tmat[:, 1:].reshape(len(tmat), m, self.width)
         self.rng = rng
         self.order: list[int] = [0]
         self.choice: dict[int, int] = {0: 0}
@@ -329,13 +352,13 @@ class _Search:
 
     def cost(self) -> float:
         vs = np.array(self.tour_vertices(), dtype=np.intp)
-        return float(self.pmat[vs, np.concatenate((vs[1:], vs[:1]))].sum())
+        return float(self.tmat[np.concatenate((vs[1:], vs[:1])), vs].sum())
 
     def price_insertion(self, clusters: list[int], noisy: bool = False,
                         nearest: bool = False) -> tuple[float, int, int, int]:
         """The first round of insert_greedy on the given (sorted) clusters:
         its (delta, cluster, position, vertex), without inserting."""
-        return _Insertions(self, clusters).best(noisy, nearest)
+        return _Insertions(self, clusters, nearest).best(noisy)
 
     def insert(self, cluster: int, pos: int, vertex: int) -> None:
         self.order.insert(pos + 1, cluster)
@@ -350,8 +373,8 @@ class _Search:
     def reoptimize_vertices(self) -> None:
         if len(self.order) < 2:
             return
-        _, self.choice = _layered_dp(self.pmat, self.blocks, self.order,
-                                     self.steps)
+        _, self.choice = _layered_dp(self.into, self.depart, self.arrive,
+                                     self.order, self.steps)
 
     def _relocate_to_local_opt(self, deadline: float) -> None:
         improved = True
@@ -410,7 +433,7 @@ class _Search:
         ring = np.array(self.order[1:])
         sv = self.choice[self.rng.choice(self.order[1:])]
         vs = np.array(self.tour_vertices()[1:], dtype=np.intp)
-        near = np.minimum(self.pmat[sv, vs], self.pmat[vs, sv])
+        near = np.minimum(self.tmat[vs, sv], self.tmat[sv, vs])
         # Nearest first, ties to the smaller cluster.
         removed = ring[np.lexsort((ring, near))[:count]].tolist()
         self.remove_clusters(removed)
@@ -420,7 +443,7 @@ class _Search:
         ring = np.array(self.order[1:])
         vs = np.array(self.tour_vertices(), dtype=np.intp)
         prev, v, succ = vs[:-1], vs[1:], np.concatenate((vs[2:], vs[:1]))
-        gain = (self.pmat[prev, v] + self.pmat[v, succ]) - self.pmat[prev, succ]
+        gain = (self.tmat[v, prev] + self.tmat[succ, v]) - self.tmat[succ, prev]
         noisy = gain * (1.0 + _NOISE * np.array([self.rng.random() for _ in ring]))
         # Largest noisy gain first, ties to the smaller cluster.
         removed = ring[np.lexsort((ring, -noisy))[:count]].tolist()
@@ -432,9 +455,9 @@ class _Search:
     def insert_greedy(self, removed: list[int], noisy: bool = False,
                       nearest: bool = False) -> None:
         """Repeatedly insert the cluster _Insertions.best picks."""
-        prices = _Insertions(self, sorted(removed))
-        while prices.clusters:
-            _, c, pos, vertex = prices.best(noisy, nearest)
+        prices = _Insertions(self, sorted(removed), nearest)
+        while prices.left:
+            _, c, pos, vertex = prices.best(noisy)
             prices.insert(c, pos, vertex)
 
     def insert_random(self, removed: list[int]) -> None:
@@ -447,7 +470,7 @@ class _Search:
             pos = self.rng.randrange(len(tour))
             a = tour[pos]
             b = tour[(pos + 1) % len(tour)]
-            enter = self.pmat[a, span] + self.pmat[span, b] - self.pmat[a, b]
+            enter = self.tmat[span, a] + self.tmat[b, span] - self.tmat[b, a]
             k = int(np.argmin(enter))
             self.insert(c, pos, span.start + k)
             remaining.remove(c)
@@ -478,7 +501,8 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
     """Adaptive large neighborhood search over the clustered graph."""
     params = params or SolverParams()
     m = len(g.clusters) - 1
-    pmat = np.where(np.isfinite(g.cost), g.cost, BIG)
+    tmat = g.cost.T.copy()  # C-ordered; costs are finite or +inf
+    tmat[np.isinf(tmat)] = BIG
     iterations = _MODE_ITER_FACTOR[params.mode] * m + _BASE_ITERS
     deadline = time.monotonic() + params.time_budget
 
@@ -487,7 +511,7 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
 
     for restart in range(params.restarts):
         rng = random.Random(params.rng_seed * 1000003 + restart)
-        search = _Search(pmat, m, rng)
+        search = _Search(g.cost, tmat, m, rng)
         search.insert_greedy(list(range(1, m + 1)))  # cheapest insertion
         search.reoptimize_vertices()
         cur_cost = search.cost()

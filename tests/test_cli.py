@@ -126,6 +126,19 @@ def test_exact_table_bound_exit_code(tmp_path, capsys):
     assert time.monotonic() - start < 30.0
 
 
+def test_matrix_bound_exit_code(tmp_path, capsys):
+    # 10**9 battery levels: the build refuses the matrices before allocating
+    # them, whichever solver is asked for, so the hint to use GLNS is absent.
+    inst = gen_instance(tmp_path, capsys)
+    data = json.loads(inst.read_text(encoding="utf-8"))
+    data["config"]["battery_levels"] = 10**9
+    inst.write_text(json.dumps(data), encoding="utf-8")
+    for solver in ("exact", "glns"):
+        code, _, err = run(capsys, "plan", str(inst), "--solver", solver)
+        assert code == 2
+        assert "bytes of matrices" in err and "glns" not in err
+
+
 def test_compare_reports_improvement(tmp_path, capsys):
     inst = gen_instance(tmp_path, capsys)
     code, out, _ = run(capsys, "compare", str(inst), "--solver", "exact")

@@ -10,7 +10,9 @@ import pytest
 
 from oracle18 import oracle_edge_cost, oracle_type_cost
 
+from airmule import graph
 from airmule.energy import PlannerConfig
+from airmule.errors import InstanceTooLarge
 from airmule.geometry import Cell, Site
 from airmule.graph import (EdgeType, Vertex, build_instance, edge_breakdown,
                            type_cost)
@@ -341,3 +343,30 @@ def test_every_type_can_win_somewhere_seeded():
             if code >= 0:
                 winners.add(EdgeType(code))
     assert len(winners) >= 8
+
+
+def test_matrix_bound_checked_before_allocation(monkeypatch):
+    # 10**9 levels would ask numpy for exabytes; the bound must refuse them
+    # before the vertex list or any matrix is built.
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("matrix allocated")
+
+    monkeypatch.setattr(np, "full", no_alloc)
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(graph, "Vertex", no_alloc)
+    with pytest.raises(InstanceTooLarge, match="bytes of matrices"):
+        build_instance(spec_cells(), PlannerConfig(battery_levels=10**9))
+
+
+def test_matrix_bound_counts_eighteen_bytes_per_entry(monkeypatch):
+    # cost (8 bytes), best_type (2) and the search's transposed copy (8)
+    # per vertex pair: the bound admits n=100 cells at C=20 levels, and an
+    # instance exactly at the bound builds while one byte less refuses it.
+    assert (1 + 2 * 100 * 20) ** 2 * 18 <= graph._MATRIX_MAX_BYTES
+    cfg = PlannerConfig(d_max=100.0, battery_levels=3)
+    need = (1 + 2 * 2 * 3) ** 2 * 18
+    monkeypatch.setattr(graph, "_MATRIX_MAX_BYTES", need)
+    assert build_instance(spec_cells(), cfg).cost.shape == (13, 13)
+    monkeypatch.setattr(graph, "_MATRIX_MAX_BYTES", need - 1)
+    with pytest.raises(InstanceTooLarge, match=str(need)):
+        build_instance(spec_cells(), cfg)

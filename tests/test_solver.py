@@ -269,6 +269,21 @@ def cluster_vertices(c, width):
     return range(1 + (c - 1) * width, 1 + c * width)
 
 
+def incoming(mat, m):
+    """_layered_dp's arguments as _held_karp passes them for mat: the
+    transposed view of its cluster blocks, its depot row and column."""
+    width = (len(mat) - 1) // m
+    return (_cluster_blocks(mat, m).transpose(2, 3, 0, 1),
+            mat[0, 1:].reshape(m, width), mat[1:, 0].reshape(m, width))
+
+
+def penalized(cost):
+    """The search's view of cost: BIG for inf, and that matrix transposed
+    into a C-ordered copy (solve_glns's tmat)."""
+    pmat = np.where(np.isfinite(cost), cost, BIG)
+    return pmat, np.ascontiguousarray(pmat.T)
+
+
 def cycle_cost(mat, vertices):
     total = 0.0
     for u, v in zip(vertices, vertices[1:] + vertices[:1]):
@@ -276,27 +291,42 @@ def cycle_cost(mat, vertices):
     return total
 
 
-# Small repeated values force ties; inf marks infeasible edges.
+# Small repeated values force ties; inf marks infeasible edges, which the
+# search prices as BIG.
 _DP_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.inf]),
                        st.floats(0.0, 100.0))
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), case=block_matrices(_DP_VALUES, 3))
-def test_layered_dp_matches_brute_force(data, case):
-    m, width, mat = case
+@given(data=st.data(), exact_sums=st.booleans())
+def test_layered_dp_matches_brute_force(data, exact_sums):
+    values = (st.sampled_from([0.0, 1.0, 2.5, math.inf]) if exact_sums
+              else _DP_VALUES)
+    m, width, mat = data.draw(block_matrices(values, 3))
     order = [0] + list(data.draw(st.permutations(range(1, m + 1))))
-    total, choice = _layered_dp(mat, _cluster_blocks(mat, m), order)
+    total, choice = _layered_dp(*incoming(mat, m), order)
     picks = [choice[c] for c in order]
     assert order[1:] == [1 + (v - 1) // width for v in picks[1:]]
     assert cycle_cost(mat, picks) == total
-    expect = min(cycle_cost(mat, [0] + list(vs)) for vs in itertools.product(
-        *(cluster_vertices(c, width) for c in order[1:])))
+    costs = {vs: cycle_cost(mat, [0] + list(vs)) for vs in itertools.product(
+        *(cluster_vertices(c, width) for c in order[1:]))}
+    expect = min(costs.values())
     assert total == expect
+    if exact_sums and math.isfinite(expect):
+        # First-min tie-breaks: the first closing vertex, then the first
+        # cheapest predecessor of each, backward along the order.
+        assert picks[:0:-1] == list(min(vs[::-1] for vs, c in costs.items()
+                                        if c == expect))
+    # The search runs the same DP on the blocks of its transposed copy.
+    pmat, tmat = penalized(mat)
+    search = _Search(mat, tmat, m, random.Random(0))
+    assert _layered_dp(search.into, search.depart, search.arrive, order) \
+        == _layered_dp(*incoming(pmat, m), order)
 
 
 def scan_insertion(pmat, width, tour, clusters, noisy, nearest, rng):
-    """Per-cluster, per-position, per-vertex insertion scan."""
+    """Per-cluster, per-position, per-vertex insertion scan over pmat, the
+    cost matrix with BIG for inf."""
     def price(c, noisy):
         noise = [1.0 + _NOISE * rng.random() for _ in tour] \
             if noisy and len(tour) > 1 else None
@@ -326,17 +356,19 @@ def scan_insertion(pmat, width, tour, clusters, noisy, nearest, rng):
     return best
 
 
+_INSERT_VALUES = st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.5, BIG, math.inf])
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(),
-       case=block_matrices(st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.5, BIG]),
-                           5),
+@given(data=st.data(), case=block_matrices(_INSERT_VALUES, 5),
        rule=st.sampled_from(["cheapest", "noisy", "nearest"]),
        seed=st.integers(0, 2**32))
 def test_batched_insertion_matches_scan(data, case, rule, seed):
-    m, width, pmat = case
+    m, width, cost = case
+    pmat, tmat = penalized(cost)
     perm = data.draw(st.permutations(range(1, m + 1)))
     split = data.draw(st.integers(0, m - 1))
-    search = _Search(pmat, m, random.Random(seed))
+    search = _Search(cost, tmat, m, random.Random(seed))
     search.order = [0] + list(perm[:split])
     for c in perm[:split]:
         search.choice[c] = data.draw(st.sampled_from(
@@ -364,20 +396,19 @@ class RecordingSearch(_Search):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(),
-       case=block_matrices(st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.5, BIG]),
-                           6),
+@given(data=st.data(), case=block_matrices(_INSERT_VALUES, 6),
        rule=st.sampled_from(["cheapest", "noisy", "nearest"]),
        seed=st.integers(0, 2**32))
 def test_insert_greedy_matches_scan_loop(data, case, rule, seed):
     # insert_greedy keeps its deltas across rounds; a loop that scans the
     # whole tour afresh each round must insert the same clusters at the
     # same positions and vertices, drawing the same random numbers.
-    m, width, pmat = case
+    m, width, cost = case
+    pmat, tmat = penalized(cost)
     perm = data.draw(st.permutations(range(1, m + 1)))
     split = data.draw(st.integers(0, m - 1))
-    search = RecordingSearch(pmat, m, random.Random(seed))
-    ref = RecordingSearch(pmat, m, random.Random(seed))
+    search = RecordingSearch(cost, tmat, m, random.Random(seed))
+    ref = RecordingSearch(cost, tmat, m, random.Random(seed))
     for c in perm[:split]:
         v = data.draw(st.sampled_from(cluster_vertices(c, width)))
         search.insert(c, len(search.order) - 1, v)
@@ -405,8 +436,8 @@ def test_reoptimize_matches_fresh_dp(data, case):
     # shares with its last call, and snapshot/restore carry that state;
     # after any sequence of moves it must pick what a fresh DP picks.
     m, width, mat = case
-    blocks = _cluster_blocks(mat, m)
-    search = _Search(mat, m, random.Random(0))
+    pmat, tmat = penalized(mat)
+    search = _Search(mat, tmat, m, random.Random(0))
     for c in data.draw(st.permutations(range(1, m + 1))):
         search.insert(c, len(search.order) - 1, cluster_vertices(c, width)[0])
     snaps = [search.snapshot()]
@@ -426,7 +457,7 @@ def test_reoptimize_matches_fresh_dp(data, case):
             search.order = [0] + search.order[:0:-1]
         elif move == "reoptimize" and len(search.order) > 1:
             search.reoptimize_vertices()
-            _, expect = _layered_dp(mat, blocks, search.order)
+            _, expect = _layered_dp(*incoming(pmat, m), search.order)
             assert search.choice == expect
         elif move == "snapshot":
             snaps.append(search.snapshot())
@@ -460,7 +491,7 @@ def test_held_karp_matches_brute_force(data, exact_sums):
     if exact_sums:
         assert tuple(order[1:]) == min(o for o, c in costs.items()
                                        if c == expect)
-        _, choice = _layered_dp(mat, _cluster_blocks(mat, m), order)
+        _, choice = _layered_dp(*incoming(mat, m), order)
         assert vertices == [choice[c] for c in order]
 
 
@@ -470,8 +501,8 @@ def worst_scan(search, count):
     scored = []
     for pos in range(1, len(tour)):
         a, v, b = tour[pos - 1], tour[pos], tour[(pos + 1) % len(tour)]
-        gain = (float(search.pmat[a, v]) + float(search.pmat[v, b])
-                - float(search.pmat[a, b]))
+        gain = (float(search.tmat[v, a]) + float(search.tmat[b, v])
+                - float(search.tmat[b, a]))
         noisy = gain * (1.0 + _NOISE * search.rng.random())
         scored.append((-noisy, search.order[pos]))
     return [c for _, c in sorted(scored)[:count]]
@@ -481,30 +512,32 @@ def distance_scan(search, count):
     """remove_distance's choice by a per-cluster loop with scalar reads."""
     ring = search.order[1:]
     sv = search.choice[search.rng.choice(ring)]
-    scored = sorted((min(float(search.pmat[sv, search.choice[c]]),
-                         float(search.pmat[search.choice[c], sv])), c)
+    scored = sorted((min(float(search.tmat[search.choice[c], sv]),
+                         float(search.tmat[sv, search.choice[c]])), c)
                     for c in ring)
     return [c for _, c in scored[:count]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(),
-       case=block_matrices(st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5, BIG]),
-                           6),
+       case=block_matrices(st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5, BIG,
+                                            math.inf]), 6),
        seed=st.integers(0, 2**32))
 def test_removals_match_scan_loop(data, case, seed):
     # The removal heuristics score the tour with array reads; the loops
     # they replaced must remove the same clusters in the same order and
     # leave the RNG in the same state.  Mostly-zero matrices give many
     # zero gains, whose noisy scores tie and go to the smaller cluster.
-    m, width, pmat = case
+    m, width, cost = case
+    _, tmat = penalized(cost)
     perm = data.draw(st.permutations(range(1, m + 1)))
     picks = [data.draw(st.sampled_from(cluster_vertices(c, width)))
              for c in perm]
     count = data.draw(st.integers(1, m))
     for remove, scan in ((_Search.remove_worst, worst_scan),
                          (_Search.remove_distance, distance_scan)):
-        search, ref = (_Search(pmat, m, random.Random(seed)) for _ in "ab")
+        search, ref = (_Search(cost, tmat, m, random.Random(seed))
+                       for _ in "ab")
         for s in (search, ref):
             for c, v in zip(perm, picks):
                 s.insert(c, len(s.order) - 1, v)
