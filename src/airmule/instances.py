@@ -261,8 +261,9 @@ def gen_random(n: int, extent: float, max_len: float, seed: int,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if extent <= 0 or max_len <= 0:
-        raise ValueError("extent and max_len must be positive")
+    # Written so that NaN fails too: every comparison with it is False.
+    if not (0 < extent < math.inf and 0 < max_len < math.inf):
+        raise ValueError("extent and max_len must be positive and finite")
     if not 0.0 <= road_fraction <= 1.0:
         raise ValueError("road_fraction must be in [0, 1]")
     rng = random.Random(seed)

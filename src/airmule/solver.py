@@ -27,16 +27,29 @@ full evaluation.  The layered DP keeps its forward steps and, after a
 move, recomputes only those past the first position where the cluster
 order changed.  An insertion call prices every remaining cluster once,
 then after each insert replaces only the broken edge's deltas by those
-of the two new edges.
+of the two new edges.  A move that puts the same cluster order back
+keeps the vertices and cost it started from, without a DP.
+
+The restarts of solve_glns are independent, each with its own seeded
+RNG.  On Linux they run on up to one process per usable CPU: the caller
+and forked workers, which share the cost matrices copy-on-write.  The
+results merge in restart order, so the tour is the one a sequential run
+returns; once the time budget binds, which restarts ran depends on
+machine speed, as it does in a sequential run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 import random
+import signal
 import time
+import warnings
 from dataclasses import dataclass
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -158,9 +171,14 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
             # trans[(c, u), (d, v)]: via vertex u of cs[c] to v of ds[d].
             trans = blocks[cs[:, None, None], vertex, ds].reshape(k * width, -1)
             trans += value[s, cs].reshape(-1, 1)
-            best = trans.min(axis=0)
-            pred = np.where(trans == best, rank[s, cs].reshape(-1, 1),
-                            np.iinfo(np.int32).max).min(axis=0)
+            # Rows by rank, so the first argmin has the smallest rank of
+            # the cheapest candidates.
+            ranks = rank[s, cs].ravel()
+            by_rank = np.argsort(ranks, kind="stable")
+            trans = trans[by_rank]
+            pick = trans.argmin(axis=0)
+            best = trans[pick, np.arange(trans.shape[1])]
+            pred = ranks[by_rank][pick]
             value[s + (1 << ds), ds] = best.reshape(-1, width)
             rank[s + (1 << ds), ds] = pred.reshape(-1, width) * m + ds[:, None]
         # Dense ranks by counting; unused entries' 0 keys leave the order as is.
@@ -498,18 +516,40 @@ def _adapt(weights: list[float], scores: list[float], tries: list[int]) -> None:
 
 
 def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTour:
-    """Adaptive large neighborhood search over the clustered graph."""
+    """Adaptive large neighborhood search over the clustered graph.
+
+    The restarts run in _in_workers; the cheapest tour wins, ties to the
+    lowest restart, as in a sequential run.
+    """
     params = params or SolverParams()
     m = len(g.clusters) - 1
     tmat = g.cost.T.copy()  # C-ordered; costs are finite or +inf
     tmat[np.isinf(tmat)] = BIG
-    iterations = _MODE_ITER_FACTOR[params.mode] * m + _BASE_ITERS
     deadline = time.monotonic() + params.time_budget
 
     best_vertices: list[int] | None = None
     best_true = math.inf
+    for _, true_cost, vertices in sorted(_in_workers(
+            lambda share: _restarts(g, tmat, m, params, share, deadline),
+            list(range(params.restarts)))):
+        if true_cost < best_true:
+            best_true = true_cost
+            best_vertices = vertices
 
-    for restart in range(params.restarts):
+    if best_vertices is None or not math.isfinite(best_true):
+        raise NoFeasibleTour(
+            "no feasible tour found; every candidate kept an infeasible edge")
+    return _as_tour(g, best_vertices)
+
+
+def _restarts(g: ClusteredGraph, tmat: np.ndarray, m: int,
+              params: SolverParams, indices: list[int],
+              deadline: float) -> list[tuple[int, float, list[int]]]:
+    """(restart, true cost, vertices) of each restart in indices, run in
+    turn until the deadline passes."""
+    iterations = _MODE_ITER_FACTOR[params.mode] * m + _BASE_ITERS
+    results = []
+    for restart in indices:
         rng = random.Random(params.rng_seed * 1000003 + restart)
         search = _Search(g.cost, tmat, m, rng)
         search.insert_greedy(list(range(1, m + 1)))  # cheapest insertion
@@ -548,10 +588,17 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
             count = rng.randint(lo, min(hi, m))
             removed = removal_ops[r_idx](search, count)
             insertion_ops[i_idx](search, removed)
-            # Vertex choice (battery level) dominates cost here, so every
-            # candidate order is evaluated with its DP-optimal vertices.
-            search.reoptimize_vertices()
-            cand_cost = search.cost()
+            if search.order == snap[0]:
+                # The move put the same order back: the DP would re-pick
+                # the snapshot's vertices at the current cost.
+                search.restore(snap)
+                cand_cost = cur_cost
+            else:
+                # Vertex choice (battery level) dominates cost here, so
+                # every candidate order is evaluated with its DP-optimal
+                # vertices.
+                search.reoptimize_vertices()
+                cand_cost = search.cost()
 
             sigma = 0.0
             accept = False
@@ -583,14 +630,99 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
         search.restore(restart_best)
         search.polish(deadline)
         vertices = search.tour_vertices()
-        true_cost = tour_cost(g, GtspTour(tuple(vertices), 0.0))
-        if true_cost < best_true:
-            best_true = true_cost
-            best_vertices = vertices
+        results.append((restart, tour_cost(g, GtspTour(tuple(vertices), 0.0)),
+                        vertices))
         if time.monotonic() > deadline:
             break
+    return results
 
-    if best_vertices is None or not math.isfinite(best_true):
-        raise NoFeasibleTour(
-            "no feasible tour found; every candidate kept an infeasible edge")
-    return _as_tour(g, best_vertices)
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the OS does not tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return 1
+
+
+def _in_workers(run: Callable[[list[int]], list], indices: list[int]) -> list:
+    """run(share) over indices dealt round-robin to up to one worker per
+    usable CPU; the concatenated results, in no particular order.
+
+    This process is worker 0 and runs its share itself.  Every other
+    worker is a forked child, which shares the parent's arrays copy-on-
+    write, sends its results back pickled through a pipe and ends with
+    os._exit, so it runs no cleanup and flushes no inherited buffer.  A
+    share whose fork fails runs in this process.  An exception in any
+    worker is raised here once every child has ended; none is left
+    running or unreaped.
+    """
+    workers = min(len(indices), _usable_cpus())
+    own = indices[::workers]
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
+    try:
+        for w in range(1, workers):
+            child = _fork(run, indices[w::workers])
+            if child is None:
+                own = sorted(own + indices[w::workers])
+            else:
+                children[child[0]] = child[1]
+        results = run(own)
+        failure: BaseException | None = None
+        for pid, pipe in list(children.items()):
+            reply = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            pipe.close()
+            ok, value = pickle.loads(reply) if reply else (False, RuntimeError(
+                f"restart worker ended with wait status {status} and no reply"))
+            if ok:
+                results += value
+            elif failure is None:
+                failure = value
+        if failure is not None:
+            raise failure
+        return results
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(run: Callable[[list[int]], list],
+          share: list[int]) -> tuple[int, BinaryIO] | None:
+    """Fork a worker that runs share: (pid, read end of its pipe), or
+    None when the pipe or the fork fails."""
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on every fork of a process with more than
+            # one thread; numpy's BLAS pool counts, is fork-safe and is not
+            # used by the search.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid:
+        os.close(wfd)
+        return pid, os.fdopen(rfd, "rb")
+    try:  # the worker; it never returns
+        os.close(rfd)
+        try:
+            reply = (True, run(share))
+        except BaseException as exc:
+            reply = (False, exc)
+        try:
+            data = pickle.dumps(reply)
+        except Exception:
+            data = pickle.dumps((False, RuntimeError(repr(reply[1]))))
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)

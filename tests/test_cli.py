@@ -271,3 +271,15 @@ def test_nan_time_budget_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "plan", str(inst), "--time-budget", "nan")
     assert code == 2
     assert "time_budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "-n", "3", "--extent", "nan"),
+    ("gen", "-n", "3", "--max-len", "inf"),
+    ("sweep", "cells", "--values", "3", "--extent", "nan")])
+def test_non_finite_gen_size_exit_code(capsys, argv):
+    start = time.monotonic()
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "finite" in err
+    assert time.monotonic() - start < 5.0  # refused, not sampled to the cap

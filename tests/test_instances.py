@@ -158,6 +158,14 @@ def test_gen_random_validates_arguments():
         gen_random(3, 10.0, 1.0, seed=0, road_fraction=1.5)
 
 
+@pytest.mark.parametrize("extent, max_len", [
+    (math.nan, 1.0), (math.inf, 1.0), (10.0, math.nan), (10.0, math.inf)])
+def test_gen_random_rejects_non_finite_sizes(extent, max_len):
+    # Both pass a plain "<= 0" check and would spin to the sampling cap.
+    with pytest.raises(ValueError, match="finite"):
+        gen_random(3, extent, max_len, seed=0)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("on_road", "false", "cells[2].end_a.on_road must be a JSON boolean"),
     ("on_road", 1, "cells[2].end_a.on_road must be a JSON boolean"),

@@ -4,7 +4,13 @@ exact, determinism and error paths."""
 import gc
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from airmule.energy import PlannerConfig
 from airmule.errors import Infeasible, InstanceTooLarge, NoFeasibleTour
 from airmule.geometry import Cell, Site
 from airmule.graph import build_instance
+from airmule import solver
 from airmule.instances import gen_random
 from airmule.solver import (_NOISE, BIG, GtspTour, SolverParams,
                             _cluster_blocks, _held_karp, _layered_dp,
@@ -544,3 +551,131 @@ def test_removals_match_scan_loop(data, case, seed):
         expect = scan(ref, count)
         assert remove(search, count) == expect
         assert search.rng.random() == ref.rng.random()
+
+
+def glns_or_none(g, params):
+    try:
+        return solve_glns(g, params)
+    except NoFeasibleTour:
+        return None
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 8), farm_seed=st.integers(0, 2**16),
+       d_max=st.sampled_from([60.0, 120.0, 400.0]),
+       levels=st.integers(1, 4), restarts=st.integers(2, 4),
+       rng_seed=st.integers(0, 2**16))
+def test_parallel_restarts_match_one_worker(n, farm_seed, d_max, levels,
+                                            restarts, rng_seed):
+    g = build_instance(gen_random(n, 60.0, 8.0, seed=farm_seed,
+                                  road_fraction=0.7),
+                       PlannerConfig(d_max=d_max, battery_levels=levels,
+                                     ugv_speed_ratio=0.2))
+    params = SolverParams(mode="fast", restarts=restarts, rng_seed=rng_seed)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    with mock.patch.object(solver, "_usable_cpus", lambda: restarts), \
+            mock.patch.object(os, "fork", counted_fork):
+        parallel = glns_or_none(g, params)
+    assert len(forks) == restarts - 1
+    assert_no_child_left()
+    with mock.patch.object(solver, "_usable_cpus", lambda: 1):
+        assert glns_or_none(g, params) == parallel
+
+
+def test_restart_ties_go_to_lowest_restart(monkeypatch):
+    # Restarts 1 and 2 tie; worker 0 runs 0 and 2 and the child runs 1, so
+    # merging in the order results arrive would pick restart 2.
+    g = build_instance(gen_random(1, 40.0, 8.0, seed=4),
+                       PlannerConfig(d_max=100.0, battery_levels=3))
+
+    def fake_restarts(g, tmat, m, params, share, deadline):
+        return [(r, 2.0 if r == 0 else 1.0, [0, 1 + r]) for r in share]
+
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "_restarts", fake_restarts)
+    assert solve_glns(g, SolverParams(restarts=3)).vertices == (0, 2)
+
+
+@pytest.mark.parametrize("in_child", [True, False])
+def test_failing_worker_raises_and_leaves_no_child(monkeypatch, in_child):
+    g = build_instance(gen_random(5, 40.0, 8.0, seed=4),
+                       PlannerConfig(d_max=100.0, battery_levels=3))
+    parent = os.getpid()
+    polish = _Search.polish
+
+    def polish_or_fail(self, deadline):
+        if (os.getpid() != parent) == in_child:
+            raise ValueError("restart failed")
+        polish(self, deadline)
+
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_Search, "polish", polish_or_fail)
+    with pytest.raises(ValueError, match="restart failed"):
+        solve_glns(g, SolverParams(mode="fast", restarts=3))
+    assert_no_child_left()
+
+
+def test_failed_fork_runs_share_in_process(monkeypatch):
+    g = build_instance(gen_random(5, 40.0, 8.0, seed=4),
+                       PlannerConfig(d_max=100.0, battery_levels=3))
+    params = SolverParams(mode="fast", restarts=3, rng_seed=5)
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+    sequential = solve_glns(g, params)
+
+    def refused():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", refused)
+    assert solve_glns(g, params) == sequential
+    assert_no_child_left()
+
+
+def test_single_restart_and_exact_never_fork(monkeypatch):
+    g = build_instance(gen_random(5, 40.0, 8.0, seed=4),
+                       PlannerConfig(d_max=100.0, battery_levels=3))
+
+    def forbidden():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", forbidden)
+    solve_glns(g, SolverParams(mode="fast", restarts=1))
+    solve_exact(g)
+
+
+def test_workers_duplicate_no_output():
+    # Block-buffered stdout still holds "before" at the fork; a worker that
+    # flushed its copy on exit would print it twice.
+    code = textwrap.dedent("""
+        import sys
+        from airmule import solver
+        from airmule.energy import PlannerConfig
+        from airmule.graph import build_instance
+        from airmule.instances import gen_random
+        solver._usable_cpus = lambda: 3
+        g = build_instance(gen_random(5, 40.0, 8.0, seed=4),
+                           PlannerConfig(d_max=100.0, battery_levels=3))
+        sys.stdout.write("before ")
+        solver.solve_glns(g, solver.SolverParams(mode="fast", restarts=3))
+        print("after")
+    """)
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert out.stdout == "before after\n"
+    assert out.stderr == ""
