@@ -64,14 +64,23 @@ class RechargeSplit:
 
 
 def consumption_levels(distance: float, mode: FlightMode, cfg: PlannerConfig) -> int:
-    """Battery levels consumed by flying the given distance, rounded up."""
+    """Battery levels consumed by flying the given distance, rounded up.
+
+    A leg that needs more than a full battery returns battery_levels + 1,
+    "more than a full battery", which every caller treats as unflyable;
+    so an overflowing, infinite or NaN count never reaches int() or an
+    int64 array.
+    """
     if distance < 0:
         raise ValueError("distance must be non-negative")
     span = cfg.d_max
     if mode is FlightMode.FIXED_WING:
         span = cfg.d_max * cfg.fixed_wing_ratio
-    x = distance * cfg.battery_levels / span
-    return max(0, math.ceil(x - _LEVEL_EPS))
+    x = distance * cfg.battery_levels / span - _LEVEL_EPS
+    # Written so that NaN fails too: every comparison with it is False.
+    if not x <= cfg.battery_levels:
+        return cfg.battery_levels + 1
+    return max(0, math.ceil(x))
 
 
 def recharge_time(levels: int, cfg: PlannerConfig) -> float:

@@ -194,10 +194,14 @@ def dubins_shortest(start: Pose, goal: Pose, turn_radius: float) -> DubinsPath:
     (sx, sy), (gx, gy) = start.position, goal.position
     dx, dy = gx - sx, gy - sy
     big_d = math.hypot(dx, dy)
+    d = big_d / turn_radius
+    if math.isinf(d * d):
+        # So many turn radii apart that the word formulas would overflow
+        # into inf - inf: no word gets a finite length.
+        return DubinsPath("LSL", (0.0, math.inf, 0.0), math.inf)
     theta = math.atan2(dy, dx)
     alpha = mod2pi(start.heading - theta)
     beta = mod2pi(goal.heading - theta)
-    d = big_d / turn_radius
 
     best: DubinsPath | None = None
     for word, solver in _WORDS:

@@ -16,17 +16,26 @@ every end pair leaving that cell and every pair of battery levels, and
 edge_breakdown, which decode expands into legs, on one pair of levels.
 Off-road landing sites are mask terms of the templates, so a template
 always returns a grid, infinite where the layout cannot be flown.
+
+A source cell's rows of the matrices (its transit legs, then the
+templates on its grid) depend on no other cell's rows.  Above a size
+that pays for the forks, build_instance deals the source cells round-
+robin to the fork pool of the workers module; the matrices then sit in
+one shared anonymous mapping, every worker writes its cells' rows
+straight into it, and the bytes are those of a one-process build.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import workers
 from .energy import (PlannerConfig, RechargeSplit, consumption_levels,
                      recharge_time)
 from .errors import InstanceTooLarge
@@ -50,6 +59,15 @@ INF = math.inf
 # 288 MB.  build_instance refuses an instance over the bound before it
 # allocates anything.
 _MATRIX_MAX_BYTES = 512 << 20
+
+# Matrix entries (V * V) per build worker; below twice this the build runs
+# in this process alone.  A fork costs the caller 8-10 ms in all (a bare
+# fork round trip is 5 ms; the rest is copy-on-write faults), so on a
+# 2-core x86-64 host two workers lost 8-10 ms on builds of V * V <= 58k
+# entries (4-6 cells at C=20, 13-26 ms), broke even near 100k and gained
+# 23 ms of 95 at 231k and 93 ms of 253 at 642k.  2**17 starts the second
+# worker at 262k entries, past the break-even with room for slower forks.
+_BUILD_ENTRIES_PER_WORKER = 1 << 17
 
 _MR = FlightMode.MULTI_ROTOR
 _FW = FlightMode.FIXED_WING
@@ -350,6 +368,71 @@ class ClusteredGraph:
                               self.vertices[v], self.cells, self.cfg)
 
 
+def _source_legs(i: int, cells: list[Cell], cfg: PlannerConfig,
+                 headings: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """(time, levels) of every transit leg leaving cell i, on axes (leg,
+    x, j, y) for exit i.other_end(x) and entry j.end(y); the j == i
+    entries stay 0, and _source_rows clears their edges."""
+    n = len(cells)
+    ends = (END_A, END_B)
+    leg_t = np.zeros((4, 2, n, 2))
+    leg_c = np.zeros((4, 2, n, 2), dtype=np.int64)
+    for x, end_x in enumerate(ends):
+        exit_i = cells[i].other_end(end_x)
+        for j in range(n):
+            if j == i:
+                continue
+            for y, end_y in enumerate(ends):
+                legs = _pair_legs(exit_i, cells[j].end(end_y),
+                                  headings[i][x], headings[j][y], cfg)
+                leg_t[:, x, j, y] = [t for t, _ in legs]
+                leg_c[:, x, j, y] = [c for _, c in legs]
+    return leg_t, leg_c
+
+
+def _source_rows(i: int, cfg: PlannerConfig,
+                 cover: tuple[tuple[float, int], ...],
+                 source_legs: tuple[np.ndarray, np.ndarray],
+                 exit_road: np.ndarray,
+                 entry_road: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cost and best_type entries of source cell i's 2C rows towards
+    every cell vertex, cell i's own cleared to (inf, -1)."""
+    n = len(entry_road)
+    C = cfg.battery_levels
+    # Every template runs once on a grid with axes (x, level_i, j, y,
+    # level_j); levels descend along their axes, which is the vertex order
+    # inside each endpoint block.  A strict < keeps the first minimum in
+    # _TABLE order, the tie-break.
+    KI = np.arange(C, 0, -1, dtype=np.int64)[None, :, None, None, None]
+    KJ = np.arange(C, 0, -1, dtype=np.int64)
+    leg_t, leg_c = source_legs
+    legs = [(leg_t[k][:, None, :, :, None], leg_c[k][:, None, :, :, None])
+            for k in range(4)]
+    roads = (exit_road[i][:, None, None, None, None],
+             entry_road[None, None, :, :, None])
+    block = np.full((2, C, n, 2, C), INF)
+    types = np.full(block.shape, -1, dtype=np.int16)
+    for code, (template, cover_k, leg) in enumerate(_TABLE):
+        grid = template(KI, KJ, cfg, cover[cover_k], legs[leg], roads)[0]
+        better = grid < block
+        np.minimum(block, grid, out=block)
+        types[better] = code
+    block[:, :, i] = INF
+    types[:, :, i] = -1
+    return block.reshape(2 * C, 2 * n * C), types.reshape(2 * C, 2 * n * C)
+
+
+def _shared_matrices(V: int) -> tuple[np.ndarray, np.ndarray]:
+    """cost (inf) and best_type (-1), V x V each, in one anonymous mapping
+    that forked workers write into and this process reads."""
+    buf = mmap.mmap(-1, V * V * 10)
+    cost = np.frombuffer(buf, np.float64, V * V).reshape(V, V)
+    best_type = np.frombuffer(buf, np.int16, V * V, V * V * 8).reshape(V, V)
+    cost.fill(INF)
+    best_type.fill(-1)
+    return cost, best_type
+
+
 def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
     """Build the clustered graph for a list of cells."""
     if not cells:
@@ -381,55 +464,32 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
                 vertices.append(Vertex(i, end, level))
         clusters.append(cluster)
 
-    cost = np.full((V, V), INF)
-    best_type = np.full((V, V), -1, dtype=np.int16)
-    covers = [_cover_legs(cell, cfg) for cell in cells]
     ends = (END_A, END_B)
-
-    # (time, levels) of every transit leg of every ordered end pair, on
-    # axes (leg, i, x, j, y) for exit i.other_end(x) and entry j.end(y);
-    # the j == i entries stay 0 and their edges are cleared below.
-    leg_t = np.zeros((4, n, 2, n, 2))
-    leg_c = np.zeros((4, n, 2, n, 2), dtype=np.int64)
+    covers = [_cover_legs(cell, cfg) for cell in cells]
     headings = [[traversal_heading(cell, e) for e in ends] for cell in cells]
-    for i in range(n):
-        for x, end_x in enumerate(ends):
-            exit_i = cells[i].other_end(end_x)
-            for j in range(n):
-                if j == i:
-                    continue
-                for y, end_y in enumerate(ends):
-                    legs = _pair_legs(exit_i, cells[j].end(end_y),
-                                      headings[i][x], headings[j][y], cfg)
-                    leg_t[:, i, x, j, y] = [t for t, _ in legs]
-                    leg_c[:, i, x, j, y] = [c for _, c in legs]
     exit_road = np.array([[c.other_end(e).on_road for e in ends]
                           for c in cells])
     entry_road = np.array([[c.end(e).on_road for e in ends] for c in cells])
 
-    # Per source cell i, every template runs once on a grid with axes
-    # (x, level_i, j, y, level_j); levels descend along their axes, which
-    # is the vertex order inside each endpoint block.  A strict < keeps
-    # the first minimum in _TABLE order, the tie-break.
-    KI = np.arange(C, 0, -1, dtype=np.int64)[None, :, None, None, None]
-    KJ = np.arange(C, 0, -1, dtype=np.int64)
-    roads_j = entry_road[None, None, :, :, None]
-    for i in range(n):
-        legs = [(leg_t[k, i][:, None, :, :, None],
-                 leg_c[k, i][:, None, :, :, None]) for k in range(4)]
-        roads = (exit_road[i][:, None, None, None, None], roads_j)
-        block = np.full((2, C, n, 2, C), INF)
-        types = np.full(block.shape, -1, dtype=np.int16)
-        for code, (template, cover, leg) in enumerate(_TABLE):
-            grid = template(KI, KJ, cfg, covers[i][cover], legs[leg], roads)[0]
-            better = grid < block
-            np.minimum(block, grid, out=block)
-            types[better] = code
-        block[:, :, i] = INF
-        types[:, :, i] = -1
-        rows = slice(1 + i * 2 * C, 1 + (i + 1) * 2 * C)
-        cost[rows, 1:] = block.reshape(2 * C, 2 * n * C)
-        best_type[rows, 1:] = types.reshape(2 * C, 2 * n * C)
+    count = max(1, min(workers.usable_cpus(), n,
+                       V * V // _BUILD_ENTRIES_PER_WORKER))
+    if count > 1:
+        cost, best_type = _shared_matrices(V)
+    else:
+        cost = np.full((V, V), INF)
+        best_type = np.full((V, V), -1, dtype=np.int16)
+
+    def fill(share: list[int]) -> list:
+        # All of the share's transit legs, then all of its templates: a
+        # build that alternates the two cell by cell ran about 1% slower.
+        legs = [_source_legs(i, cells, cfg, headings) for i in share]
+        for i, source_legs in zip(share, legs):
+            rows = slice(1 + i * 2 * C, 1 + (i + 1) * 2 * C)
+            cost[rows, 1:], best_type[rows, 1:] = _source_rows(
+                i, cfg, covers[i], source_legs, exit_road, entry_road)
+        return []
+
+    workers.in_workers(fill, list(range(n)), count)
 
     # Depot edges: free departure into full-battery vertices, and the final
     # coverage pass on the way back, in the faster battery-feasible mode

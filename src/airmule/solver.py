@@ -31,30 +31,27 @@ of the two new edges.  A move that puts the same cluster order back
 keeps the vertices and cost it started from, without a DP.
 
 The restarts of solve_glns are independent, each with its own seeded
-RNG.  On Linux they run on up to one process per usable CPU: the caller
-and forked workers, which share the cost matrices copy-on-write.  The
-results merge in restart order, so the tour is the one a sequential run
-returns; once the time budget binds, which restarts ran depends on
-machine speed, as it does in a sequential run.
+RNG.  On Linux they run in the fork pool of the workers module, on up to
+one process per usable CPU: the caller and forked workers, which share
+the cost matrices copy-on-write.  The results merge in restart order,
+so the tour is the one a sequential run returns; once the time budget
+binds, which restarts ran depends on machine speed, as it does in a
+sequential run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import pickle
 import random
-import signal
 import time
-import warnings
 from dataclasses import dataclass
-from typing import BinaryIO, Callable
 
 import numpy as np
 
 from .errors import Infeasible, InstanceTooLarge, NoFeasibleTour
 from .graph import ClusteredGraph
+from .workers import in_workers
 
 # Stand-in for infinite edges inside the heuristic search only; a final
 # tour using one of these is rejected.
@@ -518,8 +515,8 @@ def _adapt(weights: list[float], scores: list[float], tries: list[int]) -> None:
 def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTour:
     """Adaptive large neighborhood search over the clustered graph.
 
-    The restarts run in _in_workers; the cheapest tour wins, ties to the
-    lowest restart, as in a sequential run.
+    The restarts run in the fork pool (workers.in_workers); the cheapest
+    tour wins, ties to the lowest restart, as in a sequential run.
     """
     params = params or SolverParams()
     m = len(g.clusters) - 1
@@ -529,7 +526,7 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
 
     best_vertices: list[int] | None = None
     best_true = math.inf
-    for _, true_cost, vertices in sorted(_in_workers(
+    for _, true_cost, vertices in sorted(in_workers(
             lambda share: _restarts(g, tmat, m, params, share, deadline),
             list(range(params.restarts)))):
         if true_cost < best_true:
@@ -635,94 +632,3 @@ def _restarts(g: ClusteredGraph, tmat: np.ndarray, m: int,
         if time.monotonic() > deadline:
             break
     return results
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the OS does not tell."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return 1
-
-
-def _in_workers(run: Callable[[list[int]], list], indices: list[int]) -> list:
-    """run(share) over indices dealt round-robin to up to one worker per
-    usable CPU; the concatenated results, in no particular order.
-
-    This process is worker 0 and runs its share itself.  Every other
-    worker is a forked child, which shares the parent's arrays copy-on-
-    write, sends its results back pickled through a pipe and ends with
-    os._exit, so it runs no cleanup and flushes no inherited buffer.  A
-    share whose fork fails runs in this process.  An exception in any
-    worker is raised here once every child has ended; none is left
-    running or unreaped.
-    """
-    workers = min(len(indices), _usable_cpus())
-    own = indices[::workers]
-    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
-    try:
-        for w in range(1, workers):
-            child = _fork(run, indices[w::workers])
-            if child is None:
-                own = sorted(own + indices[w::workers])
-            else:
-                children[child[0]] = child[1]
-        results = run(own)
-        failure: BaseException | None = None
-        for pid, pipe in list(children.items()):
-            reply = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            pipe.close()
-            ok, value = pickle.loads(reply) if reply else (False, RuntimeError(
-                f"restart worker ended with wait status {status} and no reply"))
-            if ok:
-                results += value
-            elif failure is None:
-                failure = value
-        if failure is not None:
-            raise failure
-        return results
-    finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _fork(run: Callable[[list[int]], list],
-          share: list[int]) -> tuple[int, BinaryIO] | None:
-    """Fork a worker that runs share: (pid, read end of its pipe), or
-    None when the pipe or the fork fails."""
-    try:
-        rfd, wfd = os.pipe()
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on every fork of a process with more than
-            # one thread; numpy's BLAS pool counts, is fork-safe and is not
-            # used by the search.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid:
-        os.close(wfd)
-        return pid, os.fdopen(rfd, "rb")
-    try:  # the worker; it never returns
-        os.close(rfd)
-        try:
-            reply = (True, run(share))
-        except BaseException as exc:
-            reply = (False, exc)
-        try:
-            data = pickle.dumps(reply)
-        except Exception:
-            data = pickle.dumps((False, RuntimeError(repr(reply[1]))))
-        with os.fdopen(wfd, "wb") as pipe:
-            pipe.write(data)
-    finally:
-        os._exit(0)

@@ -6,7 +6,11 @@ import time
 import pytest
 
 from airmule.cli import main
-from airmule.instances import load_instance, parse_plan
+from airmule.energy import PlannerConfig
+from airmule.errors import Infeasible
+from airmule.geometry import Cell, Site
+from airmule.instances import load_instance, parse_plan, serialize_instance
+from airmule.plan import baseline_plan, validate
 
 
 def run(capsys, *argv):
@@ -83,6 +87,50 @@ def test_plan_infeasible_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "plan", str(inst), "--solver", "exact")
     assert code == 1
     assert "error" in err
+
+
+def far_apart_cells():
+    # Short on-road cells about 1e200 apart: no flight joins them, but the
+    # UGV can carry the UAV.
+    return [Cell(0, Site(0, 0.0, 0.0, True), Site(1, 5.0, 0.0, True)),
+            Cell(1, Site(2, 1e200, 0.0, True), Site(3, 1e200, 5.0, True)),
+            Cell(2, Site(4, 0.0, 10.0, True), Site(5, 5.0, 10.0, True))]
+
+
+def float_edge_cells():
+    # A cell from x=-1e308 to x=1e308 is longer than a float holds.
+    return [Cell(0, Site(0, -1e308, 0.0, True), Site(1, 1e308, 0.0, True)),
+            Cell(1, Site(2, 0.0, 5.0, True), Site(3, 5.0, 5.0, True))]
+
+
+@pytest.mark.parametrize("solver", ["exact", "glns"])
+@pytest.mark.parametrize("kind", ["tiny-d-max", "far-apart", "float-edge"])
+def test_unflyable_legs_plan_or_report_infeasible(tmp_path, capsys, kind,
+                                                  solver):
+    # Leg level counts beyond any integer used to escape as a traceback.
+    inst = tmp_path / "inst.json"
+    if kind == "tiny-d-max":
+        code, _, _ = run(capsys, "gen", "-n", "3", "--d-max", "1e-300",
+                         "-o", str(inst))
+        assert code == 0
+    else:
+        cells = far_apart_cells() if kind == "far-apart" else float_edge_cells()
+        inst.write_text(serialize_instance(cells, PlannerConfig(
+            d_max=60.0, battery_levels=4, turn_radius=1.0)), encoding="utf-8")
+    cells, cfg = load_instance(str(inst))
+    with pytest.raises(Infeasible):
+        baseline_plan(cells, cfg)
+    out = tmp_path / "plan.json"
+    code, _, err = run(capsys, "plan", str(inst), "--solver", solver,
+                       "--mode", "fast", "-o", str(out))
+    assert "Traceback" not in err
+    if code == 0:
+        plan = parse_plan(out.read_text(encoding="utf-8"))
+        assert not [i for i in validate(plan, cells, cfg)
+                    if i.severity == "violation"]
+    else:
+        assert code == 1
+        assert "infeasible" in err and "error" in err
 
 
 def test_bad_json_reports_position(tmp_path, capsys):

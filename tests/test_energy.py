@@ -81,11 +81,37 @@ def test_consumption_monotone_seeded():
         d = rng.uniform(0.0, 200.0)
         levels = consumption_levels(d, MR, cfg)
         assert levels >= 0
-        # never cheaper than the exact ratio rounded down
-        assert levels >= math.floor(d * 13 / 77.0) - 1
+        # never cheaper than the exact ratio rounded down, up to the
+        # saturated count of a leg beyond a full battery
+        assert levels >= min(math.floor(d * 13 / 77.0) - 1, 14)
         if d >= prev_d:
             assert levels >= prev
         prev_d, prev = d, levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance=st.floats(0.0, 1e308), d_max=st.floats(1e-300, 1e6),
+       levels=st.integers(1, 40), mode=st.sampled_from([MR, FW]))
+def test_consumption_saturates_above_full_battery(distance, d_max, levels,
+                                                  mode):
+    # The unsaturated count, in Python ints where it is finite: equal up
+    # to C levels, C + 1 ("more than a full battery") beyond.
+    cfg = PlannerConfig(d_max=d_max, battery_levels=levels)
+    span = d_max * (cfg.fixed_wing_ratio if mode is FW else 1.0)
+    x = distance * levels / span - 1e-9
+    got = consumption_levels(distance, mode, cfg)
+    if math.isfinite(x) and max(0, math.ceil(x)) <= levels:
+        assert got == max(0, math.ceil(x))
+    else:
+        assert got == levels + 1
+
+
+@pytest.mark.parametrize("distance", [1e200, 1e308, math.inf, math.nan])
+def test_consumption_of_unflyable_distances(distance):
+    for cfg in (PlannerConfig(), PlannerConfig(d_max=1e-300)):
+        for mode in (MR, FW):
+            assert consumption_levels(distance, mode, cfg) == 21
+    assert consumption_levels(1.0, MR, PlannerConfig(d_max=1e-300)) == 21
 
 
 def test_recharge_time():

@@ -66,6 +66,18 @@ def test_dubins_straight():
     assert path.word[1] == "S"
 
 
+@pytest.mark.parametrize("start,goal", [
+    ((1e308, 0.0), (-1e308, 5.0)),  # farther apart than a float holds
+    ((1e308, 0.0), (0.0, 5.0)),
+    ((0.0, 0.0), (0.0, 1e200)),
+])
+def test_dubins_beyond_float_range_is_infinite(start, goal):
+    # The word formulas would meet inf - inf and raise on a NaN angle.
+    for heading in (0.0, 1.0, math.pi, 4.0):
+        path = dubins_shortest(Pose(start, heading), Pose(goal, 2.0), 1.0)
+        assert path.total_length == math.inf
+
+
 def test_dubins_rejects_bad_radius():
     with pytest.raises(ValueError):
         dubins_shortest(Pose((0.0, 0.0), 0.0), Pose((1.0, 0.0), 0.0), 0.0)

@@ -3,14 +3,19 @@ depot cluster and the dense matrix, checked against oracle18."""
 
 import hashlib
 import math
+import mmap
+import os
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle18 import oracle_edge_cost, oracle_type_cost
 
-from airmule import graph
+from airmule import graph, workers
 from airmule.energy import PlannerConfig
 from airmule.errors import InstanceTooLarge
 from airmule.geometry import Cell, Site
@@ -353,7 +358,10 @@ def test_matrix_bound_checked_before_allocation(monkeypatch):
 
     monkeypatch.setattr(np, "full", no_alloc)
     monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(mmap, "mmap", no_alloc)
     monkeypatch.setattr(graph, "Vertex", no_alloc)
+    # Two usable CPUs would give this build the shared matrices.
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     with pytest.raises(InstanceTooLarge, match="bytes of matrices"):
         build_instance(spec_cells(), PlannerConfig(battery_levels=10**9))
 
@@ -370,3 +378,89 @@ def test_matrix_bound_counts_eighteen_bytes_per_entry(monkeypatch):
     monkeypatch.setattr(graph, "_MATRIX_MAX_BYTES", need - 1)
     with pytest.raises(InstanceTooLarge, match=str(need)):
         build_instance(spec_cells(), cfg)
+
+
+def matrix_bytes(g):
+    return g.cost.tobytes(), g.best_type.tobytes()
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def forced_workers(monkeypatch, count):
+    """Make every build with at least count cells use count workers."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: count)
+    monkeypatch.setattr(graph, "_BUILD_ENTRIES_PER_WORKER", 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 25), levels=st.integers(1, 20),
+       roads=st.floats(0.3, 1.0), farm_seed=st.integers(0, 2**16),
+       d_max=st.sampled_from([40.0, 120.0, 400.0]))
+def test_parallel_build_matches_one_worker(n, levels, roads, farm_seed,
+                                           d_max):
+    cells = gen_random(n, 100.0, 10.0, seed=farm_seed, road_fraction=roads)
+    cfg = PlannerConfig(d_max=d_max, battery_levels=levels)
+    with mock.patch.object(workers, "usable_cpus", lambda: 1):
+        serial = matrix_bytes(build_instance(cells, cfg))
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    with mock.patch.object(workers, "usable_cpus", lambda: 3), \
+            mock.patch.object(graph, "_BUILD_ENTRIES_PER_WORKER", 1), \
+            mock.patch.object(os, "fork", counted_fork):
+        assert matrix_bytes(build_instance(cells, cfg)) == serial
+    assert len(forks) == min(n, 3) - 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("in_child", [True, False])
+def test_failing_build_worker_raises_and_leaves_no_child(monkeypatch,
+                                                         in_child):
+    parent = os.getpid()
+    source_rows = graph._source_rows
+
+    def rows_or_fail(i, *args):
+        if (os.getpid() != parent) == in_child:
+            raise ValueError(f"cell {i} failed")
+        return source_rows(i, *args)
+
+    forced_workers(monkeypatch, 3)
+    monkeypatch.setattr(graph, "_source_rows", rows_or_fail)
+    with pytest.raises(ValueError, match="failed"):
+        build_instance(gen_random(6, 40.0, 8.0, seed=4), spec_cfg())
+    assert_no_child_left()
+
+
+def test_failed_fork_builds_in_process(monkeypatch):
+    cells = gen_random(6, 40.0, 8.0, seed=4)
+    serial = matrix_bytes(build_instance(cells, spec_cfg()))
+
+    def refused():
+        raise OSError("fork refused")
+
+    forced_workers(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", refused)
+    assert matrix_bytes(build_instance(cells, spec_cfg())) == serial
+    assert_no_child_left()
+
+
+def test_small_build_never_forks(monkeypatch):
+    # Six cells at C=20, the largest farm of the exact solver's workload
+    # size: the forks would cost more than they save.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("forked or shared")
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 64)
+    monkeypatch.setattr(os, "fork", forbidden)
+    monkeypatch.setattr(mmap, "mmap", forbidden)
+    g = build_instance(gen_random(6, 40.0, 8.0, seed=4),
+                       PlannerConfig(d_max=120.0, battery_levels=20))
+    assert g.n_vertices == 241

@@ -21,7 +21,7 @@ from airmule.energy import PlannerConfig
 from airmule.errors import Infeasible, InstanceTooLarge, NoFeasibleTour
 from airmule.geometry import Cell, Site
 from airmule.graph import build_instance
-from airmule import solver
+from airmule import solver, workers
 from airmule.instances import gen_random
 from airmule.solver import (_NOISE, BIG, GtspTour, SolverParams,
                             _cluster_blocks, _held_karp, _layered_dp,
@@ -585,12 +585,12 @@ def test_parallel_restarts_match_one_worker(n, farm_seed, d_max, levels,
         forks.append(1)
         return fork()
 
-    with mock.patch.object(solver, "_usable_cpus", lambda: restarts), \
+    with mock.patch.object(workers, "usable_cpus", lambda: restarts), \
             mock.patch.object(os, "fork", counted_fork):
         parallel = glns_or_none(g, params)
     assert len(forks) == restarts - 1
     assert_no_child_left()
-    with mock.patch.object(solver, "_usable_cpus", lambda: 1):
+    with mock.patch.object(workers, "usable_cpus", lambda: 1):
         assert glns_or_none(g, params) == parallel
 
 
@@ -603,7 +603,7 @@ def test_restart_ties_go_to_lowest_restart(monkeypatch):
     def fake_restarts(g, tmat, m, params, share, deadline):
         return [(r, 2.0 if r == 0 else 1.0, [0, 1 + r]) for r in share]
 
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     monkeypatch.setattr(solver, "_restarts", fake_restarts)
     assert solve_glns(g, SolverParams(restarts=3)).vertices == (0, 2)
 
@@ -620,7 +620,7 @@ def test_failing_worker_raises_and_leaves_no_child(monkeypatch, in_child):
             raise ValueError("restart failed")
         polish(self, deadline)
 
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
     monkeypatch.setattr(_Search, "polish", polish_or_fail)
     with pytest.raises(ValueError, match="restart failed"):
         solve_glns(g, SolverParams(mode="fast", restarts=3))
@@ -631,13 +631,13 @@ def test_failed_fork_runs_share_in_process(monkeypatch):
     g = build_instance(gen_random(5, 40.0, 8.0, seed=4),
                        PlannerConfig(d_max=100.0, battery_levels=3))
     params = SolverParams(mode="fast", restarts=3, rng_seed=5)
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     sequential = solve_glns(g, params)
 
     def refused():
         raise OSError("fork refused")
 
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", refused)
     assert solve_glns(g, params) == sequential
     assert_no_child_left()
@@ -650,7 +650,7 @@ def test_single_restart_and_exact_never_fork(monkeypatch):
     def forbidden():
         raise AssertionError("forked")
 
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
     monkeypatch.setattr(os, "fork", forbidden)
     solve_glns(g, SolverParams(mode="fast", restarts=1))
     solve_exact(g)
@@ -661,11 +661,11 @@ def test_workers_duplicate_no_output():
     # flushed its copy on exit would print it twice.
     code = textwrap.dedent("""
         import sys
-        from airmule import solver
+        from airmule import solver, workers
         from airmule.energy import PlannerConfig
         from airmule.graph import build_instance
         from airmule.instances import gen_random
-        solver._usable_cpus = lambda: 3
+        workers.usable_cpus = lambda: 3
         g = build_instance(gen_random(5, 40.0, 8.0, seed=4),
                            PlannerConfig(d_max=100.0, battery_levels=3))
         sys.stdout.write("before ")
