@@ -18,7 +18,7 @@ from .graph import build_instance
 from .instances import (gen_random, load_instance, load_plan, save_instance,
                         save_plan, serialize_instance, serialize_plan)
 from .plan import baseline_plan, decode, validate
-from .solver import EXACT_CLUSTER_CAP, SolverParams, solve_exact, solve_glns
+from .solver import SolverParams, solve_exact, solve_glns
 from .svg_render import render_svg
 
 
@@ -70,7 +70,7 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
 def _solve(cells, cfg, args):
     g = build_instance(cells, cfg)
     if args.solver == "exact":
-        return g, solve_exact(g, getattr(args, "cluster_cap", EXACT_CLUSTER_CAP))
+        return g, solve_exact(g)
     params = SolverParams(mode=args.mode, time_budget=args.time_budget,
                           restarts=args.restarts, rng_seed=args.seed)
     return g, solve_glns(g, params)
@@ -170,8 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="solve an instance and emit a plan")
     p_plan.add_argument("instance")
     p_plan.add_argument("-o", "--output", default=None)
-    p_plan.add_argument("--cluster-cap", type=int, default=EXACT_CLUSTER_CAP,
-                        help="exact-solver size cap")
     _add_solver_args(p_plan)
 
     p_cmp = sub.add_parser("compare",

@@ -11,8 +11,7 @@ class Infeasible(PlanningError):
 
 class InstanceTooLarge(PlanningError):
     """The instance's matrices would exceed build_instance's byte bound, or
-    the exact solver refuses it: above its cluster cap, or with DP tables
-    over its byte bound."""
+    the exact solver's DP tables would exceed theirs."""
 
 
 class NoFeasibleTour(PlanningError):

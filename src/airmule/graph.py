@@ -6,6 +6,16 @@ start and the open-path cost: leaving the depot is free only into
 level-C vertices, and returning to the depot costs the final coverage
 pass of the last cell.
 
+This module owns the vertex layout: ClusteredGraph.vertex and vertex_id
+map ids to vertices and back, cluster_span gives a cluster's ids and
+cluster_views splits a matrix over the vertices into cluster blocks.
+The depot is vertex 0, and cluster c >= 1 (cell c - 1) holds the 2C
+consecutive ids from 1 + (c - 1) * 2C: end A, then end B, each with its
+levels descending, so that argmin ties between equal-cost tours prefer
+arriving with more charge (among equal-time options, the cheaper-energy
+flight mode).  A matrix over the vertices splits without a copy into
+(n, 2C, n, 2C) cluster blocks, a depot row and a depot column.
+
 Between two vertices the edge cost is the minimum over eighteen travel
 options that combine the coverage-leg flight mode with land, recharge,
 take-off and UGV-ride choices on the transit leg.  Each option is one of
@@ -325,6 +335,23 @@ def type_cost(t: EdgeType, v_from: Vertex, v_to: Vertex, cells: list[Cell],
     return (INF, None) if bd is None else (bd.cost, bd.split)
 
 
+def cluster_span(c: int, width: int) -> slice:
+    """Vertex ids of cluster c >= 1, for clusters of width = 2C vertices."""
+    return slice(1 + (c - 1) * width, 1 + c * width)
+
+
+def cluster_views(mat: np.ndarray,
+                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(blocks, depot row, depot column) of a square matrix over the
+    vertices of n clusters, as views of shapes (n, 2C, n, 2C), (n, 2C) and
+    (n, 2C): with span(c) = cluster_span(c, 2C), blocks[a, :, b, :] is
+    mat[span(a + 1), span(b + 1)], row[a] is mat[0, span(a + 1)] and
+    column[a] is mat[span(a + 1), 0]."""
+    width = (len(mat) - 1) // n
+    return (mat[1:, 1:].reshape(n, width, n, width),
+            mat[0, 1:].reshape(n, width), mat[1:, 0].reshape(n, width))
+
+
 class ClusteredGraph:
     """Dense GTSP instance over 2nC cell vertices plus one depot vertex.
 
@@ -334,38 +361,37 @@ class ClusteredGraph:
     """
 
     def __init__(self, cells: list[Cell], cfg: PlannerConfig,
-                 vertices: list[Vertex], clusters: list[list[int]],
                  cost: np.ndarray, best_type: np.ndarray) -> None:
         self.cells = cells
         self.cfg = cfg
-        self.vertices = vertices
-        self.clusters = clusters
         self.cost = cost
         self.best_type = best_type
         self.n_cells = len(cells)
         self.levels = cfg.battery_levels
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
+    def vertex(self, vid: int) -> Vertex:
+        """The vertex with id vid; ValueError unless 0 <= vid < len(cost)."""
+        if not 0 <= vid < len(self.cost):
+            raise ValueError(f"vertex id {vid} out of range")
+        if vid == 0:
+            return Vertex(-1, None, self.levels, is_depot=True)
+        cell_index, k = divmod(vid - 1, 2 * self.levels)
+        end, step = divmod(k, self.levels)
+        return Vertex(cell_index, (END_A, END_B)[end], self.levels - step)
 
     def vertex_id(self, cell_index: int, end: str, level: int) -> int:
         if not 1 <= level <= self.levels:
             raise ValueError(f"level {level} out of range")
         offset = 0 if end == END_A else self.levels
-        return 1 + cell_index * 2 * self.levels + offset + (self.levels - level)
-
-    def cluster_of(self, vid: int) -> int:
-        if vid == 0:
-            return 0
-        return 1 + (vid - 1) // (2 * self.levels)
+        return (cluster_span(cell_index + 1, 2 * self.levels).start + offset
+                + (self.levels - level))
 
     def breakdown(self, u: int, v: int) -> Optional[EdgeBreakdown]:
         code = int(self.best_type[u, v])
         if code < 0:
             return None
-        return edge_breakdown(EdgeType(code), self.vertices[u],
-                              self.vertices[v], self.cells, self.cfg)
+        return edge_breakdown(EdgeType(code), self.vertex(u), self.vertex(v),
+                              self.cells, self.cfg)
 
 
 def _source_legs(i: int, cells: list[Cell], cfg: PlannerConfig,
@@ -450,20 +476,6 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
         raise InstanceTooLarge(f"{n} cells at {C} battery levels need {need} "
                                f"bytes of matrices, over {_MATRIX_MAX_BYTES}")
 
-    # Levels are stored descending inside each endpoint block so that
-    # argmin ties between equal-cost tours prefer arriving with more
-    # charge; among equal-time options that favors the cheaper-energy
-    # flight mode.
-    vertices = [Vertex(-1, None, C, is_depot=True)]
-    clusters: list[list[int]] = [[0]]
-    for i in range(n):
-        cluster = []
-        for end in (END_A, END_B):
-            for level in range(C, 0, -1):
-                cluster.append(len(vertices))
-                vertices.append(Vertex(i, end, level))
-        clusters.append(cluster)
-
     ends = (END_A, END_B)
     covers = [_cover_legs(cell, cfg) for cell in cells]
     headings = [[traversal_heading(cell, e) for e in ends] for cell in cells]
@@ -484,7 +496,7 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
         # build that alternates the two cell by cell ran about 1% slower.
         legs = [_source_legs(i, cells, cfg, headings) for i in share]
         for i, source_legs in zip(share, legs):
-            rows = slice(1 + i * 2 * C, 1 + (i + 1) * 2 * C)
+            rows = cluster_span(i + 1, 2 * C)
             cost[rows, 1:], best_type[rows, 1:] = _source_rows(
                 i, cfg, covers[i], source_legs, exit_road, entry_road)
         return []
@@ -494,7 +506,7 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
     # Depot edges: free departure into full-battery vertices, and the final
     # coverage pass on the way back, in the faster battery-feasible mode
     # (multi-rotor on a tie).
-    k = np.arange(C, 0, -1)
+    k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster's vertices
     for i in range(n):
         (t_m, c_m), (t_f, c_f) = covers[i]
         back_m = np.where(k >= c_m, t_m, INF)
@@ -503,10 +515,9 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
         modes = np.where(back_m <= back_f, EdgeType.M_M.value,
                          EdgeType.F_F.value)
         modes[~np.isfinite(back)] = -1
-        for x in range(2):
-            base = 1 + i * 2 * C + x * C
-            cost[0, base] = 0.0
-            cost[base:base + C, 0] = back
-            best_type[base:base + C, 0] = modes
+        span = cluster_span(i + 1, 2 * C)
+        cost[0, span] = np.where(k == C, 0.0, INF)
+        cost[span, 0] = back
+        best_type[span, 0] = modes
 
-    return ClusteredGraph(cells, cfg, vertices, clusters, cost, best_type)
+    return ClusteredGraph(cells, cfg, cost, best_type)

@@ -159,7 +159,8 @@ def decode(g: ClusteredGraph, tour: GtspTour, cfg: PlannerConfig) -> Plan:
         raise ValueError("tour does not visit the depot")
     pivot = verts.index(0)
     verts = verts[pivot:] + verts[:pivot]
-    if len(verts) != len(g.clusters):
+    stops = [g.vertex(v) for v in verts]
+    if sorted(s.cell_index for s in stops[1:]) != list(range(g.n_cells)):
         raise ValueError("tour must visit every cluster exactly once")
 
     b = _Builder(g.levels)
@@ -167,12 +168,11 @@ def decode(g: ClusteredGraph, tour: GtspTour, cfg: PlannerConfig) -> Plan:
 
     if not math.isfinite(float(g.cost[0, verts[1]])):
         raise ValueError("tour starts on an infeasible depot edge")
-    assert g.vertices[verts[1]].level == g.levels
+    assert stops[1].level == g.levels
     total += float(g.cost[0, verts[1]])
 
-    for u_id, w_id in zip(verts[1:-1], verts[2:]):
-        u = g.vertices[u_id]
-        w = g.vertices[w_id]
+    for u_id, w_id, u, w in zip(verts[1:-1], verts[2:], stops[1:-1],
+                                stops[2:]):
         bd = g.breakdown(u_id, w_id)
         if bd is None:
             raise ValueError(
@@ -182,8 +182,7 @@ def decode(g: ClusteredGraph, tour: GtspTour, cfg: PlannerConfig) -> Plan:
         assert b.battery == w.level
         total += float(g.cost[u_id, w_id])
 
-    last_id = verts[-1]
-    last = g.vertices[last_id]
+    last_id, last = verts[-1], stops[-1]
     closing = float(g.cost[last_id, 0])
     code = int(g.best_type[last_id, 0])
     if code < 0:
@@ -203,8 +202,7 @@ def decode(g: ClusteredGraph, tour: GtspTour, cfg: PlannerConfig) -> Plan:
            end_heading=heading if fw else None)
     total += closing
 
-    cell_order = tuple((g.vertices[v].cell_index, g.vertices[v].entry_end)
-                       for v in verts[1:])
+    cell_order = tuple((s.cell_index, s.entry_end) for s in stops[1:])
     return Plan(cell_order, tuple(b.legs), tuple(b.waypoints), total,
                 tuple(b.trace))
 

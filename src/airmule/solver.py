@@ -7,11 +7,11 @@ of GLNS: removal and insertion heuristics with adaptive weights,
 simulated-annealing acceptance and a cluster-reoptimization move that
 re-picks vertices along a fixed cluster order.
 
-Both solvers rely on the vertex layout of build_instance: the depot is
-vertex 0 and cluster c >= 1 holds the 2C consecutive vertices
-1 + (c - 1) * 2C ... c * 2C.  So mat[1:, 1:] reshapes without a copy to
-an (m, 2C, m, 2C) array of cluster blocks, and every cluster-to-cluster
-cost read is a slice of the matrix instead of a gather.
+Both solvers read the vertex layout through the graph module:
+cluster_span gives a cluster's vertex ids and cluster_views splits a
+matrix into (m, 2C, m, 2C) cluster blocks and the depot's row and column
+without a copy, so every cluster-to-cluster cost read is a slice of the
+matrix instead of a gather.
 
 The search holds one V x V array besides the graph's cost matrix: tmat,
 the costs transposed with BIG for every infinite edge, so tmat[v, u]
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, InstanceTooLarge, NoFeasibleTour
-from .graph import ClusteredGraph
+from .graph import ClusteredGraph, cluster_span, cluster_views
 from .workers import in_workers
 
 # Stand-in for infinite edges inside the heuristic search only; a final
@@ -66,10 +66,9 @@ _SIGMA_BEST, _SIGMA_BETTER, _SIGMA_ACCEPTED = 10.0, 6.0, 3.0
 _REACTION = 0.5
 _MIN_WEIGHT = 0.05
 
-# solve_exact's default cluster cap, and the bound on its DP tables: 12
-# bytes per (set, cluster, vertex), 23.6 MB for 12 clusters of 40 vertices.
-# Within the bound every rank key fits in the tables' int32.
-EXACT_CLUSTER_CAP = 8
+# The bound on solve_exact's DP tables: 12 bytes per (set, cluster,
+# vertex), 23.6 MB for 12 clusters of 40 vertices.  Within the bound every
+# rank key fits in the tables' int32.
 _HELD_KARP_MAX_BYTES = 64 << 20
 
 
@@ -112,24 +111,9 @@ def _as_tour(g: ClusteredGraph, vertices: list[int]) -> GtspTour:
     return GtspTour(tour.vertices, tour_cost(g, tour))
 
 
-def _cluster_blocks(mat: np.ndarray, m: int) -> np.ndarray:
-    """mat[1:, 1:] as the (m, 2C, m, 2C) view of its cluster blocks."""
-    return mat[1:, 1:].reshape(m, -1, m, (mat.shape[0] - 1) // m)
-
-
-def _span(c: int, width: int) -> slice:
-    """Vertex ids of cluster c >= 1, for clusters of width = 2C vertices."""
-    return slice(1 + (c - 1) * width, 1 + c * width)
-
-
-def solve_exact(g: ClusteredGraph,
-                cluster_cap: int = EXACT_CLUSTER_CAP) -> GtspTour:
+def solve_exact(g: ClusteredGraph) -> GtspTour:
     """Globally optimal tour by the Held-Karp subset DP (_held_karp)."""
-    m = len(g.clusters) - 1
-    if m > cluster_cap:
-        raise InstanceTooLarge(f"{m} clusters exceed the exact-solver cap "
-                               f"of {cluster_cap} (use --solver glns)")
-    return _as_tour(g, _held_karp(g.cost, m)[1])
+    return _as_tour(g, _held_karp(g.cost, g.n_cells)[1])
 
 
 def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
@@ -144,15 +128,13 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
     candidates, and the new ranks are the dense ranks of (predecessor
     rank, cluster).  The vertices are _layered_dp's along that order.
     """
-    width = (mat.shape[0] - 1) // m
+    blocks, depart, arrive = cluster_views(mat, m)
+    width = blocks.shape[1]
     need = 12 * (1 << m) * m * width
     if need > _HELD_KARP_MAX_BYTES:
         raise InstanceTooLarge(f"{m} clusters need {need} bytes of exact-"
                                f"solver tables, over {_HELD_KARP_MAX_BYTES} "
                                "(use --solver glns)")
-    blocks = _cluster_blocks(mat, m)
-    depart = mat[0, 1:].reshape(m, width)
-    arrive = mat[1:, 0].reshape(m, width)
     every = np.arange(m)
     vertex = np.arange(width)[:, None]
     value = np.full((1 << m, m, width), np.inf)
@@ -245,7 +227,7 @@ def _layered_dp(into: np.ndarray, depart: np.ndarray, arrive: np.ndarray,
     total = float(closing[idx])
     choice = {0: 0}
     for c, _, parent in reversed(steps):
-        choice[c] = _span(c, width).start + idx
+        choice[c] = cluster_span(c, width).start + idx
         if parent is not None:
             idx = int(parent[idx])
     return total, choice
@@ -317,7 +299,8 @@ class _Insertions:
             rest = int(delta[r].argmin())
         pos, k = divmod(rest, width)
         c = self.clusters[r]
-        return float(delta[r, pos, k]), c, pos, _span(c, width).start + k
+        vertex = cluster_span(c, width).start + k
+        return float(delta[r, pos, k]), c, pos, vertex
 
     def insert(self, cluster: int, pos: int, vertex: int) -> None:
         """Insert into the search's tour and update the kept deltas."""
@@ -347,10 +330,9 @@ class _Search:
     def __init__(self, cost: np.ndarray, tmat: np.ndarray, m: int,
                  rng: random.Random) -> None:
         self.tmat = tmat
-        self.into = _cluster_blocks(tmat, m)
+        # tmat is transposed, so its depot row prices the closing edges.
+        self.into, self.arrive, self.depart = cluster_views(tmat, m)
         self.width = self.into.shape[1]
-        self.depart = tmat[1:, 0].reshape(m, self.width)
-        self.arrive = tmat[0, 1:].reshape(m, self.width)
         # Rows split by cluster: edges from a vertex into each cluster, and
         # from each cluster into a vertex.
         self.cost_out = cost[:, 1:].reshape(len(cost), m, self.width)
@@ -368,12 +350,6 @@ class _Search:
     def cost(self) -> float:
         vs = np.array(self.tour_vertices(), dtype=np.intp)
         return float(self.tmat[np.concatenate((vs[1:], vs[:1])), vs].sum())
-
-    def price_insertion(self, clusters: list[int], noisy: bool = False,
-                        nearest: bool = False) -> tuple[float, int, int, int]:
-        """The first round of insert_greedy on the given (sorted) clusters:
-        its (delta, cluster, position, vertex), without inserting."""
-        return _Insertions(self, clusters, nearest).best(noisy)
 
     def insert(self, cluster: int, pos: int, vertex: int) -> None:
         self.order.insert(pos + 1, cluster)
@@ -399,8 +375,7 @@ class _Search:
             for c in list(self.order[1:]):
                 snap = self.snapshot()
                 self.remove_clusters([c])
-                _, _, pos, vertex = self.price_insertion([c])
-                self.insert(c, pos, vertex)
+                self.insert_greedy([c])
                 self.reoptimize_vertices()
                 if self.cost() < base - 1e-12:
                     improved = True
@@ -480,7 +455,7 @@ class _Search:
         remaining = sorted(removed)
         while remaining:
             c = remaining[self.rng.randrange(len(remaining))]
-            span = _span(c, self.width)
+            span = cluster_span(c, self.width)
             tour = self.tour_vertices()
             pos = self.rng.randrange(len(tour))
             a = tour[pos]
@@ -519,7 +494,7 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
     tour wins, ties to the lowest restart, as in a sequential run.
     """
     params = params or SolverParams()
-    m = len(g.clusters) - 1
+    m = g.n_cells
     tmat = g.cost.T.copy()  # C-ordered; costs are finite or +inf
     tmat[np.isinf(tmat)] = BIG
     deadline = time.monotonic() + params.time_budget

@@ -152,23 +152,31 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
-def test_cluster_cap_exit_code(tmp_path, capsys):
-    inst = gen_instance(tmp_path, capsys, n=4)
+def test_exact_plans_nine_cells(tmp_path, capsys):
+    # The DP tables' byte bound is the exact solver's only limit: 9 cells at
+    # C=20 take 2.2 MB of tables and solve.
+    inst = tmp_path / "inst.json"
+    assert run(capsys, "gen", "-n", "9", "--gen-seed", "1",
+               "-o", str(inst))[0] == 0
+    plan_path = tmp_path / "plan.json"
     code, _, err = run(capsys, "plan", str(inst), "--solver", "exact",
-                       "--cluster-cap", "2")
-    assert code == 2
-    assert "glns" in err
+                       "-o", str(plan_path))
+    assert code == 0, err
+    cells, cfg = load_instance(str(inst))
+    plan = parse_plan(plan_path.read_text(encoding="utf-8"))
+    assert sorted(cell for cell, _ in plan.cell_order) == list(range(9))
+    assert not [i for i in validate(plan, cells, cfg)
+                if i.severity == "violation"]
 
 
 def test_exact_table_bound_exit_code(tmp_path, capsys):
-    # 30 cells pass a cap of 64, but their DP tables would take terabytes:
-    # the exact solver refuses them up front instead of running.
+    # 30 cells' DP tables would take terabytes: the exact solver refuses
+    # them up front instead of running.
     inst = tmp_path / "inst.json"
     assert run(capsys, "gen", "-n", "30", "--extent", "200", "--max-len", "6",
                "--gen-seed", "1", "-o", str(inst))[0] == 0
     start = time.monotonic()
-    code, _, err = run(capsys, "plan", str(inst), "--solver", "exact",
-                       "--cluster-cap", "64")
+    code, _, err = run(capsys, "plan", str(inst), "--solver", "exact")
     assert code == 2
     assert "bytes" in err and "glns" in err
     assert time.monotonic() - start < 30.0

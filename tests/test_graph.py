@@ -19,8 +19,8 @@ from airmule import graph, workers
 from airmule.energy import PlannerConfig
 from airmule.errors import InstanceTooLarge
 from airmule.geometry import Cell, Site
-from airmule.graph import (EdgeType, Vertex, build_instance, edge_breakdown,
-                           type_cost)
+from airmule.graph import (EdgeType, Vertex, build_instance, cluster_span,
+                           cluster_views, edge_breakdown, type_cost)
 from airmule.instances import gen_random
 
 
@@ -138,39 +138,62 @@ def test_edge_breakdown_rejects_depot_and_same_cell():
         edge_breakdown(EdgeType.M_M, u, Vertex(0, "B", 5), cells, cfg)
 
 
-def test_build_instance_shape():
-    cells, cfg = spec_cells(), spec_cfg()
-    g = build_instance(cells, cfg)
-    assert g.n_cells == 2
-    assert g.levels == 20
-    assert g.n_vertices == 2 * 2 * 20 + 1
-    assert len(g.clusters) == 3
-    assert g.vertices[0].is_depot
-    # vertex_id round-trips through cluster_of
-    for cell in range(2):
+layout_graphs = st.builds(
+    lambda n, C, seed: build_instance(
+        gen_random(n, 40.0, 8.0, seed=seed),
+        PlannerConfig(d_max=90.0, battery_levels=C)),
+    st.integers(1, 5), st.integers(1, 20), st.integers(0, 2**16))
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=layout_graphs)
+def test_build_instance_shape(g):
+    # The depot is vertex 0; cell c - 1 owns the 2C consecutive ids from
+    # 1 + (c - 1) * 2C, end A then end B, levels descending.
+    n, C = g.n_cells, g.levels
+    V = 1 + 2 * n * C
+    assert g.cost.shape == g.best_type.shape == (V, V)
+    assert g.cost.flags.c_contiguous
+    assert g.vertex(0) == Vertex(-1, None, C, is_depot=True)
+    for bad in (-1, V):
+        with pytest.raises(ValueError, match="out of range"):
+            g.vertex(bad)
+    for cell in range(n):
+        span = range(V)[cluster_span(cell + 1, 2 * C)]
+        assert list(span) == list(range(1 + cell * 2 * C,
+                                        1 + (cell + 1) * 2 * C))
+        assert [g.vertex(vid) for vid in span] == [
+            Vertex(cell, end, level)
+            for end in ("A", "B") for level in range(C, 0, -1)]
         for end in ("A", "B"):
-            for level in (1, 20):
+            for level in range(1, C + 1):
                 vid = g.vertex_id(cell, end, level)
-                assert g.cluster_of(vid) == cell + 1
-                vert = g.vertices[vid]
-                assert (vert.cell_index, vert.entry_end, vert.level) == \
-                    (cell, end, level)
+                assert vid in span
+                assert g.vertex(vid) == Vertex(cell, end, level)
+    for vid in range(1, V):
+        vert = g.vertex(vid)
+        assert g.vertex_id(vert.cell_index, vert.entry_end, vert.level) == vid
 
 
-def test_cluster_block_layout():
-    # The solvers view cost[1:, 1:] as (n, 2C, n, 2C) cluster blocks, which
-    # needs cluster c >= 1 to own exactly the 2C consecutive vertex ids
-    # starting at 1 + (c - 1) * 2C.
-    for n, C in ((1, 1), (2, 20), (5, 3)):
-        g = build_instance(gen_random(n, 40.0, 8.0, seed=n),
-                           PlannerConfig(d_max=90.0, battery_levels=C))
-        assert g.clusters[0] == [0]
-        assert len(g.clusters) == n + 1
-        for c in range(1, n + 1):
-            assert g.clusters[c] == list(range(1 + (c - 1) * 2 * C,
-                                               1 + c * 2 * C))
-        assert g.cost.shape == (1 + n * 2 * C, 1 + n * 2 * C)
-        assert g.cost.flags.c_contiguous
+@settings(max_examples=25, deadline=None)
+@given(g=layout_graphs)
+def test_cluster_block_layout(g):
+    # The solvers read cluster blocks and the depot's row and column as
+    # views of the matrices, never as copies.
+    n, width = g.n_cells, 2 * g.levels
+    for mat in (g.cost, g.best_type):
+        blocks, row, column = cluster_views(mat, n)
+        assert blocks.shape == (n, width, n, width)
+        assert row.shape == column.shape == (n, width)
+        assert all(np.shares_memory(view, mat)
+                   for view in (blocks, row, column))
+        for a in range(n):
+            span_a = cluster_span(a + 1, width)
+            assert np.array_equal(row[a], mat[0, span_a])
+            assert np.array_equal(column[a], mat[span_a, 0])
+            for b in range(n):
+                assert np.array_equal(blocks[a, :, b, :],
+                                      mat[span_a, cluster_span(b + 1, width)])
 
 
 def test_depot_edges():
@@ -256,12 +279,12 @@ def test_matrix_matches_scalar_seeded():
                            road_fraction=0.7)
         g = build_instance(cells, cfg)
         for _ in range(250):
-            u = rng.randrange(1, g.n_vertices)
-            v = rng.randrange(1, g.n_vertices)
-            if g.cluster_of(u) == g.cluster_of(v):
+            u = rng.randrange(1, len(g.cost))
+            v = rng.randrange(1, len(g.cost))
+            if g.vertex(u).cell_index == g.vertex(v).cell_index:
                 continue
             expect_cost, expect_idx = oracle_edge_cost(
-                g.vertices[u], g.vertices[v], cells, cfg)
+                g.vertex(u), g.vertex(v), cells, cfg)
             mat = float(g.cost[u, v])
             if math.isinf(expect_cost):
                 assert math.isinf(mat)
@@ -270,8 +293,8 @@ def test_matrix_matches_scalar_seeded():
                 assert mat == expect_cost
                 assert int(g.best_type[u, v]) == expect_idx
                 # the scalar evaluation of the winning template agrees
-                got, _ = type_cost(EdgeType(expect_idx), g.vertices[u],
-                                   g.vertices[v], cells, cfg)
+                got, _ = type_cost(EdgeType(expect_idx), g.vertex(u),
+                                   g.vertex(v), cells, cfg)
                 assert got == mat
 
 
@@ -311,9 +334,9 @@ def test_breakdown_cost_matches_matrix_seeded():
     g = build_instance(cells, cfg)
     seen = 0
     for _ in range(400):
-        u = rng.randrange(1, g.n_vertices)
-        v = rng.randrange(1, g.n_vertices)
-        if g.cluster_of(u) == g.cluster_of(v):
+        u = rng.randrange(1, len(g.cost))
+        v = rng.randrange(1, len(g.cost))
+        if g.vertex(u).cell_index == g.vertex(v).cell_index:
             continue
         bd = g.breakdown(u, v)
         if bd is None:
@@ -352,7 +375,7 @@ def test_every_type_can_win_somewhere_seeded():
 
 def test_matrix_bound_checked_before_allocation(monkeypatch):
     # 10**9 levels would ask numpy for exabytes; the bound must refuse them
-    # before the vertex list or any matrix is built.
+    # before any vertex or matrix is built.
     def no_alloc(*args, **kwargs):
         raise AssertionError("matrix allocated")
 
@@ -463,4 +486,4 @@ def test_small_build_never_forks(monkeypatch):
     monkeypatch.setattr(mmap, "mmap", forbidden)
     g = build_instance(gen_random(6, 40.0, 8.0, seed=4),
                        PlannerConfig(d_max=120.0, battery_levels=20))
-    assert g.n_vertices == 241
+    assert len(g.cost) == 241

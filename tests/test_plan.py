@@ -96,6 +96,33 @@ def test_decode_rejects_missing_cluster():
                             g.vertex_id(1, "A", 20)), 0.0), cfg)
 
 
+def test_decode_rejects_repeated_cluster():
+    # (0, a, b, a') covers cell 0 twice and never cell 2 over feasible
+    # edges, so only the one-vertex-per-cluster check can refuse it.
+    cells = two_cells() + [Cell(2, Site(4, 40.0, 0.0), Site(5, 50.0, 0.0))]
+    cfg = PlannerConfig(d_max=100.0, battery_levels=20)
+    g = build_instance(cells, cfg)
+    a = g.vertex_id(0, "A", 20)
+    b = next(v for v in (g.vertex_id(1, "A", k) for k in range(20, 0, -1))
+             if math.isfinite(g.cost[a, v]))
+    a2 = next(v for v in (g.vertex_id(0, "B", k) for k in range(20, 0, -1))
+              if math.isfinite(g.cost[b, v]) and math.isfinite(g.cost[v, 0]))
+    tour = GtspTour((0, a, b, a2), 0.0)
+    assert math.isfinite(tour_cost(g, tour))
+    with pytest.raises(ValueError, match="exactly once"):
+        decode(g, tour, cfg)
+
+
+def test_decode_rejects_vertex_ids_out_of_range():
+    # A negative id must not wrap around to the last vertex.
+    cells = two_cells()[:1]
+    cfg = PlannerConfig(d_max=100.0, battery_levels=1)
+    g = build_instance(cells, cfg)
+    for bad in (-1, len(g.cost)):
+        with pytest.raises(ValueError, match="out of range"):
+            decode(g, GtspTour((0, bad), 0.0), cfg)
+
+
 def test_decode_total_time_equals_tour_cost_seeded():
     rng = random.Random(31)
     for trial in range(12):

@@ -20,19 +20,20 @@ from hypothesis import strategies as st
 from airmule.energy import PlannerConfig
 from airmule.errors import Infeasible, InstanceTooLarge, NoFeasibleTour
 from airmule.geometry import Cell, Site
-from airmule.graph import build_instance
+from airmule.graph import build_instance, cluster_views
 from airmule import solver, workers
 from airmule.instances import gen_random
-from airmule.solver import (_NOISE, BIG, GtspTour, SolverParams,
-                            _cluster_blocks, _held_karp, _layered_dp,
-                            _Search, solve_exact, solve_glns, tour_cost)
+from airmule.solver import (_NOISE, BIG, GtspTour, SolverParams, _held_karp,
+                            _Insertions, _layered_dp, _Search, solve_exact,
+                            solve_glns, tour_cost)
 
 
 def brute_force(g):
     """Enumerate every cluster order and every vertex choice."""
     best = math.inf
     best_tour = None
-    clusters = g.clusters[1:]
+    clusters = [cluster_vertices(c, 2 * g.levels)
+                for c in range(1, g.n_cells + 1)]
     for order in itertools.permutations(range(len(clusters))):
         for picks in itertools.product(*(clusters[c] for c in order)):
             verts = (0,) + picks
@@ -41,6 +42,11 @@ def brute_force(g):
                 best = cost
                 best_tour = verts
     return best, best_tour
+
+
+def cells_hit(g, tour):
+    """The sorted cell indices of a tour's vertices, -1 for the depot."""
+    return sorted(g.vertex(v).cell_index for v in tour.vertices)
 
 
 def small_instance(trial, rng):
@@ -72,16 +78,8 @@ def test_exact_matches_brute_force_seeded():
         assert tour.vertices[0] == 0
         assert tour_cost(g, tour) == tour.cost
         # one vertex per cluster
-        hit = sorted(g.cluster_of(v) for v in tour.vertices)
-        assert hit == list(range(len(g.clusters)))
+        assert cells_hit(g, tour) == list(range(-1, g.n_cells))
     assert solved >= 5
-
-
-def test_exact_respects_cluster_cap():
-    cells = gen_random(4, 30.0, 6.0, seed=1)
-    g = build_instance(cells, PlannerConfig(d_max=90.0, battery_levels=2))
-    with pytest.raises(InstanceTooLarge):
-        solve_exact(g, cluster_cap=3)
 
 
 def test_exact_table_bound_checked_before_allocation(monkeypatch):
@@ -96,7 +94,7 @@ def test_exact_table_bound_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(np, "full", no_table)
     monkeypatch.setattr(np, "zeros", no_table)
     with pytest.raises(InstanceTooLarge, match="bytes"):
-        solve_exact(g, cluster_cap=30)
+        solve_exact(g)
 
 
 def test_exact_twelve_clusters():
@@ -105,8 +103,8 @@ def test_exact_twelve_clusters():
     cells = gen_random(12, 100.0, 10.0, seed=0, road_fraction=0.7)
     g = build_instance(cells, PlannerConfig(d_max=60.0, battery_levels=20,
                                             ugv_speed_ratio=0.2))
-    tour = solve_exact(g, cluster_cap=12)
-    assert sorted(g.cluster_of(v) for v in tour.vertices) == list(range(13))
+    tour = solve_exact(g)
+    assert cells_hit(g, tour) == list(range(-1, 12))
     assert tour.cost == tour_cost(g, tour)
     heur = solve_glns(g, SolverParams(mode="fast", restarts=1))
     assert heur.cost >= tour.cost
@@ -185,8 +183,7 @@ def test_glns_tiny_budget_still_valid():
     g = build_instance(cells, cfg)
     tour = solve_glns(g, SolverParams(mode="fast", restarts=1,
                                       time_budget=1e-6))
-    hit = sorted(g.cluster_of(v) for v in tour.vertices)
-    assert hit == list(range(len(g.clusters)))
+    assert cells_hit(g, tour) == list(range(-1, g.n_cells))
     assert math.isfinite(tour.cost)
 
 
@@ -279,9 +276,8 @@ def cluster_vertices(c, width):
 def incoming(mat, m):
     """_layered_dp's arguments as _held_karp passes them for mat: the
     transposed view of its cluster blocks, its depot row and column."""
-    width = (len(mat) - 1) // m
-    return (_cluster_blocks(mat, m).transpose(2, 3, 0, 1),
-            mat[0, 1:].reshape(m, width), mat[1:, 0].reshape(m, width))
+    blocks, depart, arrive = cluster_views(mat, m)
+    return blocks.transpose(2, 3, 0, 1), depart, arrive
 
 
 def penalized(cost):
@@ -384,8 +380,8 @@ def test_batched_insertion_matches_scan(data, case, rule, seed):
     ref_rng = random.Random(seed)
     expect = scan_insertion(pmat, width, search.tour_vertices(), clusters,
                             rule == "noisy", rule == "nearest", ref_rng)
-    got = search.price_insertion(clusters, noisy=rule == "noisy",
-                                 nearest=rule == "nearest")
+    got = _Insertions(search, clusters, rule == "nearest").best(
+        rule == "noisy")
     assert got == expect
     assert search.rng.random() == ref_rng.random()
 
