@@ -12,7 +12,7 @@ from .errors import (Infeasible, InstanceTooLarge, NoFeasibleTour,
                      PlanningError, SamplingExhausted)
 from .geometry import (Cell, DubinsPath, FlightMode, Pose, Site,
                        dubins_shortest, euclid, ugv_time)
-from .graph import ClusteredGraph, EdgeType, Vertex, build_instance, type_cost
+from .graph import ClusteredGraph, EdgeType, Vertex, build_instance
 from .instances import (gen_random, load_instance, load_plan, parse_instance,
                         parse_plan, save_instance, save_plan,
                         serialize_instance, serialize_plan)
@@ -34,6 +34,5 @@ __all__ = [
     "gen_random", "load_instance", "load_plan",
     "parse_instance", "parse_plan", "recharge_time", "render_svg",
     "render_svg_str", "save_instance", "save_plan", "serialize_instance",
-    "serialize_plan", "solve_exact", "solve_glns", "tour_cost", "type_cost",
-    "validate",
+    "serialize_plan", "solve_exact", "solve_glns", "tour_cost", "validate",
 ]

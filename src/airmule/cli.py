@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .energy import PlannerConfig
 from .errors import (Infeasible, InstanceTooLarge, NoFeasibleTour,
@@ -26,10 +27,11 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     defaults = PlannerConfig()
     parser.add_argument("--d-max", type=float, default=defaults.d_max,
                         help="multi-rotor range on a full battery")
-    parser.add_argument("--levels", type=int, default=defaults.battery_levels,
+    parser.add_argument("--levels", dest="battery_levels", metavar="LEVELS",
+                        type=int, default=defaults.battery_levels,
                         help="number of discrete battery levels")
-    parser.add_argument("--f-ratio", type=float,
-                        default=defaults.fixed_wing_ratio,
+    parser.add_argument("--f-ratio", dest="fixed_wing_ratio", type=float,
+                        metavar="F_RATIO", default=defaults.fixed_wing_ratio,
                         help="fixed-wing over multi-rotor range ratio")
     parser.add_argument("--turn-radius", type=float,
                         default=defaults.turn_radius,
@@ -48,12 +50,8 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> PlannerConfig:
-    return PlannerConfig(
-        t_takeoff=args.t_takeoff, t_land=args.t_land,
-        recharge_rate=args.recharge_rate, d_max=args.d_max,
-        battery_levels=args.levels, fixed_wing_ratio=args.f_ratio,
-        turn_radius=args.turn_radius, ugv_speed_ratio=args.ugv_speed_ratio,
-        fixed_wing_speed=args.fixed_wing_speed)
+    return PlannerConfig(**{f.name: getattr(args, f.name)
+                            for f in fields(PlannerConfig)})
 
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
@@ -67,13 +65,23 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
                         help="glns random seed")
 
 
+def _add_gen_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--extent", type=float, default=100.0)
+    parser.add_argument("--max-len", type=float, default=10.0)
+    parser.add_argument("--gen-seed", type=int, default=0)
+    parser.add_argument("--road-fraction", type=float, default=1.0)
+
+
+def _params_from_args(args: argparse.Namespace) -> SolverParams:
+    return SolverParams(mode=args.mode, time_budget=args.time_budget,
+                        restarts=args.restarts, rng_seed=args.seed)
+
+
 def _solve(cells, cfg, args):
     g = build_instance(cells, cfg)
     if args.solver == "exact":
         return g, solve_exact(g)
-    params = SolverParams(mode=args.mode, time_budget=args.time_budget,
-                          restarts=args.restarts, rng_seed=args.seed)
-    return g, solve_glns(g, params)
+    return g, solve_glns(g, _params_from_args(args))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -120,8 +128,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    params = SolverParams(mode=args.mode, time_budget=args.time_budget,
-                          restarts=args.restarts, rng_seed=args.seed)
+    params = _params_from_args(args)
     if args.kind == "dmax":
         if args.instance is None:
             raise ValueError("sweep dmax requires --instance")
@@ -160,10 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("-n", type=int, required=True, help="number of cells")
-    p_gen.add_argument("--extent", type=float, default=100.0)
-    p_gen.add_argument("--max-len", type=float, default=10.0)
-    p_gen.add_argument("--gen-seed", type=int, default=0)
-    p_gen.add_argument("--road-fraction", type=float, default=1.0)
+    _add_gen_args(p_gen)
     p_gen.add_argument("-o", "--output", default=None)
     _add_config_args(p_gen)
 
@@ -182,10 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated sweep values")
     p_sweep.add_argument("--instance", default=None)
-    p_sweep.add_argument("--extent", type=float, default=100.0)
-    p_sweep.add_argument("--max-len", type=float, default=10.0)
-    p_sweep.add_argument("--gen-seed", type=int, default=0)
-    p_sweep.add_argument("--road-fraction", type=float, default=1.0)
+    _add_gen_args(p_sweep)
     p_sweep.add_argument("-o", "--output", default=None)
     _add_solver_args(p_sweep)
     _add_config_args(p_sweep)
@@ -221,13 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     except (Infeasible, NoFeasibleTour, SamplingExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InstanceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InstanceTooLarge, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

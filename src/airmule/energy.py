@@ -4,12 +4,16 @@ Battery charge is discretized into integer levels 0..C where C is 100%.
 A full charge sustains d_max meters of multi-rotor flight; fixed-wing
 flight consumes 1/fixed_wing_ratio as much energy per meter.  Recharging
 takes recharge_rate seconds per level.
+
+PlannerConfig checks its own fields and stores each one but
+battery_levels as a float, so a JSON 45 plans as 45.0 does; a bad value
+raises a ValueError naming its field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .geometry import FlightMode
 
@@ -30,24 +34,21 @@ class PlannerConfig:
     fixed_wing_speed: float = 1.0  # of the unit multi-rotor speed
 
     def __post_init__(self) -> None:
-        numeric = {
-            "t_takeoff": self.t_takeoff,
-            "t_land": self.t_land,
-            "recharge_rate": self.recharge_rate,
-            "d_max": self.d_max,
-            "fixed_wing_ratio": self.fixed_wing_ratio,
-            "turn_radius": self.turn_radius,
-            "ugv_speed_ratio": self.ugv_speed_ratio,
-            "fixed_wing_speed": self.fixed_wing_speed,
-        }
-        # bool is a subclass of int, so a JSON true would pass as 1.
-        for name, value in numeric.items():
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if isinstance(self.battery_levels, bool) or not (
-                isinstance(self.battery_levels, int) and self.battery_levels >= 1):
-            raise ValueError(f"battery_levels must be a positive integer, got {self.battery_levels!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is a subclass of int, so a JSON true would pass as 1.
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if f.name == "battery_levels":
+                if not (number and isinstance(value, int) and value >= 1):
+                    raise ValueError(f"battery_levels must be a positive integer, got {value!r}")
+                continue
+            try:
+                stored = float(value) if number else math.nan
+            except OverflowError:
+                raise ValueError(f"{f.name} is an integer beyond float range") from None
+            if not (stored > 0 and math.isfinite(stored)):
+                raise ValueError(f"{f.name} must be a positive finite number, got {value!r}")
+            object.__setattr__(self, f.name, stored)
 
 
 @dataclass(frozen=True)

@@ -328,13 +328,6 @@ def edge_breakdown(t: EdgeType, v_from: Vertex, v_to: Vertex,
     )
 
 
-def type_cost(t: EdgeType, v_from: Vertex, v_to: Vertex, cells: list[Cell],
-              cfg: PlannerConfig) -> tuple[float, Optional[RechargeSplit]]:
-    """Cost of one edge type, or (inf, None) when that type is infeasible."""
-    bd = edge_breakdown(t, v_from, v_to, cells, cfg)
-    return (INF, None) if bd is None else (bd.cost, bd.split)
-
-
 def cluster_span(c: int, width: int) -> slice:
     """Vertex ids of cluster c >= 1, for clusters of width = 2C vertices."""
     return slice(1 + (c - 1) * width, 1 + c * width)
@@ -380,8 +373,9 @@ class ClusteredGraph:
         return Vertex(cell_index, (END_A, END_B)[end], self.levels - step)
 
     def vertex_id(self, cell_index: int, end: str, level: int) -> int:
-        if not 1 <= level <= self.levels:
-            raise ValueError(f"level {level} out of range")
+        if not (0 <= cell_index < self.n_cells and end in (END_A, END_B)
+                and 1 <= level <= self.levels):
+            raise ValueError(f"vertex {(cell_index, end, level)} out of range")
         offset = 0 if end == END_A else self.levels
         return (cluster_span(cell_index + 1, 2 * self.levels).start + offset
                 + (self.levels - level))

@@ -3,10 +3,15 @@ instance generator.
 
 All writers use sorted keys and compact separators so identical inputs
 produce byte-identical files.
+
+The readers check each value's JSON type and turn every number into a
+float in _check; a number beyond float range raises a ValueError naming
+its location.  PlannerConfig checks its own fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -20,23 +25,15 @@ from .plan import Leg, LegKind, Plan, UgvWaypoint
 FORMAT_VERSION = 1
 _SAMPLE_CAP = 100_000
 
-_CONFIG_FIELDS = ("t_takeoff", "t_land", "recharge_rate", "d_max",
-                  "battery_levels", "fixed_wing_ratio", "turn_radius",
-                  "ugv_speed_ratio", "fixed_wing_speed")
-
 
 def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _config_to_dict(cfg: PlannerConfig) -> dict:
-    return {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
-
-
 def _config_from_dict(data: dict) -> PlannerConfig:
     if not isinstance(data, dict):
         raise ValueError("config must be an object")
-    unknown = set(data) - set(_CONFIG_FIELDS)
+    unknown = set(data) - {f.name for f in dataclasses.fields(PlannerConfig)}
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     return PlannerConfig(**data)
@@ -58,12 +55,19 @@ _STRING_OR_NULL = ((str, type(None)), "string or null")
 
 
 def _check(value: object, kind: tuple[tuple[type, ...], str], where: str):
-    """value if it has the JSON type kind; else a ValueError naming where."""
+    """value if it has the JSON type kind, as a float under a number kind;
+    else a ValueError naming where."""
     types, label = kind
     # JSON true/false load as bool, which Python counts as an int.
     if not isinstance(value, types) or (isinstance(value, bool)
                                         and bool not in types):
         raise ValueError(f"{where} must be a JSON {label}, got {value!r}")
+    if float in types and value is not None:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{where} is an integer beyond float range") \
+                from None
     return value
 
 
@@ -105,15 +109,15 @@ def _site_field(parent: object, name: str, where: str) -> Site:
     data = _field(parent, name, _OBJECT, where)
     where = f"{where}.{name}"
     return Site(_field(data, "id", _INTEGER, where),
-                float(_field(data, "x", _NUMBER, where)),
-                float(_field(data, "y", _NUMBER, where)),
+                _field(data, "x", _NUMBER, where),
+                _field(data, "y", _NUMBER, where),
                 _field(data, "on_road", _BOOLEAN, where))
 
 
 def serialize_instance(cells: list[Cell], cfg: PlannerConfig) -> str:
     body = {
         "version": FORMAT_VERSION,
-        "config": _config_to_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "cells": [
             {"index": c.index,
              "end_a": _site_to_dict(c.end_a),
@@ -128,9 +132,9 @@ def parse_instance(text: str) -> tuple[list[Cell], PlannerConfig]:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("instance document must be an object")
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported instance version {data.get('version')!r}")
+    version = _field(data, "version", _INTEGER, "instance")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported instance version {version!r}")
     cfg = _config_from_dict(data.get("config", {}))
     entries = data.get("cells", [])
     if not isinstance(entries, list):
@@ -176,30 +180,27 @@ def _leg_from_dict(data: object, where: str) -> Leg:
         return _field(data, name, kind, where)
 
     mode = get("mode", _STRING_OR_NULL)
-    start_heading = get("start_heading", _NUMBER_OR_NULL)
-    end_heading = get("end_heading", _NUMBER_OR_NULL)
     return Leg(
         kind=_member(get("kind", _STRING), LegKind, f"{where}.kind"),
         start_site=_site_field(data, "start_site", where),
         end_site=_site_field(data, "end_site", where),
-        duration=float(get("duration", _NUMBER)),
+        duration=get("duration", _NUMBER),
         battery_before=get("battery_before", _INTEGER),
         battery_after=get("battery_after", _INTEGER),
         mode=(_member(mode, FlightMode, f"{where}.mode")
               if mode is not None else None),
         levels=get("levels", _INTEGER),
         covers_cell=get("covers_cell", _INTEGER_OR_NULL),
-        start_heading=(float(start_heading)
-                       if start_heading is not None else None),
-        end_heading=float(end_heading) if end_heading is not None else None,
+        start_heading=get("start_heading", _NUMBER_OR_NULL),
+        end_heading=get("end_heading", _NUMBER_OR_NULL),
     )
 
 
 def _waypoint_from_dict(data: object, where: str) -> UgvWaypoint:
     return UgvWaypoint(
         _site_field(data, "site", where),
-        float(_field(data, "arrive_by", _NUMBER, where)),
-        float(_field(data, "depart_at", _NUMBER, where)),
+        _field(data, "arrive_by", _NUMBER, where),
+        _field(data, "depart_at", _NUMBER, where),
         _field(data, "via_ride", _BOOLEAN, where))
 
 
@@ -225,8 +226,9 @@ def parse_plan(text: str) -> Plan:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("plan document must be an object")
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported plan version {data.get('version')!r}")
+    version = _field(data, "version", _INTEGER, "plan")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported plan version {version!r}")
     return Plan(
         cell_order=tuple(_pair(item, (_INTEGER, _STRING), where)
                          for where, item in _items(data, "cell_order", "plan")),
@@ -235,7 +237,7 @@ def parse_plan(text: str) -> Plan:
         ugv_waypoints=tuple(
             _waypoint_from_dict(item, where)
             for where, item in _items(data, "ugv_waypoints", "plan")),
-        total_time=float(_field(data, "total_time", _NUMBER, "plan")),
+        total_time=_field(data, "total_time", _NUMBER, "plan"),
         battery_trace=tuple(
             _pair(item, (_STRING, _INTEGER), where)
             for where, item in _items(data, "battery_trace", "plan")),

@@ -14,7 +14,7 @@ without a copy, so every cluster-to-cluster cost read is a slice of the
 matrix instead of a gather.
 
 The search holds one V x V array besides the graph's cost matrix: tmat,
-the costs transposed with BIG for every infinite edge, so tmat[v, u]
+the costs transposed with a penalty for every infinite edge, so tmat[v, u]
 prices u -> v.  Each kernel reads contiguous rows along the axis it
 reduces, where a column would cost one cache line per element: a DP
 step picks each vertex's cheapest predecessor along a row of tmat's
@@ -53,8 +53,8 @@ from .errors import Infeasible, InstanceTooLarge, NoFeasibleTour
 from .graph import ClusteredGraph, cluster_span, cluster_views
 from .workers import in_workers
 
-# Stand-in for infinite edges inside the heuristic search only; a final
-# tour using one of these is rejected.
+# The least stand-in for infinite edges inside the heuristic search only;
+# a final tour using one of these is rejected.
 BIG = 1e9
 
 _MODE_ITER_FACTOR = {"fast": 30, "default": 60, "slow": 150}
@@ -240,10 +240,10 @@ class _Insertions:
     raw[r, p, k] prices vertex k of clusters[r] (sorted) between tour[p]
     and its successor: (enter + leave) - the edge it breaks, or enter +
     leave on a depot-only tour, which has no edge to break (tmat[0, 0] is
-    BIG).  An insertion sets its cluster's row of raw to inf, a dead row
-    no pick can reach, and replaces the broken edge's entries (axis 1) by
-    those of its two new edges, so a round gathers 2 * len(clusters) * 2C
-    entries, not the whole array again.  prox[r], the smallest edge
+    the penalty).  An insertion sets its cluster's row of raw to inf, a
+    dead row no pick can reach, and replaces the broken edge's entries
+    (axis 1) by those of its two new edges, so a round gathers
+    2 * len(clusters) * 2C entries, not the whole array again.  prox[r], the smallest edge
     between clusters[r] and any tour vertex (inf once inserted), is kept
     only for nearest calls; it is None otherwise.
     """
@@ -270,7 +270,7 @@ class _Insertions:
         vertex, and from each vertex to tails[p]."""
         s = self.search
         enter = s.cost_out[heads, self.picked]
-        enter = np.where(np.isfinite(enter), enter, BIG)
+        enter = np.where(np.isfinite(enter), enter, s.big)
         return enter, s.tmat_out[tails, self.picked]
 
     def best(self, noisy: bool) -> tuple[float, int, int, int]:
@@ -328,8 +328,9 @@ class _Search:
     """Mutable ALNS state for one restart."""
 
     def __init__(self, cost: np.ndarray, tmat: np.ndarray, m: int,
-                 rng: random.Random) -> None:
+                 rng: random.Random, big: float) -> None:
         self.tmat = tmat
+        self.big = big  # tmat's price of an infinite edge
         # tmat is transposed, so its depot row prices the closing edges.
         self.into, self.arrive, self.depart = cluster_views(tmat, m)
         self.width = self.into.shape[1]
@@ -496,13 +497,20 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
     params = params or SolverParams()
     m = g.n_cells
     tmat = g.cost.T.copy()  # C-ordered; costs are finite or +inf
-    tmat[np.isinf(tmat)] = BIG
+    infinite = np.isinf(tmat)
+    tmat[infinite] = 0.0
+    # An infinite edge costs more than any tour of finite ones, unless 4
+    # (m + 1) times that overflows: the search's sums must stay finite.
+    big = max(BIG, (m + 1) * float(tmat.max()))
+    big = big if math.isfinite(4 * (m + 1) * big) else BIG
+    tmat[infinite] = big
+    del infinite  # V * V bytes the search never reads
     deadline = time.monotonic() + params.time_budget
 
     best_vertices: list[int] | None = None
     best_true = math.inf
     for _, true_cost, vertices in sorted(in_workers(
-            lambda share: _restarts(g, tmat, m, params, share, deadline),
+            lambda share: _restarts(g, tmat, big, m, params, share, deadline),
             list(range(params.restarts)))):
         if true_cost < best_true:
             best_true = true_cost
@@ -514,7 +522,7 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
     return _as_tour(g, best_vertices)
 
 
-def _restarts(g: ClusteredGraph, tmat: np.ndarray, m: int,
+def _restarts(g: ClusteredGraph, tmat: np.ndarray, big: float, m: int,
               params: SolverParams, indices: list[int],
               deadline: float) -> list[tuple[int, float, list[int]]]:
     """(restart, true cost, vertices) of each restart in indices, run in
@@ -523,7 +531,7 @@ def _restarts(g: ClusteredGraph, tmat: np.ndarray, m: int,
     results = []
     for restart in indices:
         rng = random.Random(params.rng_seed * 1000003 + restart)
-        search = _Search(g.cost, tmat, m, rng)
+        search = _Search(g.cost, tmat, m, rng, big)
         search.insert_greedy(list(range(1, m + 1)))  # cheapest insertion
         search.reoptimize_vertices()
         cur_cost = search.cost()

@@ -23,7 +23,7 @@ from airmule import (Cell, FlightMode, Infeasible, LegKind, PlannerConfig,
                      parse_instance, parse_plan, render_svg_str,
                      serialize_instance, serialize_plan, solve_exact,
                      solve_glns, validate)
-from airmule.graph import EdgeType, Vertex, type_cost
+from airmule.graph import EdgeType, Vertex, edge_breakdown
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -105,8 +105,8 @@ def test_edge_costs_match_independent_oracle():
             elif got != expect_cost or bt < 0:
                 mismatches += 1
             else:
-                realized, _ = type_cost(EdgeType(bt), u, v, cells, cfg)
-                if realized != got:
+                realized = edge_breakdown(EdgeType(bt), u, v, cells, cfg)
+                if realized is None or realized.cost != got:
                     mismatches += 1
             checked += 1
             if checked == 10_000:

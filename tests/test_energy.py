@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from airmule.energy import (PlannerConfig, RechargeSplit, consumption_levels,
                             recharge_time)
 from airmule.geometry import Cell, FlightMode, Site
-from airmule.graph import EdgeType, Vertex, edge_breakdown, type_cost
+from airmule.graph import EdgeType, Vertex, edge_breakdown
 from airmule.instances import gen_random
 
 MR = FlightMode.MULTI_ROTOR
@@ -129,7 +129,8 @@ def split_of(t, k_i, k_j, gap):
     cells = [Cell(0, Site(0, 0.0, 0.0), Site(1, 10.0, 0.0)),
              Cell(1, Site(2, 10.0 + gap, 0.0), Site(3, 20.0 + gap, 0.0))]
     cfg = PlannerConfig(d_max=100.0, battery_levels=20)
-    return type_cost(t, Vertex(0, "A", k_i), Vertex(1, "A", k_j), cells, cfg)[1]
+    bd = edge_breakdown(t, Vertex(0, "A", k_i), Vertex(1, "A", k_j), cells, cfg)
+    return None if bd is None else bd.split
 
 
 def test_split_pure_flight():

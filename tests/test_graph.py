@@ -20,7 +20,7 @@ from airmule.energy import PlannerConfig
 from airmule.errors import InstanceTooLarge
 from airmule.geometry import Cell, Site
 from airmule.graph import (EdgeType, Vertex, build_instance, cluster_span,
-                           cluster_views, edge_breakdown, type_cost)
+                           cluster_views, edge_breakdown)
 from airmule.instances import gen_random
 
 
@@ -51,27 +51,27 @@ def test_pure_flight_cost_example():
     cells, cfg = spec_cells(), spec_cfg()
     u = Vertex(0, "A", 20)
     v = Vertex(1, "A", 16)
-    cost, split = type_cost(EdgeType.M_M, u, v, cells, cfg)
-    assert cost == 20.0
-    assert split.total == 0
+    bd = edge_breakdown(EdgeType.M_M, u, v, cells, cfg)
+    assert bd.cost == 20.0
+    assert bd.split.total == 0
 
 
 def test_entry_stop_cost_example():
     cells, cfg = spec_cells(), spec_cfg()
     u = Vertex(0, "A", 20)
     v = Vertex(1, "A", 20)
-    cost, split = type_cost(EdgeType.M_MDU, u, v, cells, cfg)
-    assert cost == 78.0
-    assert split.at_entry == 4
+    bd = edge_breakdown(EdgeType.M_MDU, u, v, cells, cfg)
+    assert bd.cost == 78.0
+    assert bd.split.at_entry == 4
 
 
 def test_ride_cost_example():
     cells, cfg = spec_cells(), spec_cfg()
     u = Vertex(0, "A", 20)
     v = Vertex(1, "A", 20)
-    cost, split = type_cost(EdgeType.M_DTU, u, v, cells, cfg)
-    assert cost == 110.0
-    assert split.in_transit == 2
+    bd = edge_breakdown(EdgeType.M_DTU, u, v, cells, cfg)
+    assert bd.cost == 110.0
+    assert bd.split.in_transit == 2
 
 
 def test_recharge_beats_nothing_when_battery_dead():
@@ -95,11 +95,9 @@ def test_road_gating():
     u = Vertex(0, "A", 20)  # exits at the off-road site 1
     v = Vertex(1, "A", 20)
     for t in (EdgeType.M_DTU, EdgeType.M_DUM, EdgeType.M_DUMDU):
-        cost, split = type_cost(t, u, v, cells, cfg)
-        assert cost == math.inf and split is None
+        assert edge_breakdown(t, u, v, cells, cfg) is None
     # entry-side stops remain possible
-    cost, _ = type_cost(EdgeType.M_MDU, u, v, cells, cfg)
-    assert math.isfinite(cost)
+    assert math.isfinite(edge_breakdown(EdgeType.M_MDU, u, v, cells, cfg).cost)
 
     # an off-road entry site rules out every layout that lands there;
     # arriving with 18 levels, each of them balances on the road
@@ -109,9 +107,8 @@ def test_road_gating():
     ]
     v = Vertex(1, "A", 18)
     for t in (EdgeType.M_DTU, EdgeType.M_MDU, EdgeType.M_DUMDU):
-        assert type_cost(t, u, v, cells, cfg) == (math.inf, None)
-    cost, _ = type_cost(EdgeType.M_DUM, u, v, cells, cfg)
-    assert math.isfinite(cost)
+        assert edge_breakdown(t, u, v, cells, cfg) is None
+    assert math.isfinite(edge_breakdown(EdgeType.M_DUM, u, v, cells, cfg).cost)
 
     # 490 m between the cells: 98 levels multi-rotor and 33 fixed-wing
     # against C = 20, so no recharge at either end makes the leg flyable,
@@ -123,9 +120,9 @@ def test_road_gating():
     v = Vertex(1, "A", 20)
     for t in EdgeType:
         if t.stops == "both":
-            assert type_cost(t, u, v, cells, cfg) == (math.inf, None)
-    cost, split = type_cost(EdgeType.M_DTU, u, v, cells, cfg)
-    assert math.isfinite(cost) and split.in_transit == 2
+            assert edge_breakdown(t, u, v, cells, cfg) is None
+    bd = edge_breakdown(EdgeType.M_DTU, u, v, cells, cfg)
+    assert math.isfinite(bd.cost) and bd.split.in_transit == 2
 
 
 def test_edge_breakdown_rejects_depot_and_same_cell():
@@ -158,6 +155,9 @@ def test_build_instance_shape(g):
     for bad in (-1, V):
         with pytest.raises(ValueError, match="out of range"):
             g.vertex(bad)
+    for cell, end in ((-1, "A"), (n, "A"), (0, "X")):
+        with pytest.raises(ValueError, match="out of range"):
+            g.vertex_id(cell, end, C)
     for cell in range(n):
         span = range(V)[cluster_span(cell + 1, 2 * C)]
         assert list(span) == list(range(1 + cell * 2 * C,
@@ -293,9 +293,9 @@ def test_matrix_matches_scalar_seeded():
                 assert mat == expect_cost
                 assert int(g.best_type[u, v]) == expect_idx
                 # the scalar evaluation of the winning template agrees
-                got, _ = type_cost(EdgeType(expect_idx), g.vertex(u),
-                                   g.vertex(v), cells, cfg)
-                assert got == mat
+                bd = edge_breakdown(EdgeType(expect_idx), g.vertex(u),
+                                    g.vertex(v), cells, cfg)
+                assert bd.cost == mat
 
 
 def test_matches_independent_oracle_seeded():
@@ -323,7 +323,7 @@ def test_matches_independent_oracle_seeded():
                 assert code == -1
             else:
                 assert code == expect_idx
-                got, _ = type_cost(EdgeType(code), u, v, cells, cfg)
+                got = edge_breakdown(EdgeType(code), u, v, cells, cfg).cost
                 assert got == expect_cost
 
 

@@ -198,6 +198,28 @@ def test_glns_no_feasible_tour():
         solve_glns(g, SolverParams(mode="fast", restarts=2))
 
 
+@pytest.mark.parametrize("distance", [1e200, 1e306])
+def test_glns_penalty_above_real_edges(distance):
+    # On-road cells this far apart join only by UGV rides of about
+    # distance / 0.2, far above 1e9, so the search must price an infinite
+    # edge above them.  At 1e306, 4 (m + 1) times that price would
+    # overflow, so it stays 1e9: the search may miss the tour, but no
+    # float overflows (a warning fails the test).
+    cells = [Cell(0, Site(0, 0.0, 0.0, True), Site(1, 5.0, 0.0, True)),
+             Cell(1, Site(2, distance, 0.0, True),
+                  Site(3, distance, 5.0, True)),
+             Cell(2, Site(4, 0.0, 10.0, True), Site(5, 5.0, 10.0, True))]
+    g = build_instance(cells, PlannerConfig(d_max=60.0, battery_levels=4,
+                                            turn_radius=1.0))
+    exact = solve_exact(g).cost
+    for mode in ("fast", "default"):
+        tour = glns_or_none(g, SolverParams(mode=mode, restarts=1))
+        if distance == 1e200:
+            assert tour.cost == exact == 4.9999999999999995e+200
+        else:
+            assert tour is None or tour.cost == exact
+
+
 def test_solver_params_validation():
     with pytest.raises(ValueError):
         SolverParams(mode="turbo")
@@ -322,7 +344,7 @@ def test_layered_dp_matches_brute_force(data, exact_sums):
                                         if c == expect))
     # The search runs the same DP on the blocks of its transposed copy.
     pmat, tmat = penalized(mat)
-    search = _Search(mat, tmat, m, random.Random(0))
+    search = _Search(mat, tmat, m, random.Random(0), BIG)
     assert _layered_dp(search.into, search.depart, search.arrive, order) \
         == _layered_dp(*incoming(pmat, m), order)
 
@@ -371,7 +393,7 @@ def test_batched_insertion_matches_scan(data, case, rule, seed):
     pmat, tmat = penalized(cost)
     perm = data.draw(st.permutations(range(1, m + 1)))
     split = data.draw(st.integers(0, m - 1))
-    search = _Search(cost, tmat, m, random.Random(seed))
+    search = _Search(cost, tmat, m, random.Random(seed), BIG)
     search.order = [0] + list(perm[:split])
     for c in perm[:split]:
         search.choice[c] = data.draw(st.sampled_from(
@@ -410,8 +432,8 @@ def test_insert_greedy_matches_scan_loop(data, case, rule, seed):
     pmat, tmat = penalized(cost)
     perm = data.draw(st.permutations(range(1, m + 1)))
     split = data.draw(st.integers(0, m - 1))
-    search = RecordingSearch(cost, tmat, m, random.Random(seed))
-    ref = RecordingSearch(cost, tmat, m, random.Random(seed))
+    search = RecordingSearch(cost, tmat, m, random.Random(seed), BIG)
+    ref = RecordingSearch(cost, tmat, m, random.Random(seed), BIG)
     for c in perm[:split]:
         v = data.draw(st.sampled_from(cluster_vertices(c, width)))
         search.insert(c, len(search.order) - 1, v)
@@ -440,7 +462,7 @@ def test_reoptimize_matches_fresh_dp(data, case):
     # after any sequence of moves it must pick what a fresh DP picks.
     m, width, mat = case
     pmat, tmat = penalized(mat)
-    search = _Search(mat, tmat, m, random.Random(0))
+    search = _Search(mat, tmat, m, random.Random(0), BIG)
     for c in data.draw(st.permutations(range(1, m + 1))):
         search.insert(c, len(search.order) - 1, cluster_vertices(c, width)[0])
     snaps = [search.snapshot()]
@@ -539,7 +561,7 @@ def test_removals_match_scan_loop(data, case, seed):
     count = data.draw(st.integers(1, m))
     for remove, scan in ((_Search.remove_worst, worst_scan),
                          (_Search.remove_distance, distance_scan)):
-        search, ref = (_Search(cost, tmat, m, random.Random(seed))
+        search, ref = (_Search(cost, tmat, m, random.Random(seed), BIG)
                        for _ in "ab")
         for s in (search, ref):
             for c, v in zip(perm, picks):
@@ -596,7 +618,7 @@ def test_restart_ties_go_to_lowest_restart(monkeypatch):
     g = build_instance(gen_random(1, 40.0, 8.0, seed=4),
                        PlannerConfig(d_max=100.0, battery_levels=3))
 
-    def fake_restarts(g, tmat, m, params, share, deadline):
+    def fake_restarts(g, tmat, big, m, params, share, deadline):
         return [(r, 2.0 if r == 0 else 1.0, [0, 1 + r]) for r in share]
 
     monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
