@@ -16,8 +16,8 @@ from .errors import (Infeasible, InstanceTooLarge, NoFeasibleTour,
                      SamplingExhausted)
 from .experiments import report_to_csv, sweep_cells, sweep_dmax, sweep_levels
 from .graph import build_instance
-from .instances import (gen_random, load_instance, load_plan, save_instance,
-                        save_plan, serialize_instance, serialize_plan)
+from .instances import (gen_random, load_instance, load_plan,
+                        serialize_instance, serialize_plan)
 from .plan import baseline_plan, decode, validate
 from .solver import SolverParams, solve_exact, solve_glns
 from .svg_render import render_svg

@@ -1,33 +1,58 @@
 """Versioned JSON serialization for instances and plans, plus a random
 instance generator.
 
-All writers use sorted keys and compact separators so identical inputs
+The record dataclasses are the schema.  One writer (_dumps) stores each
+record as a JSON object of its fields and each enum member as its value;
+one reader (_read) builds the records back by walking their fields'
+resolved type hints.  Every field of a cell, a site and a plan's records
+is required; config fields are optional, and PlannerConfig checks its
+own values.
+
+Documents use sorted keys and compact separators, so identical inputs
 produce byte-identical files.
 
-The readers check each value's JSON type and turn every number into a
-float in _check; a number beyond float range raises a ValueError naming
-its location.  PlannerConfig checks its own fields.
+The reader checks each value's JSON type and turns every number into a
+float in _check; a number beyond float range, NaN or an infinity raises
+a ValueError naming its location.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import random
+import typing
 from enum import Enum
 
 from .energy import PlannerConfig
 from .errors import SamplingExhausted
-from .geometry import Cell, FlightMode, Site, segments_intersect
-from .plan import Leg, LegKind, Plan, UgvWaypoint
+from .geometry import Cell, Site, segments_intersect
+from .plan import Plan
 
 FORMAT_VERSION = 1
 _SAMPLE_CAP = 100_000
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, object], ...]:
+    """(name, resolved type hint) of each field of the record class cls."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def _plain(obj: object) -> object:
+    """The JSON form of a record (its fields) or an enum member (its value)."""
+    if isinstance(obj, Enum):
+        return obj.value
+    return {name: getattr(obj, name) for name, _ in _fields(type(obj))}
+
+
+def _dumps(body: dict) -> str:
+    """The versioned document holding body's entries."""
+    return json.dumps({"version": FORMAT_VERSION, **body}, sort_keys=True,
+                      separators=(",", ":"), default=_plain) + "\n"
 
 
 def _config_from_dict(data: dict) -> PlannerConfig:
@@ -39,113 +64,98 @@ def _config_from_dict(data: dict) -> PlannerConfig:
     return PlannerConfig(**data)
 
 
-def _site_to_dict(site: Site) -> dict:
-    return {"id": site.id, "x": site.x, "y": site.y, "on_road": site.on_road}
+# The JSON types of the hints the reader checks directly, with their names.
+_KINDS = {int: ((int,), "integer"), float: ((int, float), "number"),
+          bool: ((bool,), "boolean"), str: ((str,), "string"),
+          dict: ((dict,), "object"), list: ((list,), "array")}
 
 
-_INTEGER = ((int,), "integer")
-_NUMBER = ((int, float), "number")
-_BOOLEAN = ((bool,), "boolean")
-_STRING = ((str,), "string")
-_OBJECT = ((dict,), "object")
-_ARRAY = ((list,), "array")
-_INTEGER_OR_NULL = ((int, type(None)), "integer or null")
-_NUMBER_OR_NULL = ((int, float, type(None)), "number or null")
-_STRING_OR_NULL = ((str, type(None)), "string or null")
-
-
-def _check(value: object, kind: tuple[tuple[type, ...], str], where: str):
-    """value if it has the JSON type kind, as a float under a number kind;
-    else a ValueError naming where."""
-    types, label = kind
+def _check(value: object, hint: type, where: str, null: str = ""):
+    """value if it has the JSON type of hint, as a finite float under
+    float; else a ValueError naming where.  null extends the type's name
+    in the message (" or null" for an optional field)."""
+    types, label = _KINDS[hint]
     # JSON true/false load as bool, which Python counts as an int.
     if not isinstance(value, types) or (isinstance(value, bool)
-                                        and bool not in types):
-        raise ValueError(f"{where} must be a JSON {label}, got {value!r}")
-    if float in types and value is not None:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValueError(f"{where} is an integer beyond float range") \
-                from None
-    return value
+                                        and hint is not bool):
+        raise ValueError(f"{where} must be a JSON {label}{null}, got {value!r}")
+    if hint is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is an integer beyond float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
-def _member(value: str, enum_type: type[Enum], where: str):
-    """The member of enum_type with this value; else a ValueError naming where."""
-    members = {m.value: m for m in enum_type}
-    if value not in members:
-        allowed = ", ".join(repr(v) for v in members)
-        raise ValueError(f"{where} must be one of {allowed}, got {value!r}")
-    return members[value]
+def _read(hint: object, value: object, where: str, null: str = ""):
+    """The value of type hint that value is the JSON form of; else a
+    ValueError naming where.
+
+    A record reads from an object holding every field, an enum member
+    from its value, tuple[T, ...] from an array and tuple[A, B] from a
+    two-item array; X | None also reads null.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _read(hint, value, where, " or null")
+    if typing.get_origin(hint) is tuple:
+        items = _check(value, list, where, null)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise ValueError(f"{where} must hold two items, got {value!r}")
+        return tuple(_read(a, item, f"{where}[{k}]")
+                     for k, (a, item) in enumerate(zip(args, items)))
+    if dataclasses.is_dataclass(hint):
+        data = _check(value, dict, where, null)
+        kwargs = {}
+        for name, field_hint in _fields(hint):
+            if name not in data:
+                raise ValueError(f"{where}.{name} is missing")
+            kwargs[name] = _read(field_hint, data[name], f"{where}.{name}")
+        return hint(**kwargs)
+    if issubclass(hint, Enum):
+        members = {m.value: m for m in hint}
+        # A string first: a JSON list or object is not hashable.
+        if _check(value, str, where, null) not in members:
+            allowed = ", ".join(repr(v) for v in members)
+            raise ValueError(f"{where} must be one of {allowed}, got {value!r}")
+        return members[value]
+    return _check(value, hint, where, null)
 
 
-def _field(data: object, name: str, kind: tuple[tuple[type, ...], str],
-           where: str):
-    """data[name] if it has the JSON type kind; else a ValueError naming it."""
+def _document(text: str, name: str) -> dict:
+    """The JSON object of a name document in this format version."""
+    data = json.loads(text)
     if not isinstance(data, dict):
-        raise ValueError(f"{where} must be an object")
-    if name not in data:
-        raise ValueError(f"{where}.{name} is missing")
-    return _check(data[name], kind, f"{where}.{name}")
-
-
-def _items(data: dict, name: str, where: str) -> list[tuple[str, object]]:
-    """(location, item) for each item of the JSON array data[name]."""
-    return [(f"{where}.{name}[{k}]", item)
-            for k, item in enumerate(_field(data, name, _ARRAY, where))]
-
-
-def _pair(item: object, kinds: tuple, where: str) -> tuple:
-    """The two values of a two-item JSON array, checked against kinds."""
-    if len(_check(item, _ARRAY, where)) != 2:
-        raise ValueError(f"{where} must hold two items, got {item!r}")
-    return tuple(_check(value, kind, f"{where}[{k}]")
-                 for k, (value, kind) in enumerate(zip(item, kinds)))
-
-
-def _site_field(parent: object, name: str, where: str) -> Site:
-    """The site stored as the JSON object parent[name]."""
-    data = _field(parent, name, _OBJECT, where)
-    where = f"{where}.{name}"
-    return Site(_field(data, "id", _INTEGER, where),
-                _field(data, "x", _NUMBER, where),
-                _field(data, "y", _NUMBER, where),
-                _field(data, "on_road", _BOOLEAN, where))
+        raise ValueError(f"{name} document must be an object")
+    if "version" not in data:
+        raise ValueError(f"{name}.version is missing")
+    version = _check(data["version"], int, f"{name}.version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported {name} version {version!r}")
+    return data
 
 
 def serialize_instance(cells: list[Cell], cfg: PlannerConfig) -> str:
-    body = {
-        "version": FORMAT_VERSION,
-        "config": dataclasses.asdict(cfg),
-        "cells": [
-            {"index": c.index,
-             "end_a": _site_to_dict(c.end_a),
-             "end_b": _site_to_dict(c.end_b)}
-            for c in sorted(cells, key=lambda c: c.index)
-        ],
-    }
-    return _dumps(body)
+    return _dumps({"config": cfg,
+                   "cells": sorted(cells, key=lambda c: c.index)})
 
 
 def parse_instance(text: str) -> tuple[list[Cell], PlannerConfig]:
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("instance document must be an object")
-    version = _field(data, "version", _INTEGER, "instance")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported instance version {version!r}")
+    data = _document(text, "instance")
     cfg = _config_from_dict(data.get("config", {}))
     entries = data.get("cells", [])
     if not isinstance(entries, list):
         raise ValueError("cells must be a list")
-    cells = []
-    for k, entry in enumerate(entries):
-        where = f"cells[{k}]"
-        cells.append(Cell(
-            _field(entry, "index", _INTEGER, where),
-            _site_field(entry, "end_a", where),
-            _site_field(entry, "end_b", where)))
+    cells = [_read(Cell, entry, f"cells[{k}]")
+             for k, entry in enumerate(entries)]
     return cells, cfg
 
 
@@ -159,89 +169,12 @@ def load_instance(path: str) -> tuple[list[Cell], PlannerConfig]:
         return parse_instance(fh.read())
 
 
-def _leg_to_dict(leg: Leg) -> dict:
-    return {
-        "kind": leg.kind.value,
-        "start_site": _site_to_dict(leg.start_site),
-        "end_site": _site_to_dict(leg.end_site),
-        "duration": leg.duration,
-        "battery_before": leg.battery_before,
-        "battery_after": leg.battery_after,
-        "mode": leg.mode.value if leg.mode is not None else None,
-        "levels": leg.levels,
-        "covers_cell": leg.covers_cell,
-        "start_heading": leg.start_heading,
-        "end_heading": leg.end_heading,
-    }
-
-
-def _leg_from_dict(data: object, where: str) -> Leg:
-    def get(name, kind):
-        return _field(data, name, kind, where)
-
-    mode = get("mode", _STRING_OR_NULL)
-    return Leg(
-        kind=_member(get("kind", _STRING), LegKind, f"{where}.kind"),
-        start_site=_site_field(data, "start_site", where),
-        end_site=_site_field(data, "end_site", where),
-        duration=get("duration", _NUMBER),
-        battery_before=get("battery_before", _INTEGER),
-        battery_after=get("battery_after", _INTEGER),
-        mode=(_member(mode, FlightMode, f"{where}.mode")
-              if mode is not None else None),
-        levels=get("levels", _INTEGER),
-        covers_cell=get("covers_cell", _INTEGER_OR_NULL),
-        start_heading=get("start_heading", _NUMBER_OR_NULL),
-        end_heading=get("end_heading", _NUMBER_OR_NULL),
-    )
-
-
-def _waypoint_from_dict(data: object, where: str) -> UgvWaypoint:
-    return UgvWaypoint(
-        _site_field(data, "site", where),
-        _field(data, "arrive_by", _NUMBER, where),
-        _field(data, "depart_at", _NUMBER, where),
-        _field(data, "via_ride", _BOOLEAN, where))
-
-
 def serialize_plan(plan: Plan) -> str:
-    body = {
-        "version": FORMAT_VERSION,
-        "total_time": plan.total_time,
-        "cell_order": [[index, end] for index, end in plan.cell_order],
-        "uav_legs": [_leg_to_dict(leg) for leg in plan.uav_legs],
-        "ugv_waypoints": [
-            {"site": _site_to_dict(wp.site),
-             "arrive_by": wp.arrive_by,
-             "depart_at": wp.depart_at,
-             "via_ride": wp.via_ride}
-            for wp in plan.ugv_waypoints
-        ],
-        "battery_trace": [[event, level] for event, level in plan.battery_trace],
-    }
-    return _dumps(body)
+    return _dumps(_plain(plan))
 
 
 def parse_plan(text: str) -> Plan:
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("plan document must be an object")
-    version = _field(data, "version", _INTEGER, "plan")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported plan version {version!r}")
-    return Plan(
-        cell_order=tuple(_pair(item, (_INTEGER, _STRING), where)
-                         for where, item in _items(data, "cell_order", "plan")),
-        uav_legs=tuple(_leg_from_dict(item, where)
-                       for where, item in _items(data, "uav_legs", "plan")),
-        ugv_waypoints=tuple(
-            _waypoint_from_dict(item, where)
-            for where, item in _items(data, "ugv_waypoints", "plan")),
-        total_time=_field(data, "total_time", _NUMBER, "plan"),
-        battery_trace=tuple(
-            _pair(item, (_STRING, _INTEGER), where)
-            for where, item in _items(data, "battery_trace", "plan")),
-    )
+    return _read(Plan, _document(text, "plan"), "plan")
 
 
 def save_plan(path: str, plan: Plan) -> None:

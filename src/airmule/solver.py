@@ -25,10 +25,11 @@ penalized after the gather.  Every other read takes tmat.
 The search evaluates its moves incrementally, with the same floats as a
 full evaluation.  The layered DP keeps its forward steps and, after a
 move, recomputes only those past the first position where the cluster
-order changed.  An insertion call prices every remaining cluster once,
-then after each insert replaces only the broken edge's deltas by those
-of the two new edges.  A move that puts the same cluster order back
-keeps the vertices and cost it started from, without a DP.
+order changed; its cycle total is the candidate's cost, with no second
+sum over the tour.  An insertion call prices every remaining cluster
+once, then after each insert replaces only the broken edge's deltas by
+those of the two new edges.  A move that puts the same cluster order
+back keeps the vertices and cost it started from, without a DP.
 
 The restarts of solve_glns are independent, each with its own seeded
 RNG.  On Linux they run in the fork pool of the workers module, on up to
@@ -106,14 +107,10 @@ def tour_cost(g: ClusteredGraph, tour: GtspTour) -> float:
     return total
 
 
-def _as_tour(g: ClusteredGraph, vertices: list[int]) -> GtspTour:
-    tour = GtspTour(tuple(int(v) for v in vertices), 0.0)
-    return GtspTour(tour.vertices, tour_cost(g, tour))
-
-
 def solve_exact(g: ClusteredGraph) -> GtspTour:
     """Globally optimal tour by the Held-Karp subset DP (_held_karp)."""
-    return _as_tour(g, _held_karp(g.cost, g.n_cells)[1])
+    total, vertices = _held_karp(g.cost, g.n_cells)
+    return GtspTour(tuple(vertices), total)
 
 
 def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
@@ -324,6 +321,10 @@ class _Insertions:
             self.prox[self.dead] = np.inf
 
 
+# A _Search's order, vertex choice, DP steps and cycle cost.
+_Snapshot = tuple[list[int], dict[int, int], list[_Step], float]
+
+
 class _Search:
     """Mutable ALNS state for one restart."""
 
@@ -342,15 +343,13 @@ class _Search:
         self.order: list[int] = [0]
         self.choice: dict[int, int] = {0: 0}
         # Forward DP of the last reoptimize_vertices, reused along the
-        # prefix the next order shares with it.
+        # prefix the next order shares with it, and the cycle cost at
+        # tmat's prices that it found.
         self.steps: list[_Step] = []
+        self.total = math.inf
 
     def tour_vertices(self) -> list[int]:
         return [self.choice[c] for c in self.order]
-
-    def cost(self) -> float:
-        vs = np.array(self.tour_vertices(), dtype=np.intp)
-        return float(self.tmat[np.concatenate((vs[1:], vs[:1])), vs].sum())
 
     def insert(self, cluster: int, pos: int, vertex: int) -> None:
         self.order.insert(pos + 1, cluster)
@@ -365,20 +364,20 @@ class _Search:
     def reoptimize_vertices(self) -> None:
         if len(self.order) < 2:
             return
-        _, self.choice = _layered_dp(self.into, self.depart, self.arrive,
-                                     self.order, self.steps)
+        self.total, self.choice = _layered_dp(
+            self.into, self.depart, self.arrive, self.order, self.steps)
 
     def _relocate_to_local_opt(self, deadline: float) -> None:
         improved = True
         while improved and time.monotonic() <= deadline:
             improved = False
-            base = self.cost()
+            base = self.total
             for c in list(self.order[1:]):
                 snap = self.snapshot()
                 self.remove_clusters([c])
                 self.insert_greedy([c])
                 self.reoptimize_vertices()
-                if self.cost() < base - 1e-12:
+                if self.total < base - 1e-12:
                     improved = True
                     break
                 self.restore(snap)
@@ -395,21 +394,22 @@ class _Search:
             return
         self._relocate_to_local_opt(deadline)
         fwd = self.snapshot()
-        fwd_cost = self.cost()
+        fwd_cost = self.total
         self.order = [0] + self.order[:0:-1]
         self.reoptimize_vertices()
         self._relocate_to_local_opt(deadline)
-        if self.cost() >= fwd_cost - 1e-12:
+        if self.total >= fwd_cost - 1e-12:
             self.restore(fwd)
 
-    def snapshot(self) -> tuple[list[int], dict[int, int], list[_Step]]:
-        return self.order.copy(), self.choice.copy(), self.steps.copy()
+    def snapshot(self) -> _Snapshot:
+        return (self.order.copy(), self.choice.copy(), self.steps.copy(),
+                self.total)
 
-    def restore(self,
-                snap: tuple[list[int], dict[int, int], list[_Step]]) -> None:
+    def restore(self, snap: _Snapshot) -> None:
         self.order = snap[0].copy()
         self.choice = snap[1].copy()
         self.steps = snap[2].copy()
+        self.total = snap[3]
 
     # Removal heuristics.  Each returns the removed cluster list.
 
@@ -519,7 +519,7 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
     if best_vertices is None or not math.isfinite(best_true):
         raise NoFeasibleTour(
             "no feasible tour found; every candidate kept an infeasible edge")
-    return _as_tour(g, best_vertices)
+    return GtspTour(tuple(best_vertices), best_true)
 
 
 def _restarts(g: ClusteredGraph, tmat: np.ndarray, big: float, m: int,
@@ -534,7 +534,7 @@ def _restarts(g: ClusteredGraph, tmat: np.ndarray, big: float, m: int,
         search = _Search(g.cost, tmat, m, rng, big)
         search.insert_greedy(list(range(1, m + 1)))  # cheapest insertion
         search.reoptimize_vertices()
-        cur_cost = search.cost()
+        cur_cost = search.total
         restart_best = search.snapshot()
         restart_best_cost = cur_cost
 
@@ -578,7 +578,7 @@ def _restarts(g: ClusteredGraph, tmat: np.ndarray, big: float, m: int,
                 # every candidate order is evaluated with its DP-optimal
                 # vertices.
                 search.reoptimize_vertices()
-                cand_cost = search.cost()
+                cand_cost = search.total
 
             sigma = 0.0
             accept = False

@@ -66,8 +66,8 @@ def _arc_commands(frame: _Frame, cx: float, cy: float, radius: float,
     return " ".join(out)
 
 
-def _dubins_path_d(frame: _Frame, start: Pose, goal: Pose, radius: float,
-                   cfg: PlannerConfig) -> str:
+def _dubins_path_d(frame: _Frame, start: Pose, goal: Pose,
+                   radius: float) -> str:
     path = dubins_shortest(start, goal, radius)
     x, y = start.position
     heading = start.heading
@@ -128,7 +128,7 @@ def render_svg_str(cells: list[Cell], plan: Plan | None,
                                  leg.start_heading)
                     goal = Pose((leg.end_site.x, leg.end_site.y),
                                 leg.end_heading)
-                    d = _dubins_path_d(frame, start, goal, cfg.turn_radius, cfg)
+                    d = _dubins_path_d(frame, start, goal, cfg.turn_radius)
                     fw_paths.append(f'<path d="{d}"/>')
                 else:
                     p1 = frame.point(leg.start_site.x, leg.start_site.y)

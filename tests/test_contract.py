@@ -1,7 +1,8 @@
-"""Contract tests for input numbers: every number of an instance or a
-plan document, replaced by any JSON value, ends in exit code 0, 1 or 2
-from the command line and never in an exception out of cli.main; a plan
-that `airmule plan` writes passes validate and renders."""
+"""Contract tests for input documents: every number, and every node at
+any depth, of an instance or a plan document, replaced by any JSON value,
+ends in exit code 0, 1 or 2 from the command line and never in an
+exception out of cli.main; a plan that `airmule plan` writes passes
+validate and renders, and a rendered plan holds no non-finite number."""
 
 import contextlib
 import functools
@@ -29,6 +30,9 @@ HUGE = 10 ** 400  # a 401-digit JSON integer, beyond float range
 # which json.loads reads back.
 VALUES = [0, -1, 1e-300, 1e300, math.inf, -math.inf, math.nan, 10 ** 30,
           HUGE, True, "1", None, [], {}]
+# Values that fit the string and pair fields: a cell end, a leg kind that
+# is no member, and a cell_order item.
+NODE_VALUES = VALUES + ["A", "hover", [0, "A"]]
 
 
 def run(*argv):
@@ -61,6 +65,18 @@ def number_paths(data, path=()):
             and not isinstance(data, bool) else []
     return [p for key, value in items
             for p in number_paths(value, path + (key,))]
+
+
+def node_paths(data, path=()):
+    """The key path of every node below the root of a JSON document."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return []
+    return [p for key, value in items
+            for p in [path + (key,)] + node_paths(value, path + (key,))]
 
 
 def replaced(text, path, value):
@@ -115,6 +131,29 @@ def test_plan_numbers_render_or_exit(data, value):
     text = documents()[1]
     path = data.draw(st.sampled_from(number_paths(json.loads(text))))
     with tempfile.TemporaryDirectory() as tmp:
+        code, _ = render_run(Path(tmp), replaced(text, path, value))
+        if code == 0:
+            svg = (Path(tmp) / "plan.svg").read_text(encoding="utf-8")
+            assert "nan" not in svg and "inf" not in svg
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), value=st.sampled_from(NODE_VALUES))
+def test_instance_nodes_plan_or_exit(data, value):
+    text = documents()[0]
+    path = data.draw(st.sampled_from(node_paths(json.loads(text))))
+    with tempfile.TemporaryDirectory() as tmp:
+        check_plan_run(Path(tmp), replaced(text, path, value))
+
+
+# About one example in 75 puts a list or an object into a kind or a mode,
+# so 400 examples reach one with a 99% chance.
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), value=st.sampled_from(NODE_VALUES))
+def test_plan_nodes_render_or_exit(data, value):
+    text = documents()[1]
+    path = data.draw(st.sampled_from(node_paths(json.loads(text))))
+    with tempfile.TemporaryDirectory() as tmp:
         render_run(Path(tmp), replaced(text, path, value))
 
 
@@ -141,7 +180,18 @@ def test_instance_numbers(tmp_path, path, value, code, message):
      "plan.uav_legs[0].duration is an integer beyond float range"),
     (("version",), True, "plan.version must be a JSON integer"),
     (("version",), 1.0, "plan.version must be a JSON integer"),
-], ids=["huge-duration", "true-version", "float-version"])
+    (("uav_legs", 0, "end_site", "x"), math.nan,
+     "plan.uav_legs[0].end_site.x must be a finite number"),
+    (("uav_legs", 0, "end_site", "x"), math.inf,
+     "plan.uav_legs[0].end_site.x must be a finite number"),
+    (("uav_legs", 0, "end_site", "x"), -math.inf,
+     "plan.uav_legs[0].end_site.x must be a finite number"),
+    (("total_time",), math.nan, "plan.total_time must be a finite number"),
+    (("total_time",), math.inf, "plan.total_time must be a finite number"),
+    (("total_time",), -math.inf, "plan.total_time must be a finite number"),
+], ids=["huge-duration", "true-version", "float-version", "nan-x", "inf-x",
+        "minus-inf-x", "nan-total_time", "inf-total_time",
+        "minus-inf-total_time"])
 def test_plan_numbers(tmp_path, path, value, message):
     code, err = render_run(tmp_path, replaced(documents()[1], path, value))
     assert code == 2

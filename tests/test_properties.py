@@ -12,7 +12,7 @@ from airmule.errors import Infeasible, NoFeasibleTour
 from airmule.graph import build_instance
 from airmule.instances import gen_random, parse_plan, serialize_plan
 from airmule.plan import decode, validate
-from airmule.solver import SolverParams, solve_exact, solve_glns
+from airmule.solver import SolverParams, solve_exact, solve_glns, tour_cost
 
 _SETTINGS = settings(max_examples=40, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -48,10 +48,11 @@ def test_exact_plan_is_valid(farm):
     solved = exact_plan(cells, cfg)
     if solved is None:
         return
-    _, tour, plan = solved
+    g, tour, plan = solved
     assert not [i for i in validate(plan, cells, cfg)
                 if i.severity == "violation"]
     assert plan.total_time == tour.cost
+    assert tour_cost(g, tour) == tour.cost
 
 
 @settings(max_examples=20, deadline=None)

@@ -482,8 +482,9 @@ def test_reoptimize_matches_fresh_dp(data, case):
             search.order = [0] + search.order[:0:-1]
         elif move == "reoptimize" and len(search.order) > 1:
             search.reoptimize_vertices()
-            _, expect = _layered_dp(*incoming(pmat, m), search.order)
+            total, expect = _layered_dp(*incoming(pmat, m), search.order)
             assert search.choice == expect
+            assert search.total == total
         elif move == "snapshot":
             snaps.append(search.snapshot())
         elif move == "restore":
