@@ -485,7 +485,7 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
         cost = np.full((V, V), INF)
         best_type = np.full((V, V), -1, dtype=np.int16)
 
-    def fill(share: list[int]) -> list:
+    def fill(share: range) -> list:
         # All of the share's transit legs, then all of its templates: a
         # build that alternates the two cell by cell ran about 1% slower.
         legs = [_source_legs(i, cells, cfg, headings) for i in share]
@@ -495,7 +495,7 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
                 i, cfg, covers[i], source_legs, exit_road, entry_road)
         return []
 
-    workers.in_workers(fill, list(range(n)), count)
+    workers.in_workers(fill, range(n), count)
 
     # Depot edges: free departure into full-battery vertices, and the final
     # coverage pass on the way back, in the faster battery-feasible mode

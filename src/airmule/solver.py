@@ -32,12 +32,16 @@ those of the two new edges.  A move that puts the same cluster order
 back keeps the vertices and cost it started from, without a DP.
 
 The restarts of solve_glns are independent, each with its own seeded
-RNG.  On Linux they run in the fork pool of the workers module, on up to
-one process per usable CPU: the caller and forked workers, which share
-the cost matrices copy-on-write.  The results merge in restart order,
-so the tour is the one a sequential run returns; once the time budget
-binds, which restarts ran depends on machine speed, as it does in a
-sequential run.
+RNG.  On Linux they run in the fork pool of the workers module: the
+caller and forked workers, which share the cost matrices copy-on-write.
+k restarts on p usable CPUs run in the fewest workers that give none
+more than k / p restarts (workers.worker_count): one per restart up to
+p, 3 workers for 3 restarts on 2 CPUs, 2 for 4, and never more than
+2p - 1, so every CPU stays busy until the last restart ends.  The
+results merge in restart order, so the tour is the one a sequential run
+returns.  Once the time budget binds, every restart then running is cut
+short, and a worker starts no further restart; which restarts ran, and
+how far, depends on machine speed, as it does in a sequential run.
 """
 
 from __future__ import annotations
@@ -491,27 +495,31 @@ def _adapt(weights: list[float], scores: list[float], tries: list[int]) -> None:
 def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTour:
     """Adaptive large neighborhood search over the clustered graph.
 
-    The restarts run in the fork pool (workers.in_workers); the cheapest
-    tour wins, ties to the lowest restart, as in a sequential run.
+    The restarts run in the fork pool (workers.in_workers), dealt as a
+    range of restart indices; the cheapest tour wins, ties to the lowest
+    restart, as in a sequential run.
     """
     params = params or SolverParams()
     m = g.n_cells
     tmat = g.cost.T.copy()  # C-ordered; costs are finite or +inf
-    infinite = np.isinf(tmat)
-    tmat[infinite] = 0.0
+    # 2C rows at a time, so that no V x V mask is ever allocated.
+    width = 2 * g.levels
+    blocks = [tmat[r:r + width] for r in range(0, len(tmat), width)]
     # An infinite edge costs more than any tour of finite ones, unless 4
     # (m + 1) times that overflows: the search's sums must stay finite.
-    big = max(BIG, (m + 1) * float(tmat.max()))
+    largest = max(float(np.max(b, where=np.isfinite(b), initial=0.0))
+                  for b in blocks)
+    big = max(BIG, (m + 1) * largest)
     big = big if math.isfinite(4 * (m + 1) * big) else BIG
-    tmat[infinite] = big
-    del infinite  # V * V bytes the search never reads
+    for b in blocks:
+        b[np.isinf(b)] = big
     deadline = time.monotonic() + params.time_budget
 
     best_vertices: list[int] | None = None
     best_true = math.inf
     for _, true_cost, vertices in sorted(in_workers(
             lambda share: _restarts(g, tmat, big, m, params, share, deadline),
-            list(range(params.restarts)))):
+            range(params.restarts))):
         if true_cost < best_true:
             best_true = true_cost
             best_vertices = vertices
@@ -523,7 +531,7 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
 
 
 def _restarts(g: ClusteredGraph, tmat: np.ndarray, big: float, m: int,
-              params: SolverParams, indices: list[int],
+              params: SolverParams, indices: range,
               deadline: float) -> list[tuple[int, float, list[int]]]:
     """(restart, true cost, vertices) of each restart in indices, run in
     turn until the deadline passes."""

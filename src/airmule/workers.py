@@ -1,10 +1,20 @@
-"""The fork pool: independent units of work on up to one process per
-usable CPU.
+"""The fork pool: independent units of work, dealt round-robin so that
+no worker holds more than the usable CPUs' average share.
 
 solve_glns runs its restarts here and build_instance its source cells.
 The caller is worker 0; every other worker is a forked child, which
 sees the caller's arrays copy-on-write and its shared mappings as they
 are.  Workers need not be importable or picklable, only their results.
+
+Whole units cannot always split evenly over the CPUs: 3 units dealt to
+2 workers leave one of them idle for the last third of the run.
+worker_count starts more workers than CPUs where that evens the shares
+(3 for those 3 units, at most 2 * CPUs - 1), and the OS shares the CPUs
+among them, so every CPU stays busy until the last unit ends.  Units
+that stop at a deadline, as GLNS restarts do, are then all cut short
+together, where one worker per CPU would leave the units dealt last
+unstarted; which units ran, and how far, depends on machine speed
+either way.
 """
 
 from __future__ import annotations
@@ -24,32 +34,47 @@ def usable_cpus() -> int:
         return 1
 
 
-def in_workers(run: Callable[[list[int]], list], indices: list[int],
-               cap: int | None = None) -> list:
-    """run(share) over indices dealt round-robin to up to one worker per
-    usable CPU, and to at most cap workers; the concatenated results, in
-    no particular order.
+def worker_count(units: int, cpus: int) -> int:
+    """The fewest workers among which round-robin dealing gives none more
+    than units / cpus units, or more than one where units <= cpus.
 
+    That is one worker per unit up to cpus units, and otherwise
+    ceil(units / floor(units / cpus)): 3 for 3 units on 2 CPUs, 2 for 4,
+    and never more than 2 * cpus - 1.
+    """
+    if units <= cpus:
+        return units
+    share = units // cpus  # the most units any worker may hold
+    return -(-units // share)
+
+
+def in_workers(run: Callable[[range], list], indices: range,
+               cap: int | None = None) -> list:
+    """run(share) over indices dealt round-robin to worker_count(len(indices),
+    usable CPUs) workers, and to at most cap workers; the concatenated
+    results, in no particular order.
+
+    Each share is a slice of indices, so a range is never expanded.
     This process is worker 0 and runs its share itself.  Every other
     worker is a forked child, which sends its results back pickled
     through a pipe and ends with os._exit, so it runs no cleanup and
     flushes no inherited buffer.  A share whose fork fails runs in this
-    process.  An exception in any worker is raised here once every child
-    has ended; none is left running or unreaped.
+    process, after its own share.  An exception in any worker is raised
+    here once every child has ended; none is left running or unreaped.
     """
-    workers = min(len(indices), usable_cpus())
+    workers = worker_count(len(indices), usable_cpus())
     if cap is not None:
         workers = min(workers, cap)
-    own = indices[::workers]
+    own = [indices[::workers]]
     children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
     try:
         for w in range(1, workers):
             child = _fork(run, indices[w::workers])
             if child is None:
-                own = sorted(own + indices[w::workers])
+                own.append(indices[w::workers])
             else:
                 children[child[0]] = child[1]
-        results = run(own)
+        results = [r for share in own for r in run(share)]
         failure: BaseException | None = None
         for pid, pipe in list(children.items()):
             reply = pipe.read()
@@ -72,8 +97,8 @@ def in_workers(run: Callable[[list[int]], list], indices: list[int],
             os.waitpid(pid, 0)
 
 
-def _fork(run: Callable[[list[int]], list],
-          share: list[int]) -> tuple[int, BinaryIO] | None:
+def _fork(run: Callable[[range], list],
+          share: range) -> tuple[int, BinaryIO] | None:
     """Fork a worker that runs share: (pid, read end of its pipe), or
     None when the pipe or the fork fails."""
     try:

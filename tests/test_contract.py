@@ -2,7 +2,8 @@
 any depth, of an instance or a plan document, replaced by any JSON value,
 ends in exit code 0, 1 or 2 from the command line and never in an
 exception out of cli.main; a plan that `airmule plan` writes passes
-validate and renders, and a rendered plan holds no non-finite number."""
+validate and renders, and a rendered plan holds no non-finite number.
+The GLNS flags of `airmule plan` at their edge values end the same way."""
 
 import contextlib
 import functools
@@ -89,12 +90,12 @@ def replaced(text, path, value):
     return json.dumps(data)
 
 
-def check_plan_run(tmp, instance_text):
-    """Plan instance_text exactly; on exit 0 the plan must validate and
-    render."""
+def check_plan_run(tmp, instance_text, solver_args=("--solver", "exact")):
+    """Plan instance_text, exactly by default; on exit 0 the plan must
+    validate and render."""
     inst, out, svg = tmp / "inst.json", tmp / "plan.json", tmp / "plan.svg"
     inst.write_text(instance_text, encoding="utf-8")
-    code, err = run("plan", str(inst), "--solver", "exact", "-o", str(out))
+    code, err = run("plan", str(inst), *solver_args, "-o", str(out))
     assert code in (0, 1, 2) and "Traceback" not in err
     if code == 0:
         cells, cfg = load_instance(str(inst))
@@ -195,6 +196,27 @@ def test_instance_numbers(tmp_path, path, value, code, message):
 def test_plan_numbers(tmp_path, path, value, message):
     code, err = render_run(tmp_path, replaced(documents()[1], path, value))
     assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("--restarts", "0"), 2, "restarts must be at least 1"),
+    (("--restarts", "-1"), 2, "restarts must be at least 1"),
+    (("--time-budget", "nan"), 2, "time_budget must be positive"),
+    (("--time-budget", "0"), 2, "time_budget must be positive"),
+    # argparse reads a bare -inf as an option; = passes it as the value.
+    (("--time-budget", "-inf"), 2, "expected one argument"),
+    (("--time-budget=-inf",), 2, "time_budget must be positive"),
+    (("--time-budget", "inf"), 0, "plan cost"),
+    # Runs until the budget: the restart indices are never listed.
+    (("--restarts", "1000000000", "--time-budget", "1"), 0, "plan cost"),
+], ids=["zero-restarts", "negative-restarts", "nan-budget", "zero-budget",
+        "minus-inf-budget", "minus-inf-budget-value", "inf-budget",
+        "billion-restarts"])
+def test_glns_flags(tmp_path, argv, code, message):
+    got, err = check_plan_run(tmp_path, documents()[0],
+                              ("--mode", "fast", *argv))
+    assert got == code
     assert message in err
 
 

@@ -585,13 +585,31 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def deals_fairly(units, cpus, count):
+    """count lies in [min(units, cpus), 2 * cpus - 1], and round-robin
+    dealing of units to count workers gives none more than units / cpus
+    units, or more than one."""
+    largest = max(len(range(units)[w::count]) for w in range(count))
+    return (min(units, cpus) <= count <= 2 * cpus - 1
+            and largest * cpus <= max(units, cpus))
+
+
+@pytest.mark.parametrize("units", [*range(1, 13), 10 ** 9])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_worker_count_is_fewest_fair_deal(units, cpus):
+    count = workers.worker_count(units, cpus)
+    assert deals_fairly(units, cpus, count)
+    assert not any(deals_fairly(units, cpus, fewer)
+                   for fewer in range(1, count))
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 8), farm_seed=st.integers(0, 2**16),
        d_max=st.sampled_from([60.0, 120.0, 400.0]),
-       levels=st.integers(1, 4), restarts=st.integers(2, 4),
-       rng_seed=st.integers(0, 2**16))
+       levels=st.integers(1, 4), cpus=st.integers(1, 3),
+       restarts=st.integers(1, 5), rng_seed=st.integers(0, 2**16))
 def test_parallel_restarts_match_one_worker(n, farm_seed, d_max, levels,
-                                            restarts, rng_seed):
+                                            cpus, restarts, rng_seed):
     g = build_instance(gen_random(n, 60.0, 8.0, seed=farm_seed,
                                   road_fraction=0.7),
                        PlannerConfig(d_max=d_max, battery_levels=levels,
@@ -604,27 +622,63 @@ def test_parallel_restarts_match_one_worker(n, farm_seed, d_max, levels,
         forks.append(1)
         return fork()
 
-    with mock.patch.object(workers, "usable_cpus", lambda: restarts), \
+    with mock.patch.object(workers, "usable_cpus", lambda: cpus), \
             mock.patch.object(os, "fork", counted_fork):
         parallel = glns_or_none(g, params)
-    assert len(forks) == restarts - 1
+    assert len(forks) == workers.worker_count(restarts, cpus) - 1
     assert_no_child_left()
     with mock.patch.object(workers, "usable_cpus", lambda: 1):
         assert glns_or_none(g, params) == parallel
 
 
+def test_glns_hands_workers_a_range(monkeypatch):
+    # A billion restarts must not become a billion ints before the first
+    # one runs.  A million shows it, and would cost only 40 MB as a list.
+    g = build_instance(gen_random(1, 40.0, 8.0, seed=4),
+                       PlannerConfig(d_max=100.0, battery_levels=3))
+    handed = []
+
+    def in_workers(run, indices, cap=None):
+        handed.append(indices)
+        return [(0, 1.0, [0, 1])]
+
+    monkeypatch.setattr(solver, "in_workers", in_workers)
+    solve_glns(g, SolverParams(restarts=10 ** 6))
+    assert handed == [range(10 ** 6)]
+
+
+@pytest.mark.parametrize("refuse_fork", [False, True])
+def test_worker_shares_are_slices_of_the_range(monkeypatch, refuse_fork):
+    def refused():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    if refuse_fork:
+        monkeypatch.setattr(os, "fork", refused)
+    # A list would have neither start nor step.
+    shares = workers.in_workers(
+        lambda share: [(share.start, share.step, len(share))],
+        range(10 ** 6))
+    assert sorted(shares) == [(0, 2, 5 * 10 ** 5), (1, 2, 5 * 10 ** 5)]
+    shares = workers.in_workers(
+        lambda share: [(share.start, share.step, len(share))], range(3))
+    assert sorted(shares) == [(0, 3, 1), (1, 3, 1), (2, 3, 1)]
+    assert_no_child_left()
+
+
 def test_restart_ties_go_to_lowest_restart(monkeypatch):
-    # Restarts 1 and 2 tie; worker 0 runs 0 and 2 and the child runs 1, so
-    # merging in the order results arrive would pick restart 2.
+    # Restarts 1 and 2 tie; worker 0 runs 0 and 2 and the child runs 1 and
+    # 3, so merging in the order results arrive would pick restart 2.
     g = build_instance(gen_random(1, 40.0, 8.0, seed=4),
                        PlannerConfig(d_max=100.0, battery_levels=3))
 
     def fake_restarts(g, tmat, big, m, params, share, deadline):
-        return [(r, 2.0 if r == 0 else 1.0, [0, 1 + r]) for r in share]
+        return [(r, 1.0 if r in (1, 2) else 2.0, [0, 1 + r]) for r in share]
 
     monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     monkeypatch.setattr(solver, "_restarts", fake_restarts)
-    assert solve_glns(g, SolverParams(restarts=3)).vertices == (0, 2)
+    assert workers.worker_count(4, 2) == 2
+    assert solve_glns(g, SolverParams(restarts=4)).vertices == (0, 2)
 
 
 @pytest.mark.parametrize("in_child", [True, False])
