@@ -23,25 +23,29 @@ five stop-layout templates applied to a coverage leg and a transit leg.
 The template is the single formula for an edge's cost and its recharge
 split: build_instance evaluates it once per source cell, on a grid over
 every end pair leaving that cell and every pair of battery levels, and
-edge_breakdown, which decode expands into legs, on one pair of levels.
-Off-road landing sites are mask terms of the templates, so a template
-always returns a grid, infinite where the layout cannot be flown.
+keeps only the minimum; ClusteredGraph.breakdown, which decode expands
+into legs, evaluates all eighteen on the one pair of levels of a tour
+edge and takes the first minimum in EdgeType order, so only the n + 1
+edges of a tour are ever typed.  Off-road landing sites are mask terms
+of the templates, so a template always returns a grid, infinite where
+the layout cannot be flown.
 
-A source cell's rows of the matrices (its transit legs, then the
+A source cell's rows of the cost matrix (its transit legs, then the
 templates on its grid) depend on no other cell's rows.  Above a size
 that pays for the forks, build_instance deals the source cells round-
-robin to the fork pool of the workers module; the matrices then sit in
-one shared anonymous mapping, every worker writes its cells' rows
-straight into it, and the bytes are those of a one-process build.
+robin to the fork pool of the workers module; the matrix then sits in a
+shared anonymous mapping, every worker writes its cells' rows straight
+into it, and the bytes are those of a one-process build.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -64,9 +68,9 @@ from .geometry import (
 
 INF = math.inf
 
-# Bound on V * V * 18 bytes for V vertices: the cost matrix, best_type and
-# the search's transposed penalty copy.  n=100 cells at C=20 levels take
-# 288 MB.  build_instance refuses an instance over the bound before it
+# Bound on V * V * 16 bytes for V vertices: the cost matrix and the
+# search's transposed penalty copy.  n=100 cells at C=20 levels take
+# 256 MB.  build_instance refuses an instance over the bound before it
 # allocates anything.
 _MATRIX_MAX_BYTES = 512 << 20
 
@@ -287,6 +291,15 @@ _TABLE = tuple(_table_row(t) for t in EdgeType)
 def edge_breakdown(t: EdgeType, v_from: Vertex, v_to: Vertex,
                    cells: list[Cell], cfg: PlannerConfig) -> Optional[EdgeBreakdown]:
     """Cost structure of one typed edge, or None when the type is infeasible."""
+    return _cheapest_edge((t,), v_from, v_to, cells, cfg)
+
+
+def _cheapest_edge(types: Iterable[EdgeType], v_from: Vertex, v_to: Vertex,
+                   cells: list[Cell],
+                   cfg: PlannerConfig) -> Optional[EdgeBreakdown]:
+    """The first of types with the least cost on this edge, expanded, or
+    None when none of them is feasible.  The pair's legs are computed
+    once and every type's template runs on its one pair of levels."""
     if v_from.is_depot or v_to.is_depot:
         raise ValueError("typed edges connect cell vertices only")
     if v_from.cell_index == v_to.cell_index:
@@ -298,14 +311,22 @@ def edge_breakdown(t: EdgeType, v_from: Vertex, v_to: Vertex,
     entry_j = cell_j.end(v_to.entry_end)
     h_i = traversal_heading(cell_i, v_from.entry_end)
     h_j = traversal_heading(cell_j, v_to.entry_end)
+    covers = _cover_legs(cell_i, cfg)
+    legs = _pair_legs(exit_i, entry_j, h_i, h_j, cfg)
+    roads = (exit_i.on_road, entry_j.on_road)
 
-    template, cover, leg = _TABLE[t.value]
-    t1, c1 = _cover_legs(cell_i, cfg)[cover]
-    t2, c2 = _pair_legs(exit_i, entry_j, h_i, h_j, cfg)[leg]
-    out = template(v_from.level, v_to.level, cfg, (t1, c1), (t2, c2),
-                   (exit_i.on_road, entry_j.on_road))
+    best = None
+    for t in types:
+        template, cover, leg = _TABLE[t.value]
+        out = template(v_from.level, v_to.level, cfg, covers[cover],
+                       legs[leg], roads)
+        if best is None or out[0] < best[1][0]:
+            best = t, out, cover, leg
+    t, out, cover, leg = best
     if not math.isfinite(out[0]):
         return None
+    t1, c1 = covers[cover]
+    t2, c2 = legs[leg]
     split = RechargeSplit(*(int(e) for e in out[1:]))
     riding = leg == _RIDE_LEG
     fw = t.transit_mode is _FW
@@ -328,6 +349,19 @@ def edge_breakdown(t: EdgeType, v_from: Vertex, v_to: Vertex,
     )
 
 
+def _closing(cover: tuple[tuple[float, int], ...], k):
+    """(time, EdgeType value) of a cell's final coverage pass back to the
+    depot when it starts with k levels (an int or an array): the faster
+    battery-feasible mode, multi-rotor on a tie, as M_M or F_F; (inf, -1)
+    where neither mode fits."""
+    (t_m, c_m), (t_f, c_f) = cover
+    back_m = np.where(k >= c_m, t_m, INF)
+    back_f = np.where(k >= c_f, t_f, INF)
+    back = np.minimum(back_m, back_f)
+    code = np.where(back_m <= back_f, EdgeType.M_M.value, EdgeType.F_F.value)
+    return back, np.where(np.isfinite(back), code, -1)
+
+
 def cluster_span(c: int, width: int) -> slice:
     """Vertex ids of cluster c >= 1, for clusters of width = 2C vertices."""
     return slice(1 + (c - 1) * width, 1 + c * width)
@@ -346,21 +380,52 @@ def cluster_views(mat: np.ndarray,
 
 
 class ClusteredGraph:
-    """Dense GTSP instance over 2nC cell vertices plus one depot vertex.
+    """Dense GTSP instance over 2nC cell vertices plus one depot vertex:
+    the cells, the config and the cost matrix.
 
-    best_type holds the winning EdgeType value of each cell-to-cell edge
-    and, in column 0, the cover mode of each closing edge (M_M or F_F);
-    -1 marks an infeasible edge.
+    Edge types are not stored.  breakdown types one edge when decode
+    expands it, and best_type is the whole matrix of them, computed on
+    first read for diagnostics and tests.
     """
 
     def __init__(self, cells: list[Cell], cfg: PlannerConfig,
-                 cost: np.ndarray, best_type: np.ndarray) -> None:
+                 cost: np.ndarray) -> None:
         self.cells = cells
         self.cfg = cfg
         self.cost = cost
-        self.best_type = best_type
         self.n_cells = len(cells)
         self.levels = cfg.battery_levels
+
+    @functools.cached_property
+    def best_type(self) -> np.ndarray:
+        """The winning EdgeType value of each cell-to-cell edge and, in
+        column 0, the cover mode of each closing edge (M_M or F_F); -1
+        marks an infeasible edge.
+
+        Each entry is the first type in EdgeType order whose template
+        gives the cost entry, the type breakdown picks.  Computing it
+        reruns the build's templates and takes 2 bytes per vertex pair,
+        so a plan run never reads it; it serves diagnostics and tests.
+        """
+        n, C = self.n_cells, self.levels
+        covers, headings, exit_road, entry_road = _cell_inputs(self.cells,
+                                                               self.cfg)
+        k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster
+        types = np.full(self.cost.shape, -1, dtype=np.int16)
+        for i in range(n):
+            rows = cluster_span(i + 1, 2 * C)
+            cost = self.cost[rows, 1:].reshape(2, C, n, 2, C)
+            block = np.full(cost.shape, -1, dtype=np.int16)
+            unset = np.isfinite(cost)
+            legs = _source_legs(i, self.cells, self.cfg, headings)
+            for code, grid in enumerate(_source_grids(
+                    i, self.cfg, covers[i], legs, exit_road, entry_road)):
+                won = unset & (grid == cost)
+                block[won] = code
+                unset &= ~won
+            types[rows, 1:] = block.reshape(2 * C, 2 * n * C)
+            types[rows, 0] = _closing(covers[i], k)[1]
+        return types
 
     def vertex(self, vid: int) -> Vertex:
         """The vertex with id vid; ValueError unless 0 <= vid < len(cost)."""
@@ -381,11 +446,21 @@ class ClusteredGraph:
                 + (self.levels - level))
 
     def breakdown(self, u: int, v: int) -> Optional[EdgeBreakdown]:
-        code = int(self.best_type[u, v])
-        if code < 0:
-            return None
-        return edge_breakdown(EdgeType(code), self.vertex(u), self.vertex(v),
+        """The cell-to-cell edge u -> v as its cheapest type, the first in
+        EdgeType order on a tie, or None when it is infeasible; its cost
+        is cost[u, v]."""
+        return _cheapest_edge(EdgeType, self.vertex(u), self.vertex(v),
                               self.cells, self.cfg)
+
+    def closing_mode(self, u: int) -> Optional[FlightMode]:
+        """Flight mode of the final coverage pass on the closing edge
+        u -> depot, or None when no mode fits u's battery level."""
+        vert = self.vertex(u)
+        if vert.is_depot:
+            raise ValueError("the closing edge leaves a cell vertex")
+        code = int(_closing(_cover_legs(self.cells[vert.cell_index], self.cfg),
+                            vert.level)[1])
+        return None if code < 0 else EdgeType(code).cover_mode
 
 
 def _source_legs(i: int, cells: list[Cell], cfg: PlannerConfig,
@@ -410,19 +485,18 @@ def _source_legs(i: int, cells: list[Cell], cfg: PlannerConfig,
     return leg_t, leg_c
 
 
-def _source_rows(i: int, cfg: PlannerConfig,
-                 cover: tuple[tuple[float, int], ...],
-                 source_legs: tuple[np.ndarray, np.ndarray],
-                 exit_road: np.ndarray,
-                 entry_road: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cost and best_type entries of source cell i's 2C rows towards
-    every cell vertex, cell i's own cleared to (inf, -1)."""
-    n = len(entry_road)
+def _source_grids(i: int, cfg: PlannerConfig,
+                  cover: tuple[tuple[float, int], ...],
+                  source_legs: tuple[np.ndarray, np.ndarray],
+                  exit_road: np.ndarray, entry_road: np.ndarray):
+    """Each template's cost grid over source cell i's 2C rows towards
+    every cell vertex, in _TABLE order.
+
+    A grid has axes (x, level_i, j, y, level_j); levels descend along
+    their axes, which is the vertex order inside each endpoint block.  The
+    j == i entries are not edges.
+    """
     C = cfg.battery_levels
-    # Every template runs once on a grid with axes (x, level_i, j, y,
-    # level_j); levels descend along their axes, which is the vertex order
-    # inside each endpoint block.  A strict < keeps the first minimum in
-    # _TABLE order, the tie-break.
     KI = np.arange(C, 0, -1, dtype=np.int64)[None, :, None, None, None]
     KJ = np.arange(C, 0, -1, dtype=np.int64)
     leg_t, leg_c = source_legs
@@ -430,27 +504,45 @@ def _source_rows(i: int, cfg: PlannerConfig,
             for k in range(4)]
     roads = (exit_road[i][:, None, None, None, None],
              entry_road[None, None, :, :, None])
+    for template, cover_k, leg in _TABLE:
+        yield template(KI, KJ, cfg, cover[cover_k], legs[leg], roads)[0]
+
+
+def _source_rows(i: int, cfg: PlannerConfig,
+                 cover: tuple[tuple[float, int], ...],
+                 source_legs: tuple[np.ndarray, np.ndarray],
+                 exit_road: np.ndarray, entry_road: np.ndarray) -> np.ndarray:
+    """The cost entries of source cell i's 2C rows towards every cell
+    vertex, the minimum over the templates, cell i's own cleared to inf."""
+    n = len(entry_road)
+    C = cfg.battery_levels
     block = np.full((2, C, n, 2, C), INF)
-    types = np.full(block.shape, -1, dtype=np.int16)
-    for code, (template, cover_k, leg) in enumerate(_TABLE):
-        grid = template(KI, KJ, cfg, cover[cover_k], legs[leg], roads)[0]
-        better = grid < block
+    for grid in _source_grids(i, cfg, cover, source_legs, exit_road,
+                              entry_road):
         np.minimum(block, grid, out=block)
-        types[better] = code
     block[:, :, i] = INF
-    types[:, :, i] = -1
-    return block.reshape(2 * C, 2 * n * C), types.reshape(2 * C, 2 * n * C)
+    return block.reshape(2 * C, 2 * n * C)
 
 
-def _shared_matrices(V: int) -> tuple[np.ndarray, np.ndarray]:
-    """cost (inf) and best_type (-1), V x V each, in one anonymous mapping
-    that forked workers write into and this process reads."""
-    buf = mmap.mmap(-1, V * V * 10)
+def _shared_cost(V: int) -> np.ndarray:
+    """A V x V cost matrix of inf in an anonymous mapping that forked
+    workers write into and this process reads."""
+    buf = mmap.mmap(-1, V * V * 8)
     cost = np.frombuffer(buf, np.float64, V * V).reshape(V, V)
-    best_type = np.frombuffer(buf, np.int16, V * V, V * V * 8).reshape(V, V)
     cost.fill(INF)
-    best_type.fill(-1)
-    return cost, best_type
+    return cost
+
+
+def _cell_inputs(cells: list[Cell], cfg: PlannerConfig):
+    """Per cell: both coverage passes, both traversal headings and the
+    road flags of the exit and the entry site of each traversal."""
+    ends = (END_A, END_B)
+    covers = [_cover_legs(cell, cfg) for cell in cells]
+    headings = [[traversal_heading(cell, e) for e in ends] for cell in cells]
+    exit_road = np.array([[c.other_end(e).on_road for e in ends]
+                          for c in cells])
+    entry_road = np.array([[c.end(e).on_road for e in ends] for c in cells])
+    return covers, headings, exit_road, entry_road
 
 
 def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
@@ -465,25 +557,16 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
     n = len(cells)
     C = cfg.battery_levels
     V = 1 + 2 * n * C
-    need = V * V * 18
+    need = V * V * 16
     if need > _MATRIX_MAX_BYTES:
         raise InstanceTooLarge(f"{n} cells at {C} battery levels need {need} "
                                f"bytes of matrices, over {_MATRIX_MAX_BYTES}")
 
-    ends = (END_A, END_B)
-    covers = [_cover_legs(cell, cfg) for cell in cells]
-    headings = [[traversal_heading(cell, e) for e in ends] for cell in cells]
-    exit_road = np.array([[c.other_end(e).on_road for e in ends]
-                          for c in cells])
-    entry_road = np.array([[c.end(e).on_road for e in ends] for c in cells])
+    covers, headings, exit_road, entry_road = _cell_inputs(cells, cfg)
 
     count = max(1, min(workers.usable_cpus(), n,
                        V * V // _BUILD_ENTRIES_PER_WORKER))
-    if count > 1:
-        cost, best_type = _shared_matrices(V)
-    else:
-        cost = np.full((V, V), INF)
-        best_type = np.full((V, V), -1, dtype=np.int16)
+    cost = _shared_cost(V) if count > 1 else np.full((V, V), INF)
 
     def fill(share: range) -> list:
         # All of the share's transit legs, then all of its templates: a
@@ -491,27 +574,18 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
         legs = [_source_legs(i, cells, cfg, headings) for i in share]
         for i, source_legs in zip(share, legs):
             rows = cluster_span(i + 1, 2 * C)
-            cost[rows, 1:], best_type[rows, 1:] = _source_rows(
-                i, cfg, covers[i], source_legs, exit_road, entry_road)
+            cost[rows, 1:] = _source_rows(i, cfg, covers[i], source_legs,
+                                          exit_road, entry_road)
         return []
 
     workers.in_workers(fill, range(n), count)
 
     # Depot edges: free departure into full-battery vertices, and the final
-    # coverage pass on the way back, in the faster battery-feasible mode
-    # (multi-rotor on a tie).
+    # coverage pass on the way back.
     k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster's vertices
     for i in range(n):
-        (t_m, c_m), (t_f, c_f) = covers[i]
-        back_m = np.where(k >= c_m, t_m, INF)
-        back_f = np.where(k >= c_f, t_f, INF)
-        back = np.minimum(back_m, back_f)
-        modes = np.where(back_m <= back_f, EdgeType.M_M.value,
-                         EdgeType.F_F.value)
-        modes[~np.isfinite(back)] = -1
         span = cluster_span(i + 1, 2 * C)
         cost[0, span] = np.where(k == C, 0.0, INF)
-        cost[span, 0] = back
-        best_type[span, 0] = modes
+        cost[span, 0] = _closing(covers[i], k)[0]
 
-    return ClusteredGraph(cells, cfg, cost, best_type)
+    return ClusteredGraph(cells, cfg, cost)

@@ -16,7 +16,7 @@ from .energy import PlannerConfig, consumption_levels, recharge_time
 from .errors import Infeasible
 from .geometry import (Cell, FlightMode, Site, euclid, traversal_heading,
                        ugv_time)
-from .graph import ClusteredGraph, EdgeBreakdown, EdgeType
+from .graph import ClusteredGraph, EdgeBreakdown
 from .solver import GtspTour
 
 
@@ -184,10 +184,9 @@ def decode(g: ClusteredGraph, tour: GtspTour, cfg: PlannerConfig) -> Plan:
 
     last_id, last = verts[-1], stops[-1]
     closing = float(g.cost[last_id, 0])
-    code = int(g.best_type[last_id, 0])
-    if code < 0:
+    mode = g.closing_mode(last_id)
+    if mode is None:
         raise ValueError("tour ends on an infeasible depot edge")
-    mode = EdgeType(code).cover_mode
     cell = g.cells[last.cell_index]
     entry = cell.end(last.entry_end)
     exit_site = cell.other_end(last.entry_end)

@@ -383,19 +383,20 @@ def test_matrix_bound_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(np, "zeros", no_alloc)
     monkeypatch.setattr(mmap, "mmap", no_alloc)
     monkeypatch.setattr(graph, "Vertex", no_alloc)
-    # Two usable CPUs would give this build the shared matrices.
+    # Two usable CPUs would give this build the shared matrix.
     monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     with pytest.raises(InstanceTooLarge, match="bytes of matrices"):
         build_instance(spec_cells(), PlannerConfig(battery_levels=10**9))
 
 
-def test_matrix_bound_counts_eighteen_bytes_per_entry(monkeypatch):
-    # cost (8 bytes), best_type (2) and the search's transposed copy (8)
-    # per vertex pair: the bound admits n=100 cells at C=20 levels, and an
+def test_matrix_bound_counts_sixteen_bytes_per_entry(monkeypatch):
+    # cost (8 bytes) and the search's transposed copy (8) per vertex pair:
+    # the bound admits n=144 cells at C=20 levels but not n=145, and an
     # instance exactly at the bound builds while one byte less refuses it.
-    assert (1 + 2 * 100 * 20) ** 2 * 18 <= graph._MATRIX_MAX_BYTES
+    assert (1 + 2 * 144 * 20) ** 2 * 16 <= graph._MATRIX_MAX_BYTES
+    assert (1 + 2 * 145 * 20) ** 2 * 16 > graph._MATRIX_MAX_BYTES
     cfg = PlannerConfig(d_max=100.0, battery_levels=3)
-    need = (1 + 2 * 2 * 3) ** 2 * 18
+    need = (1 + 2 * 2 * 3) ** 2 * 16
     monkeypatch.setattr(graph, "_MATRIX_MAX_BYTES", need)
     assert build_instance(spec_cells(), cfg).cost.shape == (13, 13)
     monkeypatch.setattr(graph, "_MATRIX_MAX_BYTES", need - 1)

@@ -208,12 +208,31 @@ def test_closing_mode_stored_and_decoded(fw_speed, faster):
     assert math.isfinite(float(g.cost[u, v]))
     tour = GtspTour((0, u, v), 0.0)
     tour = GtspTour(tour.vertices, tour_cost(g, tour))
-    # decode flies the mode the graph stores, not one of its own choice
-    for t, levels in ((EdgeType.M_M, 4), (EdgeType.F_F, 2)):
-        g.best_type[v, 0] = t.value
-        last = decode(g, tour, cfg).uav_legs[-1]
-        assert last.mode is t.cover_mode
-        assert last.battery_before - last.battery_after == levels
+    # decode types the closing edge itself, by the rule of column 0: at a
+    # full battery it flies the faster mode and spends that mode's levels
+    last = decode(g, tour, cfg).uav_legs[-1]
+    assert last.mode is faster.cover_mode
+    assert last.battery_before - last.battery_after == (
+        4 if faster is EdgeType.M_M else 2)
+    assert last.duration == float(g.cost[v, 0])
+    with pytest.raises(ValueError, match="cell vertex"):
+        g.closing_mode(0)
+
+
+@pytest.mark.parametrize("solve", [
+    solve_exact,
+    lambda g: solve_glns(g, SolverParams(mode="fast", restarts=2, rng_seed=1)),
+], ids=["exact", "glns"])
+def test_plan_run_never_types_the_matrix(solve):
+    # best_type takes 2 bytes per vertex pair and reruns the templates; a
+    # plan run types only its own tour edges and never reads it.
+    cells = gen_random(6, 40.0, 8.0, seed=4, road_fraction=0.7)
+    cfg = PlannerConfig(d_max=40.0, battery_levels=6, ugv_speed_ratio=0.3)
+    g = build_instance(cells, cfg)
+    plan = decode(g, solve(g), cfg)
+    assert not [i for i in validate(plan, cells, cfg)
+                if i.severity == "violation"]
+    assert "best_type" not in vars(g)
 
 
 def make_leg(kind=LegKind.FLY, start=None, end=None, duration=1.0,

@@ -1,15 +1,18 @@
 """Properties of the whole pipeline on small random farms: exact plans
 are valid and cost what the solver says, GLNS never beats the exact
-optimum, and a plan's JSON round-trips unchanged."""
+optimum, a plan's JSON round-trips unchanged, and decode types its edges
+as the matrix of best types does."""
 
 import math
+import random
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from airmule.energy import PlannerConfig
 from airmule.errors import Infeasible, NoFeasibleTour
-from airmule.graph import build_instance
+from airmule.graph import EdgeType, build_instance
 from airmule.instances import gen_random, parse_plan, serialize_plan
 from airmule.plan import decode, validate
 from airmule.solver import SolverParams, solve_exact, solve_glns, tour_cost
@@ -81,3 +84,59 @@ def test_plan_json_round_trip(farm):
         return
     text = serialize_plan(solved[2])
     assert serialize_plan(parse_plan(text)) == text
+
+
+def tight_farm(n, levels, seed, roads, d_max):
+    """A farm whose short battery makes edges stop, ride, stop at both
+    ends or fail, next to plain flights."""
+    return (gen_random(n, 40.0, 8.0, seed=seed, road_fraction=roads),
+            PlannerConfig(d_max=d_max, battery_levels=levels,
+                          ugv_speed_ratio=0.3))
+
+
+def test_tight_farms_reach_every_stop_kind():
+    # The farms of the next test, at fixed draws: between them their
+    # matrices hold every stop layout and infeasible edges.
+    kinds = set()
+    for seed, d_max in enumerate((15.0, 25.0, 40.0)):
+        cells, cfg = tight_farm(4, 4, seed, 0.7, d_max)
+        g = build_instance(cells, cfg)
+        kinds.update(EdgeType(code).stops if code >= 0 else "infeasible"
+                     for code in np.unique(g.best_type[1:, 1:]))
+    assert kinds == {"none", "exit", "entry", "both", "ride", "infeasible"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 5), levels=st.integers(1, 6),
+       seed=st.integers(0, 2**16), roads=st.floats(0.5, 1.0),
+       d_max=st.sampled_from([15.0, 25.0, 40.0]))
+def test_breakdown_types_edges_as_best_type(n, levels, seed, roads, d_max):
+    # decode types a tour edge through breakdown and the closing edge
+    # through closing_mode; both must agree with the matrix of types.
+    cells, cfg = tight_farm(n, levels, seed, roads, d_max)
+    g = build_instance(cells, cfg)
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < 40:
+        u, v = rng.randrange(1, len(g.cost)), rng.randrange(1, len(g.cost))
+        if g.vertex(u).cell_index != g.vertex(v).cell_index:
+            pairs.append((u, v))
+    try:
+        tour = solve_exact(g)
+    except Infeasible:
+        tour = None
+    else:
+        verts = tour.vertices[tour.vertices.index(0):] \
+            + tour.vertices[:tour.vertices.index(0)]
+        pairs += list(zip(verts[1:-1], verts[2:]))
+        last = decode(g, tour, cfg).uav_legs[-1]
+    typed = [(u, v, g.breakdown(u, v)) for u, v in pairs]
+    for u, v, bd in typed:
+        code = int(g.best_type[u, v])
+        if bd is None:
+            assert code == -1
+        else:
+            assert bd.edge_type.value == code
+            assert bd.cost == float(g.cost[u, v])
+    if tour is not None:
+        assert last.mode is EdgeType(int(g.best_type[verts[-1], 0])).cover_mode
