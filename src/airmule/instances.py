@@ -192,7 +192,7 @@ def gen_random(n: int, extent: float, max_len: float, seed: int,
     """Sample n pairwise non-intersecting cells inside an extent x extent box.
 
     Rejection sampling; raises SamplingExhausted when the attempt cap is
-    hit before n cells are placed.
+    hit before n cells are placed, at once when n is over the cap.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -201,6 +201,9 @@ def gen_random(n: int, extent: float, max_len: float, seed: int,
         raise ValueError("extent and max_len must be positive and finite")
     if not 0.0 <= road_fraction <= 1.0:
         raise ValueError("road_fraction must be in [0, 1]")
+    if n > _SAMPLE_CAP:  # an attempt places at most one cell
+        raise SamplingExhausted(
+            f"{n} cells need more than {_SAMPLE_CAP} attempts")
     rng = random.Random(seed)
     cells: list[Cell] = []
     placed: list[tuple[tuple[float, float], tuple[float, float]]] = []

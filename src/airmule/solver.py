@@ -2,10 +2,11 @@
 
 solve_exact is the optimality oracle: a Held-Karp dynamic program over
 subsets of clusters (GTSP form, after Noon & Bean), with the depot fixed
-first.  solve_glns is an adaptive large neighborhood search in the style
-of GLNS: removal and insertion heuristics with adaptive weights,
-simulated-annealing acceptance and a cluster-reoptimization move that
-re-picks vertices along a fixed cluster order.
+first.  solve_glns is a large neighborhood search in the style of GLNS.
+Each iteration removes clusters by segment or by distance, reinserts
+them by cheapest, noisy, nearest or random insertion, each heuristic
+picked uniformly at random, re-picks the vertices along the new cluster
+order, and accepts the result by simulated annealing.
 
 Both solvers read the vertex layout through the graph module:
 cluster_span gives a cluster's vertex ids and cluster_views splits a
@@ -49,6 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 
@@ -65,11 +67,7 @@ BIG = 1e9
 _MODE_ITER_FACTOR = {"fast": 30, "default": 60, "slow": 150}
 _BASE_ITERS = 300
 _COOLING = 0.9987
-_SEGMENT = 100  # iterations between weight updates
 _NOISE = 0.25
-_SIGMA_BEST, _SIGMA_BETTER, _SIGMA_ACCEPTED = 10.0, 6.0, 3.0
-_REACTION = 0.5
-_MIN_WEIGHT = 0.05
 
 # The bound on solve_exact's DP tables: 12 bytes per (set, cluster,
 # vertex), 23.6 MB for 12 clusters of 40 vertices.  Within the bound every
@@ -100,6 +98,9 @@ class SolverParams:
             raise ValueError("time_budget must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        # The restarts are dealt as a range, which has no len beyond this.
+        if self.restarts > sys.maxsize:
+            raise ValueError(f"restarts must be at most {sys.maxsize}")
 
 
 def tour_cost(g: ClusteredGraph, tour: GtspTour) -> float:
@@ -330,7 +331,7 @@ _Snapshot = tuple[list[int], dict[int, int], list[_Step], float]
 
 
 class _Search:
-    """Mutable ALNS state for one restart."""
+    """Mutable search state for one restart."""
 
     def __init__(self, cost: np.ndarray, tmat: np.ndarray, m: int,
                  rng: random.Random, big: float) -> None:
@@ -434,17 +435,6 @@ class _Search:
         self.remove_clusters(removed)
         return removed
 
-    def remove_worst(self, count: int) -> list[int]:
-        ring = np.array(self.order[1:])
-        vs = np.array(self.tour_vertices(), dtype=np.intp)
-        prev, v, succ = vs[:-1], vs[1:], np.concatenate((vs[2:], vs[:1]))
-        gain = (self.tmat[v, prev] + self.tmat[succ, v]) - self.tmat[succ, prev]
-        noisy = gain * (1.0 + _NOISE * np.array([self.rng.random() for _ in ring]))
-        # Largest noisy gain first, ties to the smaller cluster.
-        removed = ring[np.lexsort((ring, -noisy))[:count]].tolist()
-        self.remove_clusters(removed)
-        return removed
-
     # Insertion heuristics.  Each inserts every removed cluster.
 
     def insert_greedy(self, removed: list[int], noisy: bool = False,
@@ -471,29 +461,8 @@ class _Search:
             remaining.remove(c)
 
 
-def _roulette(weights: list[float], rng: random.Random) -> int:
-    total = sum(weights)
-    pick = rng.random() * total
-    acc = 0.0
-    for idx, w in enumerate(weights):
-        acc += w
-        if pick < acc:
-            return idx
-    return len(weights) - 1
-
-
-def _adapt(weights: list[float], scores: list[float], tries: list[int]) -> None:
-    """Segment end, in place: tried weights move toward their mean score."""
-    for k, n in enumerate(tries):
-        if n:
-            weights[k] = max(_MIN_WEIGHT, (1 - _REACTION) * weights[k]
-                             + _REACTION * scores[k] / n)
-    scores[:] = [0.0] * len(scores)
-    tries[:] = [0] * len(tries)
-
-
 def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTour:
-    """Adaptive large neighborhood search over the clustered graph.
+    """Large neighborhood search over the clustered graph.
 
     The restarts run in the fork pool (workers.in_workers), dealt as a
     range of restart indices; the cheapest tour wins, ties to the lowest
@@ -546,36 +515,22 @@ def _restarts(g: ClusteredGraph, tmat: np.ndarray, big: float, m: int,
         restart_best = search.snapshot()
         restart_best_cost = cur_cost
 
-        removal_ops = [_Search.remove_segment, _Search.remove_distance,
-                       _Search.remove_worst]
-        insertion_ops = [
+        removals = [_Search.remove_segment, _Search.remove_distance]
+        insertions = [
             _Search.insert_greedy,  # cheapest
             lambda s, removed: s.insert_greedy(removed, noisy=True),
             lambda s, removed: s.insert_greedy(removed, nearest=True),
             _Search.insert_random]
-        w_rm = [1.0] * len(removal_ops)
-        w_ins = [1.0] * len(insertion_ops)
-        score_rm = [0.0] * len(removal_ops)
-        score_ins = [0.0] * len(insertion_ops)
-        tries_rm = [0] * len(removal_ops)
-        tries_ins = [0] * len(insertion_ops)
-
         temperature = 0.05 * cur_cost / math.log(2.0)
-        lo = 1
-        hi = min(m, max(2, int(round(0.3 * m))))
+        most = min(m, max(2, int(round(0.3 * m))))  # clusters one move removes
 
-        for it in range(iterations):
+        for _ in range(iterations):
             if time.monotonic() > deadline:
                 break
-            r_idx = _roulette(w_rm, rng)
-            i_idx = _roulette(w_ins, rng)
-            tries_rm[r_idx] += 1
-            tries_ins[i_idx] += 1
-
+            remove = rng.choice(removals)
+            insert = rng.choice(insertions)
             snap = search.snapshot()
-            count = rng.randint(lo, min(hi, m))
-            removed = removal_ops[r_idx](search, count)
-            insertion_ops[i_idx](search, removed)
+            insert(search, remove(search, rng.randint(1, most)))
             if search.order == snap[0]:
                 # The move put the same order back: the DP would re-pick
                 # the snapshot's vertices at the current cost.
@@ -588,32 +543,16 @@ def _restarts(g: ClusteredGraph, tmat: np.ndarray, big: float, m: int,
                 search.reoptimize_vertices()
                 cand_cost = search.total
 
-            sigma = 0.0
-            accept = False
-            if cand_cost < restart_best_cost:
-                sigma, accept = _SIGMA_BEST, True
-            elif cand_cost < cur_cost:
-                sigma, accept = _SIGMA_BETTER, True
-            elif temperature > 0 and \
-                    rng.random() < math.exp(-(cand_cost - cur_cost) / temperature):
-                sigma, accept = _SIGMA_ACCEPTED, True
-
-            if accept:
+            if cand_cost < cur_cost or (temperature > 0 and rng.random()
+                                        < math.exp(-(cand_cost - cur_cost)
+                                                   / temperature)):
                 cur_cost = cand_cost
                 if cand_cost < restart_best_cost:
                     restart_best_cost = cand_cost
                     restart_best = search.snapshot()
             else:
                 search.restore(snap)
-
-            if sigma:
-                score_rm[r_idx] += sigma
-                score_ins[i_idx] += sigma
-
             temperature *= _COOLING
-            if it % _SEGMENT == _SEGMENT - 1:
-                _adapt(w_rm, score_rm, tries_rm)
-                _adapt(w_ins, score_ins, tries_ins)
 
         search.restore(restart_best)
         search.polish(deadline)

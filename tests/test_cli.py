@@ -339,3 +339,16 @@ def test_non_finite_gen_size_exit_code(capsys, argv):
     assert code == 2
     assert "finite" in err
     assert time.monotonic() - start < 5.0  # refused, not sampled to the cap
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "-n", "99999999999999999999"),
+    ("sweep", "cells", "--values", "99999999999999999999")])
+def test_gen_size_past_attempt_cap_exit_code(capsys, argv):
+    # Each attempt places at most one cell, so more cells than attempts
+    # are refused before the first draw.
+    start = time.monotonic()
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "attempts" in err
+    assert time.monotonic() - start < 5.0

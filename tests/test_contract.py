@@ -210,9 +210,11 @@ def test_plan_numbers(tmp_path, path, value, message):
     (("--time-budget", "inf"), 0, "plan cost"),
     # Runs until the budget: the restart indices are never listed.
     (("--restarts", "1000000000", "--time-budget", "1"), 0, "plan cost"),
+    # A range of more than sys.maxsize restart indices has no len.
+    (("--restarts", "99999999999999999999"), 2, "restarts must be at most"),
 ], ids=["zero-restarts", "negative-restarts", "nan-budget", "zero-budget",
         "minus-inf-budget", "minus-inf-budget-value", "inf-budget",
-        "billion-restarts"])
+        "billion-restarts", "restarts-past-maxsize"])
 def test_glns_flags(tmp_path, argv, code, message):
     got, err = check_plan_run(tmp_path, documents()[0],
                               ("--mode", "fast", *argv))

@@ -232,15 +232,16 @@ def test_solver_params_validation():
 
 
 def test_glns_output_pinned():
-    # Values recorded before the solver moved to cluster-block views; any
-    # change to the search's float operations, tie-breaks or RNG stream
-    # shows up here as a different tour or a different last digit.
+    # Values recorded when the search dropped remove_worst and its
+    # adaptive operator weights; any change to the search's float
+    # operations, tie-breaks or RNG stream shows up here as a different
+    # tour or a different last digit.
     params = SolverParams(mode="fast", restarts=2, rng_seed=11)
     g = build_instance(gen_random(6, 40.0, 8.0, seed=3),
                        PlannerConfig(d_max=80.0, battery_levels=4))
     tour = solve_glns(g, params)
-    assert tour.vertices == (0, 13, 7, 29, 47, 34, 20)
-    assert repr(tour.cost) == "195.93468471595128"
+    assert tour.vertices == (0, 21, 39, 41, 27, 2, 12)
+    assert repr(tour.cost) == "195.93468471595133"
 
     # Tight battery and off-road cells: over a third of the cell-to-cell
     # entries are infinite, so the search prices BIG penalty edges.
@@ -253,15 +254,14 @@ def test_glns_output_pinned():
     assert tour.vertices == (0, 37, 11, 25, 42, 18, 8)
     assert repr(tour.cost) == "345.59111677268976"
 
-    # Longer searches, recorded before the search kept its DP prefix and
-    # insertion deltas across calls: many-round insertions and long DP
-    # prefixes, on a plain farm and on a tight-battery off-road one.
+    # Longer searches: many-round insertions and long DP prefixes, on a
+    # plain farm and on a tight-battery off-road one.
     g = build_instance(gen_random(15, 60.0, 8.0, seed=5),
                        PlannerConfig(d_max=120.0, battery_levels=5))
     tour = solve_glns(g, SolverParams(mode="default", restarts=1, rng_seed=3))
-    assert tour.vertices == (0, 11, 74, 26, 43, 100, 82, 149, 51, 8, 130, 107,
-                             119, 36, 68, 140)
-    assert repr(tour.cost) == "537.4794378589206"
+    assert tour.vertices == (0, 71, 28, 45, 97, 144, 81, 53, 10, 127, 109, 16,
+                             113, 36, 68, 140)
+    assert repr(tour.cost) == "541.8819760153125"
 
     g = build_instance(gen_random(12, 100.0, 10.0, seed=8, road_fraction=0.7),
                        PlannerConfig(d_max=60.0, battery_levels=5,
@@ -521,19 +521,6 @@ def test_held_karp_matches_brute_force(data, exact_sums):
         assert vertices == [choice[c] for c in order]
 
 
-def worst_scan(search, count):
-    """remove_worst's choice by a per-position loop with scalar reads."""
-    tour = search.tour_vertices()
-    scored = []
-    for pos in range(1, len(tour)):
-        a, v, b = tour[pos - 1], tour[pos], tour[(pos + 1) % len(tour)]
-        gain = (float(search.tmat[v, a]) + float(search.tmat[b, v])
-                - float(search.tmat[b, a]))
-        noisy = gain * (1.0 + _NOISE * search.rng.random())
-        scored.append((-noisy, search.order[pos]))
-    return [c for _, c in sorted(scored)[:count]]
-
-
 def distance_scan(search, count):
     """remove_distance's choice by a per-cluster loop with scalar reads."""
     ring = search.order[1:]
@@ -550,26 +537,24 @@ def distance_scan(search, count):
                                             math.inf]), 6),
        seed=st.integers(0, 2**32))
 def test_removals_match_scan_loop(data, case, seed):
-    # The removal heuristics score the tour with array reads; the loops
-    # they replaced must remove the same clusters in the same order and
-    # leave the RNG in the same state.  Mostly-zero matrices give many
-    # zero gains, whose noisy scores tie and go to the smaller cluster.
+    # remove_distance scores the tour with array reads; the loop it
+    # replaced must remove the same clusters in the same order and leave
+    # the RNG in the same state.  Mostly-zero matrices give many zero
+    # distances, which tie and go to the smaller cluster.
     m, width, cost = case
     _, tmat = penalized(cost)
     perm = data.draw(st.permutations(range(1, m + 1)))
     picks = [data.draw(st.sampled_from(cluster_vertices(c, width)))
              for c in perm]
     count = data.draw(st.integers(1, m))
-    for remove, scan in ((_Search.remove_worst, worst_scan),
-                         (_Search.remove_distance, distance_scan)):
-        search, ref = (_Search(cost, tmat, m, random.Random(seed), BIG)
-                       for _ in "ab")
-        for s in (search, ref):
-            for c, v in zip(perm, picks):
-                s.insert(c, len(s.order) - 1, v)
-        expect = scan(ref, count)
-        assert remove(search, count) == expect
-        assert search.rng.random() == ref.rng.random()
+    search, ref = (_Search(cost, tmat, m, random.Random(seed), BIG)
+                   for _ in "ab")
+    for s in (search, ref):
+        for c, v in zip(perm, picks):
+            s.insert(c, len(s.order) - 1, v)
+    expect = distance_scan(ref, count)
+    assert search.remove_distance(count) == expect
+    assert search.rng.random() == ref.rng.random()
 
 
 def glns_or_none(g, params):
