@@ -78,10 +78,12 @@ def _params_from_args(args: argparse.Namespace) -> SolverParams:
 
 
 def _solve(cells, cfg, args):
+    # The flags are checked before the build, which can take seconds.
+    params = _params_from_args(args)
     g = build_instance(cells, cfg)
     if args.solver == "exact":
         return g, solve_exact(g)
-    return g, solve_glns(g, _params_from_args(args))
+    return g, solve_glns(g, params)
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -32,6 +32,21 @@ once, then after each insert replaces only the broken edge's deltas by
 those of the two new edges.  A move that puts the same cluster order
 back keeps the vertices and cost it started from, without a DP.
 
+The DP of a candidate also stops early once the annealing test is sure
+to reject it.  Where its recomputation starts, and every _BOUND_EVERY
+steps after, it bounds the cycle cost from below: the least cost its
+last step reaches, plus the cheapest entry of each cluster block still
+to cross, plus the last cluster's cheapest closing edge.  Once that bound
+reaches the current cost, the candidate cannot be accepted outright, so
+the test's one uniform draw u is taken there and kept for the test;
+nothing else draws from the RNG in between, so the stream is the one a
+full DP leaves.  The DP stops when u rejects even the bound: when
+u (1 - 1e-9) >= exp(-(bound (1 - 1e-12) - cur) / T).  The margins cover
+the bound's sums, taken in another order than the DP's left-to-right
+float sums of nonnegative costs, and an exp that is monotone only to
+within an ulp.  Every tour, cost and RNG draw is the one a full DP
+gives.
+
 The restarts of solve_glns are independent, each with its own seeded
 RNG.  On Linux they run in the fork pool of the workers module: the
 caller and forked workers, which share the cost matrices copy-on-write.
@@ -52,6 +67,7 @@ import math
 import random
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +84,11 @@ _MODE_ITER_FACTOR = {"fast": 30, "default": 60, "slow": 150}
 _BASE_ITERS = 300
 _COOLING = 0.9987
 _NOISE = 0.25
+# DP steps between two looks at a candidate's lower bound.  A look costs a
+# reduction over 2C values, a step a 2C x 2C min-plus product; on an n=50
+# search, looking every step saves only 1% more steps than every 2 for
+# twice the looks, and every 4 or 8 stops later.
+_BOUND_EVERY = 2
 
 # The bound on solve_exact's DP tables: 12 bytes per (set, cluster,
 # vertex), 23.6 MB for 12 clusters of 40 vertices.  Within the bound every
@@ -191,8 +212,9 @@ _Step = tuple[int, np.ndarray, np.ndarray | None]
 
 
 def _layered_dp(into: np.ndarray, depart: np.ndarray, arrive: np.ndarray,
-                order: list[int], steps: list[_Step] | None = None
-                ) -> tuple[float, dict[int, int]]:
+                order: list[int], steps: list[_Step] | None = None,
+                give_up: Callable[[int, np.ndarray], bool] | None = None
+                ) -> tuple[float, dict[int, int]] | None:
     """Best vertex per cluster for a fixed cyclic cluster order.
 
     into[b, v, a, u] is the cost from vertex u of cluster a + 1 to v of
@@ -204,7 +226,10 @@ def _layered_dp(into: np.ndarray, depart: np.ndarray, arrive: np.ndarray,
     depot.  A step depends only on the order up to its position, so the
     steps along the prefix this order shares with that call are kept as
     they are, the rest are recomputed, and steps is left holding this
-    order's DP.
+    order's DP.  give_up, when given, is called as give_up(j, cost of step
+    j) where the recomputation starts and every _BOUND_EVERY steps after;
+    once it returns True the DP stops and returns None, with steps holding
+    a prefix of this order's DP.
     """
     width = into.shape[1]
     rows = np.arange(width)
@@ -218,8 +243,12 @@ def _layered_dp(into: np.ndarray, depart: np.ndarray, arrive: np.ndarray,
     del steps[keep:]
     if not steps:
         steps.append((order[1], depart[order[1] - 1], None))
+    start = len(steps)
     for c in order[len(steps) + 1:]:
         c_prev, dp, _ = steps[-1]
+        if give_up is not None and (len(steps) - start) % _BOUND_EVERY == 0 \
+                and give_up(len(steps) - 1, dp):
+            return None
         trans = into[c - 1, :, c_prev - 1, :] + dp
         parent = trans.argmin(axis=1)
         steps.append((c, trans[rows, parent], parent))
@@ -244,8 +273,9 @@ class _Insertions:
     leave on a depot-only tour, which has no edge to break (tmat[0, 0] is
     the penalty).  An insertion sets its cluster's row of raw to inf, a
     dead row no pick can reach, and replaces the broken edge's entries
-    (axis 1) by those of its two new edges, so a round gathers
-    2 * len(clusters) * 2C entries, not the whole array again.  prox[r], the smallest edge
+    (axis 1) by those of its two new edges, inf on the dead rows, so a
+    round gathers 2 * len(clusters) * 2C entries, not the whole array
+    again.  prox[r], the smallest edge
     between clusters[r] and any tour vertex (inf once inserted), is kept
     only for nearest calls; it is None otherwise.
     """
@@ -276,7 +306,8 @@ class _Insertions:
         return enter, s.tmat_out[tails, self.picked]
 
     def best(self, noisy: bool) -> tuple[float, int, int, int]:
-        """Cheapest (delta, cluster, position, vertex) insertion.
+        """Cheapest (delta, row, position, vertex) insertion, the cluster
+        being clusters[row].
 
         With noisy, each position delta is scaled by 1 + _NOISE * u,
         drawing len(tour) values per cluster left, in cluster order.  In a
@@ -300,15 +331,15 @@ class _Insertions:
             r = int(self.prox.argmin())
             rest = int(delta[r].argmin())
         pos, k = divmod(rest, width)
-        c = self.clusters[r]
-        vertex = cluster_span(c, width).start + k
-        return float(delta[r, pos, k]), c, pos, vertex
+        vertex = cluster_span(self.clusters[r], width).start + k
+        return float(delta[r, pos, k]), r, pos, vertex
 
-    def insert(self, cluster: int, pos: int, vertex: int) -> None:
-        """Insert into the search's tour and update the kept deltas."""
+    def insert(self, row: int, pos: int, vertex: int) -> None:
+        """Insert clusters[row] into the search's tour and update the kept
+        deltas."""
         s = self.search
-        s.insert(cluster, pos, vertex)
-        self.dead[self.clusters.index(cluster)] = True
+        s.insert(self.clusters[row], pos, vertex)
+        self.dead[row] = True
         self.left -= 1
         if not self.left:
             return
@@ -317,9 +348,10 @@ class _Insertions:
         heads, tails = np.array([[a, vertex], [vertex, b]], dtype=np.intp)
         enter, leave = self._edges(heads, tails)
         fresh = (enter + leave) - s.tmat[tails, heads][:, None]
+        fresh[self.dead] = np.inf
         self.raw = np.concatenate(
             (self.raw[:, :pos], fresh, self.raw[:, pos + 1:]), axis=1)
-        self.raw[self.dead] = np.inf
+        self.raw[row] = np.inf
         if self.prox is not None:
             self.prox = np.minimum(self.prox, np.minimum(
                 enter[:, 1], leave[:, 0]).min(axis=1))
@@ -344,6 +376,10 @@ class _Search:
         # from each cluster into a vertex.
         self.cost_out = cost[:, 1:].reshape(len(cost), m, self.width)
         self.tmat_out = tmat[:, 1:].reshape(len(tmat), m, self.width)
+        # The parts of the DP's lower bound: the cheapest edge from
+        # cluster a + 1 to b + 1 at [b, a], and out of c + 1 to the depot.
+        self.block_min = self.into.min(axis=(1, 3)).tolist()
+        self.close_min = self.arrive.min(axis=1).tolist()
         self.rng = rng
         self.order: list[int] = [0]
         self.choice: dict[int, int] = {0: 0}
@@ -366,11 +402,37 @@ class _Search:
         for c in removed:
             del self.choice[c]
 
-    def reoptimize_vertices(self) -> None:
+    def tails(self) -> list[float]:
+        """tails[j]: the least the cycle adds after the DP step at order
+        position j + 1, the cheapest edge of each later cluster pair and
+        the last cluster's cheapest closing edge, summed from the end."""
+        c = [x - 1 for x in self.order[1:]]
+        hops = [self.block_min[b][a] for a, b in zip(c, c[1:])]
+        hops.append(self.close_min[c[-1]])
+        return list(itertools.accumulate(reversed(hops)))[::-1]
+
+    def reoptimize_vertices(
+            self, rejects: Callable[[float], bool] | None = None) -> bool:
+        """Re-pick every vertex along the order by the layered DP.
+
+        With rejects, the DP stops once rejects(bound) holds for a lower
+        bound on the cycle cost (the module docstring) and this returns
+        False, leaving choice and total stale for the caller to restore.
+        """
         if len(self.order) < 2:
-            return
-        self.total, self.choice = _layered_dp(
-            self.into, self.depart, self.arrive, self.order, self.steps)
+            return True
+        give_up = None
+        if rejects is not None:
+            tails = self.tails()
+
+            def give_up(j: int, dp: np.ndarray) -> bool:
+                return rejects(float(dp.min()) + tails[j])
+        done = _layered_dp(self.into, self.depart, self.arrive, self.order,
+                           self.steps, give_up)
+        if done is None:
+            return False
+        self.total, self.choice = done
+        return True
 
     def _relocate_to_local_opt(self, deadline: float) -> None:
         improved = True
@@ -442,8 +504,8 @@ class _Search:
         """Repeatedly insert the cluster _Insertions.best picks."""
         prices = _Insertions(self, sorted(removed), nearest)
         while prices.left:
-            _, c, pos, vertex = prices.best(noisy)
-            prices.insert(c, pos, vertex)
+            _, row, pos, vertex = prices.best(noisy)
+            prices.insert(row, pos, vertex)
 
     def insert_random(self, removed: list[int]) -> None:
         """Random cluster into a random position, best vertex for it."""
@@ -459,6 +521,44 @@ class _Search:
             k = int(np.argmin(enter))
             self.insert(c, pos, span.start + k)
             remaining.remove(c)
+
+
+class _Metropolis:
+    """The annealing test of one candidate against the current cost cur:
+    accept when cand < cur, else when u < exp(-(cand - cur) / T) for one
+    uniform draw u of the search's RNG, with no draw when T is 0.
+
+    rejects takes that draw early, during the candidate's DP, once a
+    lower bound shows cand >= cur; accepts then reuses it.
+    """
+
+    def __init__(self, rng: random.Random, cur: float,
+                 temperature: float) -> None:
+        self.rng = rng
+        self.cur = cur
+        self.temperature = temperature
+        self.u: float | None = None
+
+    def _draw(self) -> float:
+        if self.u is None:
+            self.u = self.rng.random()
+        return self.u
+
+    def rejects(self, bound: float) -> bool:
+        """Whether any cost at or above bound is sure to be rejected,
+        with the margins of the module docstring."""
+        bound *= 1 - 1e-12
+        if bound < self.cur or not self.temperature > 0:
+            return False
+        return self._draw() * (1 - 1e-9) >= math.exp(
+            -(bound - self.cur) / self.temperature)
+
+    def accepts(self, cand: float) -> bool:
+        if cand < self.cur:
+            return True
+        if not self.temperature > 0:
+            return False
+        return self._draw() < math.exp(-(cand - self.cur) / self.temperature)
 
 
 def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTour:
@@ -531,21 +631,22 @@ def _restarts(g: ClusteredGraph, tmat: np.ndarray, big: float, m: int,
             insert = rng.choice(insertions)
             snap = search.snapshot()
             insert(search, remove(search, rng.randint(1, most)))
+            test = _Metropolis(rng, cur_cost, temperature)
             if search.order == snap[0]:
                 # The move put the same order back: the DP would re-pick
                 # the snapshot's vertices at the current cost.
                 search.restore(snap)
                 cand_cost = cur_cost
-            else:
+            elif search.reoptimize_vertices(test.rejects):
                 # Vertex choice (battery level) dominates cost here, so
                 # every candidate order is evaluated with its DP-optimal
                 # vertices.
-                search.reoptimize_vertices()
                 cand_cost = search.total
+            else:
+                # The DP stopped: test holds the draw that rejects it.
+                cand_cost = math.inf
 
-            if cand_cost < cur_cost or (temperature > 0 and rng.random()
-                                        < math.exp(-(cand_cost - cur_cost)
-                                                   / temperature)):
+            if test.accepts(cand_cost):
                 cur_cost = cand_cost
                 if cand_cost < restart_best_cost:
                     restart_best_cost = cand_cost

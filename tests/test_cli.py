@@ -152,6 +152,24 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+@pytest.mark.parametrize("command", ["plan", "compare"])
+@pytest.mark.parametrize("solver", ["glns", "exact"])
+def test_solver_flags_checked_before_build(tmp_path, capsys, monkeypatch,
+                                           command, solver):
+    # A bad flag is refused before the graph build, which takes seconds on
+    # a large farm.
+    inst = gen_instance(tmp_path, capsys)
+
+    def build_instance(cells, cfg):
+        raise AssertionError("built the graph")
+
+    monkeypatch.setattr("airmule.cli.build_instance", build_instance)
+    code, _, err = run(capsys, command, str(inst), "--solver", solver,
+                       "--restarts", "0")
+    assert code == 2
+    assert "restarts must be at least 1" in err
+
+
 def test_exact_plans_nine_cells(tmp_path, capsys):
     # The DP tables' byte bound is the exact solver's only limit: 9 cells at
     # C=20 take 2.2 MB of tables and solve.

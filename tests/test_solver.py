@@ -402,9 +402,9 @@ def test_batched_insertion_matches_scan(data, case, rule, seed):
     ref_rng = random.Random(seed)
     expect = scan_insertion(pmat, width, search.tour_vertices(), clusters,
                             rule == "noisy", rule == "nearest", ref_rng)
-    got = _Insertions(search, clusters, rule == "nearest").best(
-        rule == "noisy")
-    assert got == expect
+    delta, row, pos, vertex = _Insertions(
+        search, clusters, rule == "nearest").best(rule == "noisy")
+    assert (delta, clusters[row], pos, vertex) == expect
     assert search.rng.random() == ref_rng.random()
 
 
@@ -489,6 +489,82 @@ def test_reoptimize_matches_fresh_dp(data, case):
             snaps.append(search.snapshot())
         elif move == "restore":
             search.restore(data.draw(st.sampled_from(snaps)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), levels=st.integers(1, 6),
+       farm_seed=st.integers(0, 2**16),
+       d_max=st.sampled_from([25.0, 40.0, 60.0, 400.0]), data=st.data())
+def test_dp_lower_bound_never_exceeds_total(n, levels, farm_seed, d_max,
+                                            data):
+    # Tight d_max on a 100 m farm with off-road ends leaves many edges
+    # infinite, which the search prices at the penalty.
+    g = build_instance(gen_random(n, 100.0, 10.0, seed=farm_seed,
+                                  road_fraction=0.7),
+                       PlannerConfig(d_max=d_max, battery_levels=levels,
+                                     ugv_speed_ratio=0.2))
+    _, tmat = penalized(g.cost)
+    search = _Search(g.cost, tmat, n, random.Random(0), BIG)
+    search.order = [0] + list(data.draw(st.permutations(range(1, n + 1))))
+    checked = []
+
+    def rejects(bound):
+        checked.append(bound)
+        return False
+
+    assert search.reoptimize_vertices(rejects)
+    tails = search.tails()
+    bounds = [float(dp.min()) + tail
+              for (_, dp, _), tail in zip(search.steps, tails)]
+    assert len(bounds) == n
+    assert checked == bounds[:-1:solver._BOUND_EVERY]
+    assert all(b * (1 - 1e-12) <= search.total for b in bounds)
+
+
+# The GLNS farms of test_glns_output_pinned, with their solver settings.
+_PINNED_FARMS = [
+    ((6, 40.0, 8.0, 3, 1.0), dict(d_max=80.0, battery_levels=4),
+     SolverParams(mode="fast", restarts=2, rng_seed=11)),
+    ((6, 100.0, 10.0, 2, 0.7),
+     dict(d_max=60.0, battery_levels=4, ugv_speed_ratio=0.2),
+     SolverParams(mode="fast", restarts=2, rng_seed=11)),
+    ((15, 60.0, 8.0, 5, 1.0), dict(d_max=120.0, battery_levels=5),
+     SolverParams(mode="default", restarts=1, rng_seed=3)),
+    ((12, 100.0, 10.0, 8, 0.7),
+     dict(d_max=60.0, battery_levels=5, ugv_speed_ratio=0.2),
+     SolverParams(mode="fast", restarts=2, rng_seed=4)),
+]
+
+
+@pytest.mark.parametrize("farm, cfg, params", _PINNED_FARMS)
+def test_stopped_dp_only_skips_rejected_candidates(monkeypatch, farm, cfg,
+                                                   params):
+    # Every candidate whose DP the bound stops must be one that the full
+    # DP's total and the same draw reject: cost >= cur and
+    # u >= exp(-(cost - cur) / T).
+    n, extent, max_len, seed, roads = farm
+    g = build_instance(gen_random(n, extent, max_len, seed=seed,
+                                  road_fraction=roads), PlannerConfig(**cfg))
+    stopped = []
+    reoptimize = _Search.reoptimize_vertices
+
+    def recorded(self, rejects=None):
+        done = reoptimize(self, rejects)
+        if not done:
+            test = rejects.__self__
+            stopped.append((self, self.order.copy(), test.cur,
+                            test.temperature, test.u))
+        return done
+
+    monkeypatch.setattr(_Search, "reoptimize_vertices", recorded)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    solve_glns(g, params)
+    assert stopped
+    for search, order, cur, temperature, u in stopped:
+        total, _ = _layered_dp(search.into, search.depart, search.arrive,
+                               order)
+        assert total >= cur
+        assert u >= math.exp(-(total - cur) / temperature)
 
 
 @settings(max_examples=150, deadline=None)
