@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .geometry import FlightMode
 
 # Tolerates float noise in distance*C/d_max just above an integer.
@@ -64,24 +66,29 @@ class RechargeSplit:
         return self.at_exit + self.at_entry + self.in_transit
 
 
-def consumption_levels(distance: float, mode: FlightMode, cfg: PlannerConfig) -> int:
-    """Battery levels consumed by flying the given distance, rounded up.
+def consumption_levels(distance: float | np.ndarray, mode: FlightMode,
+                       cfg: PlannerConfig) -> int | np.ndarray:
+    """Battery levels consumed by flying the given distance, rounded up:
+    an int for one distance, an int64 array for an array of them.
 
-    A leg that needs more than a full battery returns battery_levels + 1,
+    A leg that needs more than a full battery counts battery_levels + 1,
     "more than a full battery", which every caller treats as unflyable;
-    so an overflowing, infinite or NaN count never reaches int() or an
-    int64 array.
+    so an overflowing, infinite or NaN count never reaches an int.
     """
-    if distance < 0:
+    distance = np.asarray(distance, dtype=np.float64)
+    if (distance < 0).any():
         raise ValueError("distance must be non-negative")
     span = cfg.d_max
     if mode is FlightMode.FIXED_WING:
         span = cfg.d_max * cfg.fixed_wing_ratio
-    x = distance * cfg.battery_levels / span - _LEVEL_EPS
+    # Python floats overflow to inf, and inf / inf gives NaN, silently;
+    # so do these arrays.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = distance * cfg.battery_levels / span - _LEVEL_EPS
     # Written so that NaN fails too: every comparison with it is False.
-    if not x <= cfg.battery_levels:
-        return cfg.battery_levels + 1
-    return max(0, math.ceil(x))
+    levels = np.where(x <= cfg.battery_levels, np.maximum(0.0, np.ceil(x)),
+                      cfg.battery_levels + 1).astype(np.int64)
+    return levels if levels.ndim else int(levels)
 
 
 def recharge_time(levels: int, cfg: PlannerConfig) -> float:

@@ -30,12 +30,17 @@ edges of a tour are ever typed.  Off-road landing sites are mask terms
 of the templates, so a template always returns a grid, infinite where
 the layout cannot be flown.
 
-A source cell's rows of the cost matrix (its transit legs, then the
-templates on its grid) depend on no other cell's rows.  Above a size
-that pays for the forks, build_instance deals the source cells round-
-robin to the fork pool of the workers module; the matrix then sits in a
-shared anonymous mapping, every worker writes its cells' rows straight
-into it, and the bytes are those of a one-process build.
+The legs come first, once per graph: build_instance computes the
+coverage passes of every cell and the transit legs of every ordered end
+pair of the farm in one array pass (geometry.dubins_arrays for the
+fixed-wing legs), and the graph keeps them; the build's templates,
+breakdown and best_type all read those arrays, so decode evaluates no
+Dubins path.  A source cell's rows of the cost matrix (the templates on
+its grid) then depend on no other cell's rows.  Above a size that pays
+for the forks, build_instance deals the source cells round-robin to the
+fork pool of the workers module; the matrix then sits in a shared
+anonymous mapping, every worker writes its cells' rows straight into
+it, and the bytes are those of a one-process build.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ import enum
 import functools
 import math
 import mmap
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,17 +58,19 @@ from . import workers
 from .energy import (PlannerConfig, RechargeSplit, consumption_levels,
                      recharge_time)
 from .errors import InstanceTooLarge
-from .geometry import (
+# dubins_shortest is not called here; it stays importable from this
+# module beside consumption_levels, the two names perfbench's --trace 1
+# wraps by name.
+from .geometry import (  # noqa: F401
     END_A,
     END_B,
     Cell,
     FlightMode,
-    Pose,
     Site,
+    dubins_arrays,
     dubins_shortest,
-    euclid,
+    elementwise,
     traversal_heading,
-    ugv_time,
 )
 
 INF = math.inf
@@ -82,6 +89,13 @@ _MATRIX_MAX_BYTES = 512 << 20
 # 23 ms of 95 at 231k and 93 ms of 253 at 642k.  2**17 starts the second
 # worker at 262k entries, past the break-even with room for slower forks.
 _BUILD_ENTRIES_PER_WORKER = 1 << 17
+
+# End pairs per dubins_arrays call of _farm_legs.  Farms of up to 32
+# cells take one call; larger ones take blocks, which keeps the pass's
+# temporaries small: one call over glns-n50's 9,800 pairs read 1.0-2.5 MB
+# more perfbench peak RSS than blocks of 4,096 (heap the search that
+# follows did not reuse).
+_PAIRS_PER_CALL = 1 << 12
 
 _MR = FlightMode.MULTI_ROTOR
 _FW = FlightMode.FIXED_WING
@@ -178,37 +192,88 @@ class EdgeBreakdown:
     ride_time: Optional[float]  # max(ugv travel, recharge), ride edges only
 
 
-def _cover_legs(cell: Cell, cfg: PlannerConfig) -> tuple[tuple[float, int], ...]:
-    """(time, levels) of the coverage pass: multi-rotor, then fixed-wing."""
-    length = cell.length
-    return ((length, consumption_levels(length, _MR, cfg)),
-            (length / cfg.fixed_wing_speed, consumption_levels(length, _FW, cfg)))
-
-
-# The ways from one cell's exit to the next cell's entry, in the order
-# _pair_legs returns them.
+# The ways from one cell's exit to the next cell's entry, in the order of
+# the leading axis of _Legs.transit_t and transit_c.
 _MR_LEG, _AIR_LEG, _STOP_LEG, _RIDE_LEG = range(4)
 
+_ENDS = (END_A, END_B)
 
-def _pair_legs(exit_i: Site, entry_j: Site, h_i: float, h_j: float,
-               cfg: PlannerConfig) -> tuple[tuple[float, int], ...]:
-    """(time, levels) of each transit leg of one ordered end pair.
+
+class _Legs(NamedTuple):
+    """Every flight leg of a farm, as (time, levels).
+
+    covers[i] holds cell i's coverage pass, multi-rotor then fixed-wing.
+    Traversal (i, x) enters cell i at end _ENDS[x]; headings[i, x] is its
+    coverage heading, and exit_road[i, x] and entry_road[i, x] are the
+    road flags of its exit and entry site.  transit_t[k, i, x, j, y] and
+    transit_c[k, i, x, j, y] are the time and levels of transit leg k,
+    one of _MR_LEG, _AIR_LEG, _STOP_LEG, _RIDE_LEG, from the exit of
+    traversal (i, x) to the entry of traversal (j, y); the j == i entries
+    are no edges and hold 0.
+    """
+
+    covers: list[tuple[tuple[float, int], tuple[float, int]]]
+    headings: np.ndarray
+    exit_road: np.ndarray
+    entry_road: np.ndarray
+    transit_t: np.ndarray
+    transit_c: np.ndarray
+
+
+def _farm_legs(cells: list[Cell], cfg: PlannerConfig) -> _Legs:
+    """All of a farm's legs, the transit legs of every ordered end pair
+    in one array pass.
 
     Airborne at the exit a fixed-wing leg starts on the coverage heading
-    h_i; after a take-off the hybrid can rotate in place, so it starts
-    already aligned with the next entry heading h_j.  Riding the UGV costs
-    no flight energy.
+    of cell i; after a take-off the hybrid can rotate in place, so it
+    starts already aligned with the entry heading of cell j.  Riding the
+    UGV costs no flight energy.
     """
-    d = euclid(exit_i, entry_j)
-    start, goal = (exit_i.x, exit_i.y), (entry_j.x, entry_j.y)
-    air = dubins_shortest(Pose(start, h_i), Pose(goal, h_j),
-                          cfg.turn_radius).total_length
-    stop = dubins_shortest(Pose(start, h_j), Pose(goal, h_j),
-                           cfg.turn_radius).total_length
-    return ((d, consumption_levels(d, _MR, cfg)),
-            (air / cfg.fixed_wing_speed, consumption_levels(air, _FW, cfg)),
-            (stop / cfg.fixed_wing_speed, consumption_levels(stop, _FW, cfg)),
-            (ugv_time(exit_i, entry_j, cfg), 0))
+    n = len(cells)
+    # The arrays the graph keeps come first, below the pass's temporaries
+    # on the heap; allocated last they left about 0.2 MB more perfbench
+    # peak RSS on glns-n50.
+    transit_t = np.zeros((4, n, 2, n, 2))
+    transit_c = np.zeros((4, n, 2, n, 2), dtype=np.int64)
+    length = np.array([cell.length for cell in cells])
+    headings = np.array([[traversal_heading(c, e) for e in _ENDS]
+                         for c in cells])
+    exits = np.array([[(c.other_end(e).x, c.other_end(e).y) for e in _ENDS]
+                      for c in cells])
+    entries = np.array([[(c.end(e).x, c.end(e).y) for e in _ENDS]
+                        for c in cells])
+    # The end pairs (i, x) -> (j, y) between two different cells; the
+    # j == i entries stay 0.
+    pairs = np.broadcast_to((np.arange(n)[:, None] != np.arange(n))
+                            [:, None, :, None], (n, 2, n, 2))
+    i, x, j, y = np.nonzero(pairs)
+    (ex, ey), (nx, ny) = exits[i, x].T, entries[j, y].T
+    h_j = headings[j, y]
+    # Python floats overflow to inf silently, and so do these arrays.
+    with np.errstate(over="ignore"):
+        cover_fw = length / cfg.fixed_wing_speed
+        d = elementwise(math.hypot, nx - ex, ny - ey)
+        # Airborne at the exit, then stopped: two start headings, stacked.
+        h_ij = np.stack((headings[i, x], h_j))
+        fw = np.empty(h_ij.shape)
+        for k in range(0, len(d), _PAIRS_PER_CALL):
+            s = slice(k, k + _PAIRS_PER_CALL)
+            fw[:, s] = dubins_arrays(ex[s], ey[s], h_ij[:, s], nx[s], ny[s],
+                                     h_j[s], cfg.turn_radius)[2]
+        fw_t = fw / cfg.fixed_wing_speed
+        ride = d / cfg.ugv_speed_ratio
+    covers = list(zip(zip(length.tolist(),
+                          consumption_levels(length, _MR, cfg).tolist()),
+                      zip(cover_fw.tolist(),
+                          consumption_levels(length, _FW, cfg).tolist())))
+    fw_c = consumption_levels(fw, _FW, cfg)
+    transit_t[:, pairs] = (d, fw_t[0], fw_t[1], ride)
+    transit_c[:3, pairs] = (consumption_levels(d, _MR, cfg), fw_c[0], fw_c[1])
+    exit_road = np.array([[c.other_end(e).on_road for e in _ENDS]
+                          for c in cells])
+    entry_road = np.array([[c.end(e).on_road for e in _ENDS] for c in cells])
+    return _Legs(covers, headings, exit_road, entry_road, transit_t,
+                 transit_c)
 
 
 # Stop-layout templates.  Each prices one edge type over arrays of levels
@@ -218,7 +283,7 @@ def _pair_legs(exit_i: Site, entry_j: Site, h_i: float, h_j: float,
 # implies.  The cost is inf where the battery would leave [0, C] or a site
 # the layout lands at is off the road.  build_instance calls them once per
 # source cell, on the grid of every end pair leaving it by every pair of
-# levels, and edge_breakdown on one pair of levels, so they are the one
+# levels, and _cheapest_edge on one pair of levels, so they are the one
 # formula for both the cost and the recharge split of a typed edge.
 
 
@@ -283,50 +348,60 @@ def _table_row(t: EdgeType):
     return template, (0 if t.cover_mode is _MR else 1), leg
 
 
-# (template, index into _cover_legs, index into _pair_legs) per edge type,
+# (template, index into a cell's covers, transit leg) per edge type,
 # in enum order, so the first minimum over the rows is the tie-break.
 _TABLE = tuple(_table_row(t) for t in EdgeType)
 
 
 def edge_breakdown(t: EdgeType, v_from: Vertex, v_to: Vertex,
                    cells: list[Cell], cfg: PlannerConfig) -> Optional[EdgeBreakdown]:
-    """Cost structure of one typed edge, or None when the type is infeasible."""
-    return _cheapest_edge((t,), v_from, v_to, cells, cfg)
+    """Cost structure of one typed edge, or None when the type is
+    infeasible.  With no graph at hand, it computes the legs of the two
+    cells alone, in the build's array pass."""
+    _check_edge(v_from, v_to)
+    pair = [cells[v_from.cell_index], cells[v_to.cell_index]]
+    return _cheapest_edge((t,), replace(v_from, cell_index=0),
+                          replace(v_to, cell_index=1), pair,
+                          _farm_legs(pair, cfg), cfg)
 
 
-def _cheapest_edge(types: Iterable[EdgeType], v_from: Vertex, v_to: Vertex,
-                   cells: list[Cell],
-                   cfg: PlannerConfig) -> Optional[EdgeBreakdown]:
-    """The first of types with the least cost on this edge, expanded, or
-    None when none of them is feasible.  The pair's legs are computed
-    once and every type's template runs on its one pair of levels."""
+def _check_edge(v_from: Vertex, v_to: Vertex) -> None:
     if v_from.is_depot or v_to.is_depot:
         raise ValueError("typed edges connect cell vertices only")
     if v_from.cell_index == v_to.cell_index:
         raise ValueError("edges must connect different clusters")
 
-    cell_i = cells[v_from.cell_index]
-    cell_j = cells[v_to.cell_index]
+
+def _cheapest_edge(types: Iterable[EdgeType], v_from: Vertex, v_to: Vertex,
+                   cells: list[Cell], legs: _Legs,
+                   cfg: PlannerConfig) -> Optional[EdgeBreakdown]:
+    """The first of types with the least cost on this edge, expanded, or
+    None when none of them is feasible.  Every type's template runs on
+    the edge's one pair of levels, with the legs read as Python numbers."""
+    i, x = v_from.cell_index, _ENDS.index(v_from.entry_end)
+    j, y = v_to.cell_index, _ENDS.index(v_to.entry_end)
+    cell_i = cells[i]
     exit_i = cell_i.other_end(v_from.entry_end)
-    entry_j = cell_j.end(v_to.entry_end)
-    h_i = traversal_heading(cell_i, v_from.entry_end)
-    h_j = traversal_heading(cell_j, v_to.entry_end)
-    covers = _cover_legs(cell_i, cfg)
-    legs = _pair_legs(exit_i, entry_j, h_i, h_j, cfg)
+    entry_j = cells[j].end(v_to.entry_end)
+    h_i = float(legs.headings[i, x])
+    h_j = float(legs.headings[j, y])
+    covers = legs.covers[i]
+    transit = tuple(zip(legs.transit_t[:, i, x, j, y].tolist(),
+                        legs.transit_c[:, i, x, j, y].tolist()))
     roads = (exit_i.on_road, entry_j.on_road)
 
     best = None
     for t in types:
         template, cover, leg = _TABLE[t.value]
         out = template(v_from.level, v_to.level, cfg, covers[cover],
-                       legs[leg], roads)
+                       transit[leg], roads)
         if best is None or out[0] < best[1][0]:
             best = t, out, cover, leg
     t, out, cover, leg = best
     if not math.isfinite(out[0]):
         return None
     t1, c1 = covers[cover]
-    t2, c2 = legs[leg]
+    t2, c2 = transit[leg]
     split = RechargeSplit(*(int(e) for e in out[1:]))
     riding = leg == _RIDE_LEG
     fw = t.transit_mode is _FW
@@ -381,18 +456,20 @@ def cluster_views(mat: np.ndarray,
 
 class ClusteredGraph:
     """Dense GTSP instance over 2nC cell vertices plus one depot vertex:
-    the cells, the config and the cost matrix.
+    the cells, the config, the cost matrix and the farm's legs it was
+    built from.
 
-    Edge types are not stored.  breakdown types one edge when decode
-    expands it, and best_type is the whole matrix of them, computed on
-    first read for diagnostics and tests.
+    Edge types are not stored.  breakdown types one edge from the legs
+    when decode expands it, and best_type is the whole matrix of them,
+    computed on first read for diagnostics and tests.
     """
 
     def __init__(self, cells: list[Cell], cfg: PlannerConfig,
-                 cost: np.ndarray) -> None:
+                 cost: np.ndarray, legs: _Legs) -> None:
         self.cells = cells
         self.cfg = cfg
         self.cost = cost
+        self.legs = legs
         self.n_cells = len(cells)
         self.levels = cfg.battery_levels
 
@@ -408,8 +485,6 @@ class ClusteredGraph:
         so a plan run never reads it; it serves diagnostics and tests.
         """
         n, C = self.n_cells, self.levels
-        covers, headings, exit_road, entry_road = _cell_inputs(self.cells,
-                                                               self.cfg)
         k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster
         types = np.full(self.cost.shape, -1, dtype=np.int16)
         for i in range(n):
@@ -417,14 +492,13 @@ class ClusteredGraph:
             cost = self.cost[rows, 1:].reshape(2, C, n, 2, C)
             block = np.full(cost.shape, -1, dtype=np.int16)
             unset = np.isfinite(cost)
-            legs = _source_legs(i, self.cells, self.cfg, headings)
-            for code, grid in enumerate(_source_grids(
-                    i, self.cfg, covers[i], legs, exit_road, entry_road)):
+            for code, grid in enumerate(_source_grids(i, self.cfg,
+                                                      self.legs)):
                 won = unset & (grid == cost)
                 block[won] = code
                 unset &= ~won
             types[rows, 1:] = block.reshape(2 * C, 2 * n * C)
-            types[rows, 0] = _closing(covers[i], k)[1]
+            types[rows, 0] = _closing(self.legs.covers[i], k)[1]
         return types
 
     def vertex(self, vid: int) -> Vertex:
@@ -449,8 +523,10 @@ class ClusteredGraph:
         """The cell-to-cell edge u -> v as its cheapest type, the first in
         EdgeType order on a tie, or None when it is infeasible; its cost
         is cost[u, v]."""
-        return _cheapest_edge(EdgeType, self.vertex(u), self.vertex(v),
-                              self.cells, self.cfg)
+        v_from, v_to = self.vertex(u), self.vertex(v)
+        _check_edge(v_from, v_to)
+        return _cheapest_edge(EdgeType, v_from, v_to, self.cells, self.legs,
+                              self.cfg)
 
     def closing_mode(self, u: int) -> Optional[FlightMode]:
         """Flight mode of the final coverage pass on the closing edge
@@ -458,37 +534,12 @@ class ClusteredGraph:
         vert = self.vertex(u)
         if vert.is_depot:
             raise ValueError("the closing edge leaves a cell vertex")
-        code = int(_closing(_cover_legs(self.cells[vert.cell_index], self.cfg),
+        code = int(_closing(self.legs.covers[vert.cell_index],
                             vert.level)[1])
         return None if code < 0 else EdgeType(code).cover_mode
 
 
-def _source_legs(i: int, cells: list[Cell], cfg: PlannerConfig,
-                 headings: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
-    """(time, levels) of every transit leg leaving cell i, on axes (leg,
-    x, j, y) for exit i.other_end(x) and entry j.end(y); the j == i
-    entries stay 0, and _source_rows clears their edges."""
-    n = len(cells)
-    ends = (END_A, END_B)
-    leg_t = np.zeros((4, 2, n, 2))
-    leg_c = np.zeros((4, 2, n, 2), dtype=np.int64)
-    for x, end_x in enumerate(ends):
-        exit_i = cells[i].other_end(end_x)
-        for j in range(n):
-            if j == i:
-                continue
-            for y, end_y in enumerate(ends):
-                legs = _pair_legs(exit_i, cells[j].end(end_y),
-                                  headings[i][x], headings[j][y], cfg)
-                leg_t[:, x, j, y] = [t for t, _ in legs]
-                leg_c[:, x, j, y] = [c for _, c in legs]
-    return leg_t, leg_c
-
-
-def _source_grids(i: int, cfg: PlannerConfig,
-                  cover: tuple[tuple[float, int], ...],
-                  source_legs: tuple[np.ndarray, np.ndarray],
-                  exit_road: np.ndarray, entry_road: np.ndarray):
+def _source_grids(i: int, cfg: PlannerConfig, legs: _Legs):
     """Each template's cost grid over source cell i's 2C rows towards
     every cell vertex, in _TABLE order.
 
@@ -499,50 +550,37 @@ def _source_grids(i: int, cfg: PlannerConfig,
     C = cfg.battery_levels
     KI = np.arange(C, 0, -1, dtype=np.int64)[None, :, None, None, None]
     KJ = np.arange(C, 0, -1, dtype=np.int64)
-    leg_t, leg_c = source_legs
-    legs = [(leg_t[k][:, None, :, :, None], leg_c[k][:, None, :, :, None])
-            for k in range(4)]
-    roads = (exit_road[i][:, None, None, None, None],
-             entry_road[None, None, :, :, None])
+    transit = [(legs.transit_t[k, i][:, None, :, :, None],
+                legs.transit_c[k, i][:, None, :, :, None]) for k in range(4)]
+    roads = (legs.exit_road[i][:, None, None, None, None],
+             legs.entry_road[None, None, :, :, None])
     for template, cover_k, leg in _TABLE:
-        yield template(KI, KJ, cfg, cover[cover_k], legs[leg], roads)[0]
+        yield template(KI, KJ, cfg, legs.covers[i][cover_k], transit[leg],
+                       roads)[0]
 
 
-def _source_rows(i: int, cfg: PlannerConfig,
-                 cover: tuple[tuple[float, int], ...],
-                 source_legs: tuple[np.ndarray, np.ndarray],
-                 exit_road: np.ndarray, entry_road: np.ndarray) -> np.ndarray:
+def _source_rows(i: int, cfg: PlannerConfig, legs: _Legs) -> np.ndarray:
     """The cost entries of source cell i's 2C rows towards every cell
     vertex, the minimum over the templates, cell i's own cleared to inf."""
-    n = len(entry_road)
+    n = len(legs.covers)
     C = cfg.battery_levels
     block = np.full((2, C, n, 2, C), INF)
-    for grid in _source_grids(i, cfg, cover, source_legs, exit_road,
-                              entry_road):
+    for grid in _source_grids(i, cfg, legs):
         np.minimum(block, grid, out=block)
     block[:, :, i] = INF
     return block.reshape(2 * C, 2 * n * C)
 
 
 def _shared_cost(V: int) -> np.ndarray:
-    """A V x V cost matrix of inf in an anonymous mapping that forked
-    workers write into and this process reads."""
+    """A V x V cost matrix in an anonymous mapping that forked workers
+    write into and this process reads.  Only [0, 0] is set here: the
+    workers and the depot edges write every other entry, so each worker
+    faults in the pages of its own rows, where a fill here would fault
+    in all of them serially before the fork."""
     buf = mmap.mmap(-1, V * V * 8)
     cost = np.frombuffer(buf, np.float64, V * V).reshape(V, V)
-    cost.fill(INF)
+    cost[0, 0] = INF
     return cost
-
-
-def _cell_inputs(cells: list[Cell], cfg: PlannerConfig):
-    """Per cell: both coverage passes, both traversal headings and the
-    road flags of the exit and the entry site of each traversal."""
-    ends = (END_A, END_B)
-    covers = [_cover_legs(cell, cfg) for cell in cells]
-    headings = [[traversal_heading(cell, e) for e in ends] for cell in cells]
-    exit_road = np.array([[c.other_end(e).on_road for e in ends]
-                          for c in cells])
-    entry_road = np.array([[c.end(e).on_road for e in ends] for c in cells])
-    return covers, headings, exit_road, entry_road
 
 
 def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
@@ -562,20 +600,17 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
         raise InstanceTooLarge(f"{n} cells at {C} battery levels need {need} "
                                f"bytes of matrices, over {_MATRIX_MAX_BYTES}")
 
-    covers, headings, exit_road, entry_road = _cell_inputs(cells, cfg)
+    # Before the matrix, so that the pass's temporaries are freed before
+    # the largest allocation of the build.
+    legs = _farm_legs(cells, cfg)
 
     count = max(1, min(workers.usable_cpus(), n,
                        V * V // _BUILD_ENTRIES_PER_WORKER))
     cost = _shared_cost(V) if count > 1 else np.full((V, V), INF)
 
     def fill(share: range) -> list:
-        # All of the share's transit legs, then all of its templates: a
-        # build that alternates the two cell by cell ran about 1% slower.
-        legs = [_source_legs(i, cells, cfg, headings) for i in share]
-        for i, source_legs in zip(share, legs):
-            rows = cluster_span(i + 1, 2 * C)
-            cost[rows, 1:] = _source_rows(i, cfg, covers[i], source_legs,
-                                          exit_road, entry_road)
+        for i in share:
+            cost[cluster_span(i + 1, 2 * C), 1:] = _source_rows(i, cfg, legs)
         return []
 
     workers.in_workers(fill, range(n), count)
@@ -586,6 +621,6 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
     for i in range(n):
         span = cluster_span(i + 1, 2 * C)
         cost[0, span] = np.where(k == C, 0.0, INF)
-        cost[span, 0] = _closing(covers[i], k)[0]
+        cost[span, 0] = _closing(legs.covers[i], k)[0]
 
-    return ClusteredGraph(cells, cfg, cost)
+    return ClusteredGraph(cells, cfg, cost, legs)

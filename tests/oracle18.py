@@ -1,13 +1,16 @@
 """Independent edge-cost oracle.
 
 Re-derives each of the eighteen travel options directly from its
-definition, sharing nothing with airmule.graph except the Dubins
-routine.  Used to cross-check the dense cost matrix and edge_breakdown.
+definition, sharing nothing with airmule.graph; its Dubins paths come
+from the frozen scalar copy in dubins_reference, not from src/.  Used to
+cross-check the dense cost matrix and edge_breakdown.
 """
 
 import math
 
-from airmule.geometry import Pose, dubins_shortest, euclid
+from dubins_reference import Pose, dubins_shortest, mod2pi
+
+from airmule.geometry import euclid
 
 MR, FW = "mr", "fw"
 
@@ -62,8 +65,9 @@ def oracle_type_cost(idx, u, v, cells, cfg):
         start_heading = _heading(cell_j, v.entry_end) if stop in ("exit", "both") \
             else _heading(cell_i, u.entry_end)
         path = dubins_shortest(
-            Pose((exit_i.x, exit_i.y), start_heading),
-            Pose((entry_j.x, entry_j.y), _heading(cell_j, v.entry_end)),
+            Pose((exit_i.x, exit_i.y), mod2pi(start_heading)),
+            Pose((entry_j.x, entry_j.y),
+                 mod2pi(_heading(cell_j, v.entry_end))),
             cfg.turn_radius)
         t2 = path.total_length / cfg.fixed_wing_speed
         c2 = _levels(path.total_length, FW, cfg)
