@@ -20,27 +20,32 @@ Between two vertices the edge cost is the minimum over eighteen travel
 options that combine the coverage-leg flight mode with land, recharge,
 take-off and UGV-ride choices on the transit leg.  Each option is one of
 five stop-layout templates applied to a coverage leg and a transit leg.
-The template is the single formula for an edge's cost and its recharge
-split: build_instance evaluates it once per source cell, on a grid over
-every end pair leaving that cell and every pair of battery levels, and
-keeps only the minimum; ClusteredGraph.breakdown, which decode expands
-into legs, evaluates all eighteen on the one pair of levels of a tour
-edge and takes the first minimum in EdgeType order, so only the n + 1
-edges of a tour are ever typed.  Off-road landing sites are mask terms
-of the templates, so a template always returns a grid, infinite where
-the layout cannot be flown.
+For one end pair, a template's cost depends on the two battery levels
+only through their difference d = KJ - KI, inside bounds on KI and KJ,
+so a template prices a line over the 2C - 1 values of d, and its C x C
+grid of level pairs is a Toeplitz view of that line; the one regime that
+is no line, stopping at both ends with a full battery at the exit, is a
+term in KI plus a term in KJ.  The template is the single formula for an
+edge's cost and its recharge split: build_instance prices the lines of
+every end pair leaving a block of source cells in one call per template,
+lifts them to their grids as views and keeps only the minimum;
+ClusteredGraph.breakdown, which decode expands into legs, reads the
+templates at the one level difference of a tour edge and takes the
+first type in EdgeType order that gives the edge's cost, so only the
+n + 1 edges of a tour are ever typed.  Off-road landing sites are mask
+terms of the templates, infinite where the layout cannot be flown.
 
 The legs come first, once per graph: build_instance computes the
 coverage passes of every cell and the transit legs of every ordered end
 pair of the farm in one array pass (geometry.dubins_arrays for the
 fixed-wing legs), and the graph keeps them; the build's templates,
 breakdown and best_type all read those arrays, so decode evaluates no
-Dubins path.  A source cell's rows of the cost matrix (the templates on
-its grid) then depend on no other cell's rows.  Above a size that pays
-for the forks, build_instance deals the source cells round-robin to the
-fork pool of the workers module; the matrix then sits in a shared
-anonymous mapping, every worker writes its cells' rows straight into
-it, and the bytes are those of a one-process build.
+Dubins path.  A source cell's rows of the cost matrix then depend on no
+other cell's rows.  Above a size that pays for the forks, build_instance
+deals the source cells round-robin to the fork pool of the workers
+module; the matrix then sits in a shared anonymous mapping, every worker
+writes its cells' rows straight into it, and the bytes are those of a
+one-process build.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import workers
 from .energy import (PlannerConfig, RechargeSplit, consumption_levels,
@@ -83,12 +89,14 @@ _MATRIX_MAX_BYTES = 512 << 20
 
 # Matrix entries (V * V) per build worker; below twice this the build runs
 # in this process alone.  A fork costs the caller 8-10 ms in all (a bare
-# fork round trip is 5 ms; the rest is copy-on-write faults), so on a
-# 2-core x86-64 host two workers lost 8-10 ms on builds of V * V <= 58k
-# entries (4-6 cells at C=20, 13-26 ms), broke even near 100k and gained
-# 23 ms of 95 at 231k and 93 ms of 253 at 642k.  2**17 starts the second
-# worker at 262k entries, past the break-even with room for slower forks.
-_BUILD_ENTRIES_PER_WORKER = 1 << 17
+# fork round trip is 5 ms; the rest is copy-on-write faults).  On a
+# 2-vCPU x86-64 host at C=20 (best of 11 builds), one worker against two
+# broke even between 411k and 642k entries, and two gained 16 ms of 67 at
+# 1.08M and 20 ms of 86 at 1.44M, in phases where the host ran two
+# processes at full speed; in phases where it ran them no faster than
+# one, two lost 10-17 ms at every size from 161k to 1.44M.  2**19 starts
+# the second worker at 1.05M entries (26 cells at C=20).
+_BUILD_ENTRIES_PER_WORKER = 1 << 19
 
 # End pairs per dubins_arrays call of _farm_legs.  Farms of up to 32
 # cells take one call; larger ones take blocks, which keeps the pass's
@@ -96,6 +104,14 @@ _BUILD_ENTRIES_PER_WORKER = 1 << 17
 # more perfbench peak RSS than blocks of 4,096 (heap the search that
 # follows did not reuse).
 _PAIRS_PER_CALL = 1 << 12
+
+# Cost entries per _block_rows call: a worker prices the source cells of
+# its share in runs of at most this many entries, or one cell.  A call
+# costs about 1 ms before its entries, and its temporaries take about
+# 26 bytes an entry: on exact-small (4-6 cells at C=20, 6-10k entries a
+# cell), 2**16 entries built 8% faster than 2**15 but raised peak RSS by
+# 1.2 MB, and 2**14 built 8% slower for no less memory.
+_ENTRIES_PER_BLOCK = 1 << 15
 
 _MR = FlightMode.MULTI_ROTOR
 _FW = FlightMode.FIXED_WING
@@ -276,64 +292,76 @@ def _farm_legs(cells: list[Cell], cfg: PlannerConfig) -> _Legs:
                  transit_c)
 
 
-# Stop-layout templates.  Each prices one edge type over arrays of levels
-# KI (leaving cell i) and KJ (arriving at cell j), transit legs and road
-# flags (exit site, entry site) that broadcast against them, and returns
-# the cost grid with the recharge grids (at exit, at entry, in transit) it
-# implies.  The cost is inf where the battery would leave [0, C] or a site
-# the layout lands at is off the road.  build_instance calls them once per
-# source cell, on the grid of every end pair leaving it by every pair of
-# levels, and _cheapest_edge on one pair of levels, so they are the one
-# formula for both the cost and the recharge split of a typed edge.
+# Stop-layout templates.  Each prices one edge type from the coverage pass
+# (t1, c1) of cell i, a transit leg (t2, c2) and the road flags (exit site,
+# entry site), as a line over the level difference d = KJ - KI between
+# leaving cell i with KI levels and arriving at cell j with KJ; arguments
+# may be arrays that broadcast.  A template returns (cost, split, lo, hi):
+# the cost, inf where a site the layout lands at is off the road or a
+# recharge would be negative; the recharge split (at exit, at entry, in
+# transit) it implies; and the battery bounds KI >= lo and KJ <= C - hi
+# outside which the type cannot fly the edge, 0 where there is none.
+# _both's regime KJ + c2 > C is no line; _capped prices it.  _block_grids
+# lifts the lines to their grids of level pairs and _Edge.cost reads them
+# at one d, so they are the one formula for both the cost and the
+# recharge split of a typed edge.
 
 
-def _pure(KI, KJ, cfg, cover, leg, roads):
+def _pure(d, cfg, cover, leg, roads):
     (t1, c1), (t2, c2) = cover, leg
-    return np.where(KJ == KI - (c1 + c2), t1 + t2, INF), 0, 0, 0
+    # Arriving with KJ = KI - (c1 + c2) >= 1 levels, it needs no bound.
+    return np.where(d == -(c1 + c2), t1 + t2, INF), (0, 0, 0), 0, 0
 
 
-def _ride(KI, KJ, cfg, cover, leg, roads):
+def _ride(d, cfg, cover, leg, roads):
     (t1, c1), (t_g, _) = cover, leg
-    e = KJ - (KI - c1)
-    mask = (KI - c1 >= 0) & (e >= 0) & roads[0] & roads[1]
+    e = d + c1
     cost = (t1 + cfg.t_land) + np.maximum(t_g, cfg.recharge_rate * e) \
         + cfg.t_takeoff
-    return np.where(mask, cost, INF), 0, 0, e
+    return np.where((e >= 0) & roads[0] & roads[1], cost, INF), (0, 0, e), \
+        c1, 0
 
 
-def _entry(KI, KJ, cfg, cover, leg, roads):
+def _entry(d, cfg, cover, leg, roads):
     (t1, c1), (t2, c2) = cover, leg
-    arrival = KI - (c1 + c2)
-    e = KJ - arrival
-    mask = (arrival >= 0) & (e >= 0) & roads[1]
+    e = d + (c1 + c2)
     cost = ((t1 + t2) + cfg.t_land) + cfg.recharge_rate * e + cfg.t_takeoff
-    return np.where(mask, cost, INF), 0, e, 0
+    return np.where((e >= 0) & roads[1], cost, INF), (0, e, 0), c1 + c2, 0
 
 
-def _exit(KI, KJ, cfg, cover, leg, roads):
+def _exit(d, cfg, cover, leg, roads):
     (t1, c1), (t2, c2) = cover, leg
-    after = KI - c1
-    departure = KJ + c2
-    e = departure - after
-    mask = ((after >= 0) & (departure <= cfg.battery_levels) & (e >= 0)
-            & roads[0])
+    e = d + (c1 + c2)
     cost = ((t1 + cfg.t_land) + cfg.recharge_rate * e + cfg.t_takeoff) + t2
-    return np.where(mask, cost, INF), e, 0, 0
+    return np.where((e >= 0) & roads[0], cost, INF), (e, 0, 0), c1, c2
 
 
-def _both(KI, KJ, cfg, cover, leg, roads):
+def _both(d, cfg, cover, leg, roads):
+    """Stops at both sites where KJ + c2 <= C (_capped prices the rest):
+    the exit stop charges all of it and the entry stop, adding r * 0,
+    none, so the cost is _exit's plus a landing and a take-off, never
+    below it, where the entry site is on the road too."""
+    cost, split, lo, hi = _exit(d, cfg, cover, leg, roads)
+    return np.where(roads[1], (cost + cfg.t_land) + cfg.t_takeoff, INF), \
+        split, lo, hi
+
+
+def _capped(KI, KJ, cfg, cover, leg, roads, out=None):
+    """_both where KJ + c2 > C: charge as much as the cap allows at the
+    exit site, e1 = C - KI + c1, and the leftover e2 = KJ + c2 - C at the
+    entry site.  The cost is (head(KI) + tail(KJ)) + t_takeoff, the float
+    order of the whole sum; head and tail are inf outside the regime, and
+    out, when given, receives the cost.  Returns (cost, split)."""
     C = cfg.battery_levels
     (t1, c1), (t2, c2) = cover, leg
-    r, t_l, t_to = cfg.recharge_rate, cfg.t_land, cfg.t_takeoff
-    after = KI - c1
-    total = (KJ + c2) - after
-    # Charge as much as the cap allows at the exit site; the leftover
-    # moves to the entry site.  Total time is split-invariant.
-    e1 = np.maximum(0, np.minimum(C, KJ + c2) - after)
-    e2 = total - e1
-    mask = (after >= 0) & (total >= 0) & (c2 <= C) & roads[0] & roads[1]
-    cost = ((((t1 + t_l) + r * e1 + t_to) + t2) + t_l) + r * e2 + t_to
-    return np.where(mask, cost, INF), e1, e2, 0
+    r, t_l = cfg.recharge_rate, cfg.t_land
+    e1 = (C + c1) - KI
+    e2 = KJ + (c2 - C)
+    head = ((((t1 + t_l) + r * e1 + cfg.t_takeoff) + t2) + t_l)
+    head = np.where((KI >= c1) & (c2 <= C) & roads[0] & roads[1], head, INF)
+    tail = np.where(e2 > 0, r * e2, INF)
+    cost = np.add(head, tail, out=out)
+    return np.add(cost, cfg.t_takeoff, out=out), (e1, e2, 0)
 
 
 def _table_row(t: EdgeType):
@@ -349,20 +377,35 @@ def _table_row(t: EdgeType):
 
 
 # (template, index into a cell's covers, transit leg) per edge type,
-# in enum order, so the first minimum over the rows is the tie-break.
+# in enum order, so the first match over the rows is the tie-break.
 _TABLE = tuple(_table_row(t) for t in EdgeType)
+
+# Each template with the values of its types and their cover and leg
+# indices, so that _block_grids prices all of a template's types at once.
+_KINDS = tuple(
+    (template, *map(list, zip(*[(code, cover, leg) for code, (tpl, cover, leg)
+                                in enumerate(_TABLE) if tpl is template])))
+    for template in (_pure, _ride, _entry, _exit, _both))
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_legs(cell_i: Cell, cell_j: Cell, cfg: PlannerConfig) -> _Legs:
+    """The legs of the farm [cell_i, cell_j], for edges priced with no
+    graph at hand; callers must not write into the arrays."""
+    return _farm_legs([cell_i, cell_j], cfg)
 
 
 def edge_breakdown(t: EdgeType, v_from: Vertex, v_to: Vertex,
                    cells: list[Cell], cfg: PlannerConfig) -> Optional[EdgeBreakdown]:
     """Cost structure of one typed edge, or None when the type is
-    infeasible.  With no graph at hand, it computes the legs of the two
-    cells alone, in the build's array pass."""
+    infeasible.  With no graph at hand, it prices the edge from the legs
+    of the two cells alone, computed in the build's array pass once per
+    pair of cells and config."""
     _check_edge(v_from, v_to)
-    pair = [cells[v_from.cell_index], cells[v_to.cell_index]]
-    return _cheapest_edge((t,), replace(v_from, cell_index=0),
-                          replace(v_to, cell_index=1), pair,
-                          _farm_legs(pair, cfg), cfg)
+    pair = (cells[v_from.cell_index], cells[v_to.cell_index])
+    edge = _Edge(replace(v_from, cell_index=0), replace(v_to, cell_index=1),
+                 list(pair), _pair_legs(*pair, cfg))
+    return edge.typed(t, cfg)
 
 
 def _check_edge(v_from: Vertex, v_to: Vertex) -> None:
@@ -372,56 +415,67 @@ def _check_edge(v_from: Vertex, v_to: Vertex) -> None:
         raise ValueError("edges must connect different clusters")
 
 
-def _cheapest_edge(types: Iterable[EdgeType], v_from: Vertex, v_to: Vertex,
-                   cells: list[Cell], legs: _Legs,
-                   cfg: PlannerConfig) -> Optional[EdgeBreakdown]:
-    """The first of types with the least cost on this edge, expanded, or
-    None when none of them is feasible.  Every type's template runs on
-    the edge's one pair of levels, with the legs read as Python numbers."""
-    i, x = v_from.cell_index, _ENDS.index(v_from.entry_end)
-    j, y = v_to.cell_index, _ENDS.index(v_to.entry_end)
-    cell_i = cells[i]
-    exit_i = cell_i.other_end(v_from.entry_end)
-    entry_j = cells[j].end(v_to.entry_end)
-    h_i = float(legs.headings[i, x])
-    h_j = float(legs.headings[j, y])
-    covers = legs.covers[i]
-    transit = tuple(zip(legs.transit_t[:, i, x, j, y].tolist(),
-                        legs.transit_c[:, i, x, j, y].tolist()))
-    roads = (exit_i.on_road, entry_j.on_road)
+class _Edge:
+    """One cell-to-cell edge with its legs read as Python numbers."""
 
-    best = None
-    for t in types:
+    def __init__(self, v_from: Vertex, v_to: Vertex, cells: list[Cell],
+                 legs: _Legs) -> None:
+        i, x = v_from.cell_index, _ENDS.index(v_from.entry_end)
+        j, y = v_to.cell_index, _ENDS.index(v_to.entry_end)
+        self.v_from, self.v_to = v_from, v_to
+        self.cell_i = cells[i]
+        self.exit_i = self.cell_i.other_end(v_from.entry_end)
+        self.entry_j = cells[j].end(v_to.entry_end)
+        self.h_i = float(legs.headings[i, x])
+        self.h_j = float(legs.headings[j, y])
+        self.covers = legs.covers[i]
+        self.transit = tuple(zip(legs.transit_t[:, i, x, j, y].tolist(),
+                                 legs.transit_c[:, i, x, j, y].tolist()))
+        self.roads = (self.exit_i.on_road, self.entry_j.on_road)
+
+    def cost(self, t: EdgeType, cfg: PlannerConfig) -> tuple[float, tuple]:
+        """(cost, split) of type t: its template's line at the one level
+        difference of the edge, or inf outside the template's bounds."""
         template, cover, leg = _TABLE[t.value]
-        out = template(v_from.level, v_to.level, cfg, covers[cover],
-                       transit[leg], roads)
-        if best is None or out[0] < best[1][0]:
-            best = t, out, cover, leg
-    t, out, cover, leg = best
-    if not math.isfinite(out[0]):
-        return None
-    t1, c1 = covers[cover]
-    t2, c2 = transit[leg]
-    split = RechargeSplit(*(int(e) for e in out[1:]))
-    riding = leg == _RIDE_LEG
-    fw = t.transit_mode is _FW
-    return EdgeBreakdown(
-        edge_type=t,
-        cost=float(out[0]),
-        split=split,
-        cover_time=t1,
-        cover_cons=c1,
-        cover_heading=h_i if t.cover_mode is _FW else None,
-        entry_site_i=cell_i.end(v_from.entry_end),
-        exit_site_i=exit_i,
-        entry_site_j=entry_j,
-        transit_time=None if riding else t2,
-        transit_cons=None if riding else c2,
-        transit_start_heading=(h_i if leg == _AIR_LEG else h_j) if fw else None,
-        transit_end_heading=h_j if fw else None,
-        ride_time=(max(t2, recharge_time(split.in_transit, cfg))
-                   if riding else None),
-    )
+        cover, leg = self.covers[cover], self.transit[leg]
+        KI, KJ, C = self.v_from.level, self.v_to.level, cfg.battery_levels
+        if template is _both and KJ + leg[1] > C:
+            cost, split = _capped(KI, KJ, cfg, cover, leg, self.roads)
+            return float(cost), split
+        cost, split, lo, hi = template(KJ - KI, cfg, cover, leg, self.roads)
+        return (float(cost) if lo <= KI and KJ <= C - hi else INF), split
+
+    def typed(self, t: EdgeType,
+              cfg: PlannerConfig) -> Optional[EdgeBreakdown]:
+        """The edge flown as type t, or None when t cannot fly it."""
+        cost, split = self.cost(t, cfg)
+        if not math.isfinite(cost):
+            return None
+        _, cover, leg = _TABLE[t.value]
+        t1, c1 = self.covers[cover]
+        t2, c2 = self.transit[leg]
+        split = RechargeSplit(*split)
+        riding = leg == _RIDE_LEG
+        fw = t.transit_mode is _FW
+        h_i, h_j = self.h_i, self.h_j
+        return EdgeBreakdown(
+            edge_type=t,
+            cost=cost,
+            split=split,
+            cover_time=t1,
+            cover_cons=c1,
+            cover_heading=h_i if t.cover_mode is _FW else None,
+            entry_site_i=self.cell_i.end(self.v_from.entry_end),
+            exit_site_i=self.exit_i,
+            entry_site_j=self.entry_j,
+            transit_time=None if riding else t2,
+            transit_cons=None if riding else c2,
+            transit_start_heading=((h_i if leg == _AIR_LEG else h_j)
+                                   if fw else None),
+            transit_end_heading=h_j if fw else None,
+            ride_time=(max(t2, recharge_time(split.in_transit, cfg))
+                       if riding else None),
+        )
 
 
 def _closing(cover: tuple[tuple[float, int], ...], k):
@@ -485,20 +539,23 @@ class ClusteredGraph:
         so a plan run never reads it; it serves diagnostics and tests.
         """
         n, C = self.n_cells, self.levels
-        k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster
         types = np.full(self.cost.shape, -1, dtype=np.int16)
+        costs, codes = (cluster_views(m, n)[0].reshape(n, 2, C, n, 2, C)
+                        for m in (self.cost, types))
+        for cells in _cell_blocks(range(n), n, C):
+            cost, block = (_level_major(m[_as_slice(cells)])
+                           for m in (costs, codes))
+            block[...] = len(EdgeType)
+            for code, columns, grid, where in _block_grids(cells, self.cfg,
+                                                           self.legs):
+                part = block[columns]
+                np.minimum(part, code, out=part,
+                           where=where & (grid == cost[columns]))
+            block[~np.isfinite(cost)] = -1
+        k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster
         for i in range(n):
-            rows = cluster_span(i + 1, 2 * C)
-            cost = self.cost[rows, 1:].reshape(2, C, n, 2, C)
-            block = np.full(cost.shape, -1, dtype=np.int16)
-            unset = np.isfinite(cost)
-            for code, grid in enumerate(_source_grids(i, self.cfg,
-                                                      self.legs)):
-                won = unset & (grid == cost)
-                block[won] = code
-                unset &= ~won
-            types[rows, 1:] = block.reshape(2 * C, 2 * n * C)
-            types[rows, 0] = _closing(self.legs.covers[i], k)[1]
+            types[cluster_span(i + 1, 2 * C), 0] = _closing(
+                self.legs.covers[i], k)[1]
         return types
 
     def vertex(self, vid: int) -> Vertex:
@@ -521,12 +578,18 @@ class ClusteredGraph:
 
     def breakdown(self, u: int, v: int) -> Optional[EdgeBreakdown]:
         """The cell-to-cell edge u -> v as its cheapest type, the first in
-        EdgeType order on a tie, or None when it is infeasible; its cost
-        is cost[u, v]."""
+        EdgeType order on a tie, or None when it is infeasible: the first
+        type whose template gives cost[u, v]."""
         v_from, v_to = self.vertex(u), self.vertex(v)
         _check_edge(v_from, v_to)
-        return _cheapest_edge(EdgeType, v_from, v_to, self.cells, self.legs,
-                              self.cfg)
+        cost = float(self.cost[u, v])
+        if not math.isfinite(cost):
+            return None
+        edge = _Edge(v_from, v_to, self.cells, self.legs)
+        for t in EdgeType:
+            if edge.cost(t, self.cfg)[0] == cost:
+                return edge.typed(t, self.cfg)
+        raise RuntimeError(f"no edge type gives cost[{u}, {v}] = {cost}")
 
     def closing_mode(self, u: int) -> Optional[FlightMode]:
         """Flight mode of the final coverage pass on the closing edge
@@ -539,48 +602,106 @@ class ClusteredGraph:
         return None if code < 0 else EdgeType(code).cover_mode
 
 
-def _source_grids(i: int, cfg: PlannerConfig, legs: _Legs):
-    """Each template's cost grid over source cell i's 2C rows towards
-    every cell vertex, in _TABLE order.
+def _as_slice(cells: range) -> slice:
+    return slice(cells.start, cells.stop, cells.step)
 
-    A grid has axes (x, level_i, j, y, level_j); levels descend along
-    their axes, which is the vertex order inside each endpoint block.  The
-    j == i entries are not edges.
+
+def _cell_blocks(cells: range, n: int, C: int) -> Iterable[range]:
+    """cells cut into runs of at most _ENTRIES_PER_BLOCK cost entries."""
+    size = max(1, _ENTRIES_PER_BLOCK // (4 * n * C * C))
+    return (cells[k:k + size] for k in range(0, len(cells), size))
+
+
+def _level_major(rows: np.ndarray) -> np.ndarray:
+    """A view of cost rows with axes (cell, x, level_i, j, y, level_j) in
+    the axis order of _block_grids, (cell, x, level_i, level_j, j, y)."""
+    return np.moveaxis(rows, -1, 3)
+
+
+def _toeplitz(line: np.ndarray, C: int) -> np.ndarray:
+    """A read-only view of lines over d = KJ - KI with axes (..., d, j, y),
+    d descending from C - 1, as grids with axes (..., level_i, level_j, j,
+    y): entry (a, b) of a grid, at KI = C - a and KJ = C - b, is the line
+    at index C - 1 - (KJ - KI) = C - 1 - a + b."""
+    step = line.strides[-3]
+    return as_strided(line[..., C - 1:, :, :],
+                      line.shape[:-3] + (C, C) + line.shape[-2:],
+                      line.strides[:-3] + (-step, step) + line.strides[-2:],
+                      writeable=False)
+
+
+def _block_grids(cells: range, cfg: PlannerConfig, legs: _Legs):
+    """Each edge type's cost over the rows of the source cells in cells.
+
+    Yields (type value, columns, grid, where): on the rows' entries
+    [columns], with axes (cell, x, level_i, level_j, j, y), the type
+    costs grid where `where` holds and inf elsewhere; both broadcast to
+    that shape.  Levels descend along their axes, the vertex order inside
+    each endpoint block.  The types of _both come as their _capped regime
+    only, on the levels_j it can reach, each in a grid that the next one
+    overwrites.  The j == i entries are not edges.
     """
     C = cfg.battery_levels
-    KI = np.arange(C, 0, -1, dtype=np.int64)[None, :, None, None, None]
-    KJ = np.arange(C, 0, -1, dtype=np.int64)
-    transit = [(legs.transit_t[k, i][:, None, :, :, None],
-                legs.transit_c[k, i][:, None, :, :, None]) for k in range(4)]
-    roads = (legs.exit_road[i][:, None, None, None, None],
-             legs.entry_road[None, None, :, :, None])
-    for template, cover_k, leg in _TABLE:
-        yield template(KI, KJ, cfg, legs.covers[i][cover_k], transit[leg],
-                       roads)[0]
-
-
-def _source_rows(i: int, cfg: PlannerConfig, legs: _Legs) -> np.ndarray:
-    """The cost entries of source cell i's 2C rows towards every cell
-    vertex, the minimum over the templates, cell i's own cleared to inf."""
     n = len(legs.covers)
+    s = _as_slice(cells)
+    k = np.arange(C, 0, -1)
+    KI, KJ = k[:, None, None, None], k[:, None, None]
+    # KJ - KI, descending, on the level_i axis: the lines' axis.
+    d = np.arange(C - 1, -C, -1.0)[:, None, None, None]
+    # The legs with a leading axis of cover modes or transit legs, in the
+    # grid's axes; levels are small integers, exact as floats.
+    cover_t, cover_c = np.array([legs.covers[i] for i in cells]).T.reshape(
+        2, 2, len(cells), 1, 1, 1, 1, 1)
+    transit_t = legs.transit_t[:, s, :, None, None]
+    transit_c = legs.transit_c[:, s, :, None, None]
+    roads = legs.exit_road[s, :, None, None, None, None], legs.entry_road
+    for template, codes, covers, legs_k in _KINDS:
+        cover = cover_t[covers], cover_c[covers]
+        leg = transit_t[legs_k], transit_c[legs_k]
+        if template is _both:
+            # _both's line never goes below the line of _exit on the same
+            # legs, which comes first in EdgeType order, so only its capped
+            # regime can give an entry, on the top c2 levels_j at most.
+            top = min(C, int(leg[1].max()))
+            grid = np.empty((len(cells), 2, C, top, n, 2))
+            for m, code in enumerate(codes):
+                _capped(KI, KJ[:top], cfg, (cover[0][m], cover[1][m]),
+                        (leg[0][m], leg[1][m]), roads, out=grid)
+                yield code, np.s_[:, :, :, :top], grid, True
+            continue
+        line, _, lo, hi = template(d, cfg, cover, leg, roads)
+        grids = _toeplitz(line[:, :, :, :, 0], C)
+        where = True
+        if np.ndim(lo):
+            where = KI >= lo
+        if np.ndim(hi):
+            where = where & (KJ <= C - hi)
+        for m, code in enumerate(codes):
+            yield code, ..., grids[m], where if where is True else where[m]
+
+
+def _block_rows(cells: range, cfg: PlannerConfig, legs: _Legs,
+                rows: np.ndarray) -> None:
+    """Fill rows, the cost entries of the source cells in cells with axes
+    (cell, x, level_i, j, y, level_j): the minimum over the templates, a
+    cell's own entries inf."""
     C = cfg.battery_levels
-    block = np.full((2, C, n, 2, C), INF)
-    for grid in _source_grids(i, cfg, legs):
-        np.minimum(block, grid, out=block)
-    block[:, :, i] = INF
-    return block.reshape(2 * C, 2 * n * C)
+    acc = np.full((len(cells), 2, C, C, len(legs.covers), 2), INF)
+    for _, columns, grid, where in _block_grids(cells, cfg, legs):
+        part = acc[columns]
+        np.minimum(part, grid, out=part, where=where)
+    _level_major(rows)[...] = acc
+    for b, i in enumerate(cells):
+        rows[b, :, :, i] = INF
 
 
 def _shared_cost(V: int) -> np.ndarray:
     """A V x V cost matrix in an anonymous mapping that forked workers
-    write into and this process reads.  Only [0, 0] is set here: the
-    workers and the depot edges write every other entry, so each worker
-    faults in the pages of its own rows, where a fill here would fault
-    in all of them serially before the fork."""
+    write into and this process reads.  Nothing is set here: the workers
+    write their rows, so each faults in the pages of its own, where a
+    fill here would fault in all of them serially before the fork."""
     buf = mmap.mmap(-1, V * V * 8)
-    cost = np.frombuffer(buf, np.float64, V * V).reshape(V, V)
-    cost[0, 0] = INF
-    return cost
+    return np.frombuffer(buf, np.float64, V * V).reshape(V, V)
 
 
 def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
@@ -606,11 +727,13 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
 
     count = max(1, min(workers.usable_cpus(), n,
                        V * V // _BUILD_ENTRIES_PER_WORKER))
-    cost = _shared_cost(V) if count > 1 else np.full((V, V), INF)
+    cost = _shared_cost(V) if count > 1 else np.empty((V, V))
+    cost[0, 0] = INF
+    blocks = cluster_views(cost, n)[0].reshape(n, 2, C, n, 2, C)
 
     def fill(share: range) -> list:
-        for i in share:
-            cost[cluster_span(i + 1, 2 * C), 1:] = _source_rows(i, cfg, legs)
+        for cells in _cell_blocks(share, n, C):
+            _block_rows(cells, cfg, legs, blocks[_as_slice(cells)])
         return []
 
     workers.in_workers(fill, range(n), count)

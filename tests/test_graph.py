@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle18 import oracle_edge_cost, oracle_type_cost
@@ -348,6 +348,87 @@ def test_breakdown_cost_matches_matrix_seeded():
     assert seen > 50
 
 
+def pinned_tiny_farm():
+    """Two cells 15 m apart, one entry site off the road, and a third
+    cell far past a full battery in either flight mode."""
+    cells = [Cell(0, Site(0, 0.0, 0.0), Site(1, 10.0, 0.0)),
+             Cell(1, Site(2, 25.0, 0.0), Site(3, 35.0, 0.0, on_road=False)),
+             Cell(2, Site(4, 500.0, 0.0), Site(5, 510.0, 0.0))]
+    return cells, PlannerConfig(d_max=40.0, battery_levels=4)
+
+
+def test_pinned_tiny_farm_reaches_long_legs_and_capped_stops():
+    # The farm the whole-matrix test below always runs: it has transit
+    # legs of more than a full battery (C + 1 levels), and edges whose
+    # cheapest type stops at both ends with a full battery at the exit,
+    # the regime KJ + c2 > C where the entry stop charges too.
+    cells, cfg = pinned_tiny_farm()
+    g = build_instance(cells, cfg)
+    C = cfg.battery_levels
+    assert (g.legs.transit_c[:3] == C + 1).any()
+    capped = [bd for u in range(1, len(g.cost)) for v in range(1, len(g.cost))
+              if g.vertex(u).cell_index != g.vertex(v).cell_index
+              and (bd := g.breakdown(u, v)) is not None
+              and bd.edge_type.stops == "both" and bd.split.at_entry > 0]
+    assert capped
+
+
+@st.composite
+def tiny_farms(draw):
+    """Farms of 2-3 cells at 1-6 levels with any road flags, spread from
+    a few metres to far past a full battery."""
+    n = draw(st.integers(2, 3))
+    coord = st.floats(0.0, draw(st.sampled_from([20.0, 80.0, 400.0])))
+    cells = []
+    for i in range(n):
+        ax, ay = draw(coord), draw(coord)
+        length, angle = draw(st.floats(1.0, 15.0)), draw(st.floats(0.0, 6.0))
+        cells.append(Cell(i, Site(2 * i, ax, ay, draw(st.booleans())),
+                          Site(2 * i + 1, ax + length * math.cos(angle),
+                               ay + length * math.sin(angle),
+                               draw(st.booleans()))))
+    cfg = PlannerConfig(
+        d_max=draw(st.sampled_from([15.0, 40.0, 90.0])),
+        battery_levels=draw(st.integers(1, 6)),
+        fixed_wing_ratio=draw(st.sampled_from([1.0, 3.0])),
+        ugv_speed_ratio=draw(st.sampled_from([0.2, 1.0])),
+        t_land=draw(st.sampled_from([0.7, 45.3])),
+        t_takeoff=draw(st.sampled_from([0.3, 5.1])),
+        recharge_rate=draw(st.sampled_from([0.55, 2.1, 7.3])),
+        turn_radius=draw(st.sampled_from([1.0, 5.0])))
+    return cells, cfg
+
+
+@settings(max_examples=100, deadline=None)
+@example(farm=pinned_tiny_farm())
+@given(farm=tiny_farms())
+def test_whole_matrix_matches_oracle(farm):
+    # Every cell-to-cell entry of the matrix and of the winning types,
+    # not a sample of pairs.
+    cells, cfg = farm
+    g = build_instance(cells, cfg)
+    for u in range(1, len(g.cost)):
+        for v in range(1, len(g.cost)):
+            a, b = g.vertex(u), g.vertex(v)
+            if a.cell_index == b.cell_index:
+                assert math.isinf(g.cost[u, v]) and g.best_type[u, v] == -1
+                continue
+            cost, idx = oracle_edge_cost(a, b, cells, cfg)
+            assert float(g.cost[u, v]) == cost
+            assert int(g.best_type[u, v]) == (-1 if idx is None else idx)
+
+
+def test_breakdown_refuses_a_cost_no_template_gives():
+    # breakdown takes the first type whose template reproduces the entry;
+    # an entry that none reproduces is a broken matrix, not an edge.
+    g = build_instance(spec_cells(), spec_cfg())
+    u, v = g.vertex_id(0, "A", 20), g.vertex_id(1, "A", 16)
+    assert g.breakdown(u, v).edge_type is EdgeType.M_M
+    g.cost[u, v] += 0.5
+    with pytest.raises(RuntimeError, match="no edge type gives"):
+        g.breakdown(u, v)
+
+
 def test_every_type_can_win_somewhere_seeded():
     """Sanity: across many random pairs the argmin is not constant."""
     rng = random.Random(70)
@@ -381,6 +462,7 @@ def test_matrix_bound_checked_before_allocation(monkeypatch):
 
     monkeypatch.setattr(np, "full", no_alloc)
     monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(np, "empty", no_alloc)
     monkeypatch.setattr(mmap, "mmap", no_alloc)
     monkeypatch.setattr(graph, "Vertex", no_alloc)
     # Two usable CPUs would give this build the shared matrix.
@@ -449,15 +531,15 @@ def test_parallel_build_matches_one_worker(n, levels, roads, farm_seed,
 def test_failing_build_worker_raises_and_leaves_no_child(monkeypatch,
                                                          in_child):
     parent = os.getpid()
-    source_rows = graph._source_rows
+    block_rows = graph._block_rows
 
-    def rows_or_fail(i, *args):
+    def rows_or_fail(cells, *args):
         if (os.getpid() != parent) == in_child:
-            raise ValueError(f"cell {i} failed")
-        return source_rows(i, *args)
+            raise ValueError(f"cells {cells} failed")
+        return block_rows(cells, *args)
 
     forced_workers(monkeypatch, 3)
-    monkeypatch.setattr(graph, "_source_rows", rows_or_fail)
+    monkeypatch.setattr(graph, "_block_rows", rows_or_fail)
     with pytest.raises(ValueError, match="failed"):
         build_instance(gen_random(6, 40.0, 8.0, seed=4), spec_cfg())
     assert_no_child_left()
