@@ -2,7 +2,12 @@
 
 solve_exact is the optimality oracle: a Held-Karp dynamic program over
 subsets of clusters (GTSP form, after Noon & Bean), with the depot fixed
-first.  solve_glns is a large neighborhood search in the style of GLNS.
+first.  It holds two layers of states at a time, the sets of one size and
+those of the next, each set at its combinatorial rank and with only its
+own clusters, and a step extends only a set's finite states, gathered in
+rank order so that ties still go to the lexicographically smallest
+cluster order (_held_karp).  solve_glns is a large neighborhood search in
+the style of GLNS.
 Each iteration removes clusters by segment or by distance, reinserts
 them by cheapest, noisy, nearest or random insertion, each heuristic
 picked uniformly at random, re-picks the vertices along the new cluster
@@ -90,10 +95,22 @@ _NOISE = 0.25
 # twice the looks, and every 4 or 8 stops later.
 _BOUND_EVERY = 2
 
-# The bound on solve_exact's DP tables: 12 bytes per (set, cluster,
-# vertex), 23.6 MB for 12 clusters of 40 vertices.  Within the bound every
-# rank key fits in the tables' int32.
+# The bound on solve_exact's DP tables (_held_karp_bytes): 41.4 MB for 14
+# clusters of 40 vertices, 85.6 MB for 15.  Within it a layer holds fewer
+# than 2^23 states, so a rank is below 2^23, and m < 20 (the traceback
+# keys alone pass the bound at m = 20 even for 2 vertices a cluster), so a
+# key rank * m + cluster stays below 2^31 and fits the tables' int32.
 _HELD_KARP_MAX_BYTES = 64 << 20
+# Min-plus terms per chunk of sets in a _held_karp step: 128 KB of
+# float64, and as much again for argmin's transposed copy, so a 6-cell
+# farm at 20 levels steps about one set at a time in its middle layers.
+# Larger chunks raised the exact-small benchmark's peak RSS, by about
+# 0.2 MB at 2^15 terms and 1.3 MB at 2^16.
+_HELD_KARP_CHUNK = 1 << 14
+# Seconds per min-plus term, for the time a refused instance would take:
+# 14 clusters of 40 vertices, 1.19e9 terms, took 5.1 s on a 2-core
+# Xeon.
+_HELD_KARP_TERM_S = 4.3e-9
 
 
 @dataclass(frozen=True)
@@ -139,63 +156,118 @@ def solve_exact(g: ClusteredGraph) -> GtspTour:
     return GtspTour(tuple(vertices), total)
 
 
+def _held_karp_bytes(m: int, width: int) -> int:
+    """Peak bytes of _held_karp's tables for m clusters of width vertices:
+    12 per state (value and rank) of two adjacent layers, a layer of size
+    k holding C(m, k) * k * width states, plus 4 per traceback key, of
+    which a layer has at most one per state."""
+    states = [math.comb(m, k) * k * width for k in range(m + 1)]
+    both = max(states[k] + states[k + 1] for k in range(m)) if m else 0
+    return 12 * both + 4 * sum(states[2:])
+
+
 def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
     """Optimal cycle over every cluster order: (cost, vertex ids).
 
-    value[S, c, v] is the cheapest path from the depot through the set S
-    that ends on vertex v of c in S, the minimum of _layered_dp's sums
-    over the orders of S.  Sets grow in order of size, one min-plus step
-    per set.  Ties go to the lexicographically smallest cluster order:
-    rank[S, c, v] ranks the order behind value[S, c, v] among all orders
-    of its length, a step keeps the smallest rank among its cheapest
-    candidates, and the new ranks are the dense ranks of (predecessor
-    rank, cluster).  The vertices are _layered_dp's along that order.
+    value[S][j, v] is the cheapest path from the depot through the set S
+    that ends on vertex v of the j-th cluster of S, the minimum of
+    _layered_dp's sums over the orders of S.  The sets of one size form a
+    layer, in ascending order of their bitmasks, so a set's index is its
+    combinatorial (colex) rank, and a set stores only its own clusters; a
+    step reads one layer and writes the next, so only two are ever held.
+    A state whose value is inf leads only to states of inf, so a step
+    gathers only the finite states of each set, and skips a set that has
+    none.  Ties go to the lexicographically smallest cluster order:
+    rank[S][j, v] ranks the order behind value[S][j, v] among the orders
+    of its length, a set's states are gathered in rank order so that the
+    first argmin hit has the smallest rank among the cheapest, and the
+    new ranks are the dense ranks of (predecessor rank, cluster).  The
+    vertices are _layered_dp's along that order.
     """
     blocks, depart, arrive = cluster_views(mat, m)
     width = blocks.shape[1]
-    need = 12 * (1 << m) * m * width
+    need = _held_karp_bytes(m, width)
     if need > _HELD_KARP_MAX_BYTES:
-        raise InstanceTooLarge(f"{m} clusters need {need} bytes of exact-"
-                               f"solver tables, over {_HELD_KARP_MAX_BYTES} "
-                               "(use --solver glns)")
+        seconds = (width * width * m * (m - 1) * 2.0 ** (m - 2)
+                   * _HELD_KARP_TERM_S)
+        raise InstanceTooLarge(
+            f"{m} clusters need {need} bytes of exact-solver tables, over "
+            f"{_HELD_KARP_MAX_BYTES}, and about {seconds:.2g} s "
+            "(use --solver glns)")
+    # rows[c * width + u, d]: the costs from vertex u of cluster c to the
+    # vertices of cluster d.
+    rows = blocks.reshape(m * width, m, width)
     every = np.arange(m)
-    vertex = np.arange(width)[:, None]
-    value = np.full((1 << m, m, width), np.inf)
-    rank = np.zeros((1 << m, m, width), dtype=np.int32)
-    value[1 << every, every] = depart
-    rank[1 << every, every] = every[:, None]
-    keys = []  # keys[k - 1][r]: predecessor rank * m + cluster of rank r
+    sets = 1 << every
+    # An infinite state's rank is last, which sorts it after the finite.
+    last = np.iinfo(np.int32).max
+    value = depart[:, None, :]
+    rank = np.where(np.isfinite(value), every[:, None, None], last)
+    keys = []  # keys[k - 2][r]: predecessor rank * m + cluster of rank r
     for k in range(1, m):
-        for inside in itertools.combinations(range(m), k):
-            cs = np.array(inside)
-            ds = np.array([d for d in range(m) if d not in inside])
-            s = sum(1 << c for c in inside)
-            # trans[(c, u), (d, v)]: via vertex u of cs[c] to v of ds[d].
-            trans = blocks[cs[:, None, None], vertex, ds].reshape(k * width, -1)
-            trans += value[s, cs].reshape(-1, 1)
-            # Rows by rank, so the first argmin has the smallest rank of
-            # the cheapest candidates.
-            ranks = rank[s, cs].ravel()
-            by_rank = np.argsort(ranks, kind="stable")
-            trans = trans[by_rank]
-            pick = trans.argmin(axis=0)
-            best = trans[pick, np.arange(trans.shape[1])]
-            pred = ranks[by_rank][pick]
-            value[s + (1 << ds), ds] = best.reshape(-1, width)
-            rank[s + (1 << ds), ds] = pred.reshape(-1, width) * m + ds[:, None]
-        # Dense ranks by counting; unused entries' 0 keys leave the order as is.
-        layer = [sum(1 << c for c in inside)
-                 for inside in itertools.combinations(range(m), k + 1)]
-        new = rank[layer]
-        seen = np.bincount(new.ravel()) > 0
-        rank[layer] = (np.cumsum(seen) - 1)[new]
-        keys.append(np.flatnonzero(seen))
+        n, out = len(sets), m - k
+        bits = (sets[:, None] >> every) & 1
+        inside = np.nonzero(bits)[1].reshape(n, k)
+        outside = np.nonzero(bits == 0)[1].reshape(n, out)
+        # Adding outside[i, t] to set i gives the set target[i, t] of the
+        # next layer, where it is cluster slot[i, t].
+        grown = sets[:, None] | (1 << outside)
+        # index[b]: the position in the next layer of the set of bitmask b.
+        index = np.zeros(1 << m, dtype=np.intp)
+        index[grown] = 1
+        sets = np.flatnonzero(index)
+        index[sets] = np.arange(len(sets))
+        target = index[grown]
+        slot = (np.cumsum(bits, axis=1) - bits)[np.arange(n)[:, None],
+                                                 outside]
+        # State j * width + u of set i is vertex u of cluster inside[i, j],
+        # number j * width + u + shift[i, j] among the clusters' vertices.
+        shift = (inside - np.arange(k)) * width
+        new_value = np.full((len(sets) * (k + 1), width), np.inf)
+        new_rank = np.zeros((len(sets) * (k + 1), width), dtype=np.int32)
+        # new_value[at[i, t]] are the states of cluster outside[i, t] in
+        # the set that adding it to set i gives.
+        at = target * (k + 1) + slot
+        value = value.reshape(n, k * width)
+        rank = rank.reshape(n, k * width)
+        count = np.isfinite(value).sum(axis=1)
+        todo = np.flatnonzero(count)
+        per = max(1, _HELD_KARP_CHUNK // (max(count.max(), 1) * out * width))
+        lines, columns = np.arange(per)[:, None], np.arange(out * width)
+        for a in range(0, len(todo), per):
+            s = todo[a:a + per]
+            si, i, ds = s[:, None], lines[:len(s)], outside[s]
+            # A set's finite states by rank: trans[i, r, (t, v)] goes
+            # through state by_rank[i, r] of set s[i] to vertex v of its
+            # t-th cluster outside.  The order of equal ranks (one cluster
+            # order) does not matter; the stable sort spares the benchmark
+            # 0.2 MB of peak RSS for the default sort's SIMD code.
+            by_rank = np.argsort(rank[s], axis=1,
+                                 kind="stable")[:, :count[s].max()]
+            via = by_rank + shift[si, by_rank // width]
+            trans = rows[via[:, :, None], ds[:, None]].reshape(
+                len(s), -1, out * width)
+            trans += value[si, by_rank][:, :, None]
+            pick = trans.argmin(axis=1)
+            shape = (len(s), out, width)
+            new_value[at[s]] = trans[i, pick, columns].reshape(shape)
+            new_rank[at[s]] = (rank[si, by_rank[i, pick]].reshape(shape) * m
+                               + ds[:, :, None])
+        # Dense ranks of the keys, by counting.  An infinite state's key is
+        # 0, which may add a rank but leaves the others' order as it is.
+        seen = np.zeros(int(new_rank.max()) + 1, dtype=bool)
+        seen[new_rank] = True
+        new_rank = (np.cumsum(seen, dtype=np.int32) - 1)[new_rank]
+        new_rank[np.isinf(new_value)] = last
+        keys.append(np.flatnonzero(seen).astype(np.int32))
+        value = new_value.reshape(len(sets), k + 1, width)
+        rank = new_rank.reshape(value.shape)
 
-    closing = value[-1] + arrive
+    closing = value[0] + arrive
     total = float(closing.min())
     if not math.isfinite(total):
         raise Infeasible("every cluster ordering hits an infeasible edge")
-    r = int(rank[-1][closing == total].min())
+    r = int(rank[0][closing == total].min())
     order = []
     for uniq in reversed(keys):
         r, d = divmod(int(uniq[r]), m)

@@ -16,7 +16,7 @@ from airmule.solver import solve_exact
 _MISSES_AT_TWO_OFFSETS = 8
 
 
-@pytest.mark.parametrize("s", [3, 9, 21])
+@pytest.mark.parametrize("s", [3, 9, 21, 23])
 def test_pinned_optimum_rederived(s):
     assert repr(solve_exact(farm(s)).cost) == repr(OPTIMA[FARMS.index(s)])
 

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import held_karp_reference
+
 from airmule.energy import PlannerConfig
 from airmule.errors import Infeasible, InstanceTooLarge, NoFeasibleTour
 from airmule.geometry import Cell, Site
@@ -105,6 +107,19 @@ def test_exact_twelve_clusters():
                                             ugv_speed_ratio=0.2))
     tour = solve_exact(g)
     assert cells_hit(g, tour) == list(range(-1, 12))
+    assert tour.cost == tour_cost(g, tour)
+    heur = solve_glns(g, SolverParams(mode="fast", restarts=1))
+    assert heur.cost >= tour.cost
+
+
+def test_exact_fourteen_clusters():
+    # Two layers of 14 clusters at C=20 fit the table bound (41.4 MB of
+    # 64 MiB); the farm is twelve_clusters' recipe with two more cells.
+    cells = gen_random(14, 100.0, 10.0, seed=0, road_fraction=0.7)
+    g = build_instance(cells, PlannerConfig(d_max=60.0, battery_levels=20,
+                                            ugv_speed_ratio=0.2))
+    tour = solve_exact(g)
+    assert cells_hit(g, tour) == list(range(-1, 14))
     assert tour.cost == tour_cost(g, tour)
     heur = solve_glns(g, SolverParams(mode="fast", restarts=1))
     assert heur.cost >= tour.cost
@@ -595,6 +610,45 @@ def test_held_karp_matches_brute_force(data, exact_sums):
                                        if c == expect)
         _, choice = _layered_dp(*incoming(mat, m), order)
         assert vertices == [choice[c] for c in order]
+
+
+def same_as_reference(mat, m):
+    """_held_karp gives the frozen full-table solver's cost, bit for bit,
+    and its vertices, or raises Infeasible where that finds no tour."""
+    expect, vertices = held_karp_reference.held_karp(mat, m)
+    if vertices is None:
+        with pytest.raises(Infeasible):
+            _held_karp(mat, m)
+        return
+    total, got = _held_karp(mat, m)
+    assert repr(total) == repr(expect)
+    assert got == vertices
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 8), levels=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), reach=st.floats(0.0, 1.0))
+def test_held_karp_matches_reference_on_ties(m, levels, seed, reach):
+    # Sums of {0, 1, 2.5, inf} are exact, so equal-cost orders really tie
+    # and the rank order of a set's gathered states decides the tour.  The
+    # depot reaches only a random share of the vertices, so some states
+    # and whole sets have no finite state, and some a single one.
+    rng = np.random.default_rng(seed)
+    size = 1 + m * 2 * levels
+    mat = np.array([0.0, 1.0, 2.5, math.inf])[rng.integers(0, 4, (size, size))]
+    mat[0, 1:][rng.random(size - 1) >= reach] = math.inf
+    same_as_reference(mat, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 9), levels=st.integers(1, 20),
+       seed=st.integers(0, 10**6), roads=st.sampled_from([0.0, 0.5, 1.0]),
+       d_max=st.sampled_from([30.0, 60.0, 120.0]))
+def test_held_karp_matches_reference_on_farms(n, levels, seed, roads, d_max):
+    cells = gen_random(n, 60.0, 8.0, seed=seed, road_fraction=roads)
+    g = build_instance(cells, PlannerConfig(d_max=d_max, battery_levels=levels,
+                                            ugv_speed_ratio=0.3))
+    same_as_reference(g.cost, n)
 
 
 def distance_scan(search, count):
