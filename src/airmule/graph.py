@@ -41,11 +41,8 @@ pair of the farm in one array pass (geometry.dubins_arrays for the
 fixed-wing legs), and the graph keeps them; the build's templates,
 breakdown and best_type all read those arrays, so decode evaluates no
 Dubins path.  A source cell's rows of the cost matrix then depend on no
-other cell's rows.  Above a size that pays for the forks, build_instance
-deals the source cells round-robin to the fork pool of the workers
-module; the matrix then sits in a shared anonymous mapping, every worker
-writes its cells' rows straight into it, and the bytes are those of a
-one-process build.
+other cell's rows, and build_instance fills the matrix in this process,
+a block of source cells at a time.
 """
 
 from __future__ import annotations
@@ -53,14 +50,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import mmap
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import workers
 from .energy import (PlannerConfig, RechargeSplit, consumption_levels,
                      recharge_time)
 from .errors import InstanceTooLarge
@@ -87,17 +82,6 @@ INF = math.inf
 # allocates anything.
 _MATRIX_MAX_BYTES = 512 << 20
 
-# Matrix entries (V * V) per build worker; below twice this the build runs
-# in this process alone.  A fork costs the caller 8-10 ms in all (a bare
-# fork round trip is 5 ms; the rest is copy-on-write faults).  On a
-# 2-vCPU x86-64 host at C=20 (best of 11 builds), one worker against two
-# broke even between 411k and 642k entries, and two gained 16 ms of 67 at
-# 1.08M and 20 ms of 86 at 1.44M, in phases where the host ran two
-# processes at full speed; in phases where it ran them no faster than
-# one, two lost 10-17 ms at every size from 161k to 1.44M.  2**19 starts
-# the second worker at 1.05M entries (26 cells at C=20).
-_BUILD_ENTRIES_PER_WORKER = 1 << 19
-
 # End pairs per dubins_arrays call of _farm_legs.  Farms of up to 32
 # cells take one call; larger ones take blocks, which keeps the pass's
 # temporaries small: one call over glns-n50's 9,800 pairs read 1.0-2.5 MB
@@ -105,12 +89,12 @@ _BUILD_ENTRIES_PER_WORKER = 1 << 19
 # follows did not reuse).
 _PAIRS_PER_CALL = 1 << 12
 
-# Cost entries per _block_rows call: a worker prices the source cells of
-# its share in runs of at most this many entries, or one cell.  A call
-# costs about 1 ms before its entries, and its temporaries take about
-# 26 bytes an entry: on exact-small (4-6 cells at C=20, 6-10k entries a
-# cell), 2**16 entries built 8% faster than 2**15 but raised peak RSS by
-# 1.2 MB, and 2**14 built 8% slower for no less memory.
+# Cost entries per _block_rows call: the build prices the source cells
+# in runs of at most this many entries, or one cell.  A call costs about
+# 1 ms before its entries, and its temporaries take about 26 bytes an
+# entry: on exact-small (4-6 cells at C=20, 6-10k entries a cell), 2**16
+# entries built 8% faster than 2**15 but raised peak RSS by 1.2 MB, and
+# 2**14 built 8% slower for no less memory.
 _ENTRIES_PER_BLOCK = 1 << 15
 
 _MR = FlightMode.MULTI_ROTOR
@@ -542,7 +526,7 @@ class ClusteredGraph:
         types = np.full(self.cost.shape, -1, dtype=np.int16)
         costs, codes = (cluster_views(m, n)[0].reshape(n, 2, C, n, 2, C)
                         for m in (self.cost, types))
-        for cells in _cell_blocks(range(n), n, C):
+        for cells in _cell_blocks(n, C):
             cost, block = (_level_major(m[_as_slice(cells)])
                            for m in (costs, codes))
             block[...] = len(EdgeType)
@@ -606,10 +590,11 @@ def _as_slice(cells: range) -> slice:
     return slice(cells.start, cells.stop, cells.step)
 
 
-def _cell_blocks(cells: range, n: int, C: int) -> Iterable[range]:
-    """cells cut into runs of at most _ENTRIES_PER_BLOCK cost entries."""
+def _cell_blocks(n: int, C: int) -> Iterable[range]:
+    """The n source cells in runs of at most _ENTRIES_PER_BLOCK cost
+    entries."""
     size = max(1, _ENTRIES_PER_BLOCK // (4 * n * C * C))
-    return (cells[k:k + size] for k in range(0, len(cells), size))
+    return (range(k, min(k + size, n)) for k in range(0, n, size))
 
 
 def _level_major(rows: np.ndarray) -> np.ndarray:
@@ -695,15 +680,6 @@ def _block_rows(cells: range, cfg: PlannerConfig, legs: _Legs,
         rows[b, :, :, i] = INF
 
 
-def _shared_cost(V: int) -> np.ndarray:
-    """A V x V cost matrix in an anonymous mapping that forked workers
-    write into and this process reads.  Nothing is set here: the workers
-    write their rows, so each faults in the pages of its own, where a
-    fill here would fault in all of them serially before the fork."""
-    buf = mmap.mmap(-1, V * V * 8)
-    return np.frombuffer(buf, np.float64, V * V).reshape(V, V)
-
-
 def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
     """Build the clustered graph for a list of cells."""
     if not cells:
@@ -725,18 +701,11 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
     # the largest allocation of the build.
     legs = _farm_legs(cells, cfg)
 
-    count = max(1, min(workers.usable_cpus(), n,
-                       V * V // _BUILD_ENTRIES_PER_WORKER))
-    cost = _shared_cost(V) if count > 1 else np.empty((V, V))
+    cost = np.empty((V, V))
     cost[0, 0] = INF
     blocks = cluster_views(cost, n)[0].reshape(n, 2, C, n, 2, C)
-
-    def fill(share: range) -> list:
-        for cells in _cell_blocks(share, n, C):
-            _block_rows(cells, cfg, legs, blocks[_as_slice(cells)])
-        return []
-
-    workers.in_workers(fill, range(n), count)
+    for sources in _cell_blocks(n, C):
+        _block_rows(sources, cfg, legs, blocks[_as_slice(sources)])
 
     # Depot edges: free departure into full-battery vertices, and the final
     # coverage pass on the way back.

@@ -1,10 +1,9 @@
 """The fork pool: independent units of work, dealt round-robin so that
 no worker holds more than the usable CPUs' average share.
 
-solve_glns runs its restarts here and build_instance its source cells.
-The caller is worker 0; every other worker is a forked child, which
-sees the caller's arrays copy-on-write and its shared mappings as they
-are.  Workers need not be importable or picklable, only their results.
+solve_glns runs its restarts here.  The caller is worker 0; every other
+worker is a forked child, which sees the caller's arrays copy-on-write.
+Workers need not be importable or picklable, only their results.
 
 Whole units cannot always split evenly over the CPUs: 3 units dealt to
 2 workers leave one of them idle for the last third of the run.
@@ -48,11 +47,9 @@ def worker_count(units: int, cpus: int) -> int:
     return -(-units // share)
 
 
-def in_workers(run: Callable[[range], list], indices: range,
-               cap: int | None = None) -> list:
+def in_workers(run: Callable[[range], list], indices: range) -> list:
     """run(share) over indices dealt round-robin to worker_count(len(indices),
-    usable CPUs) workers, and to at most cap workers; the concatenated
-    results, in no particular order.
+    usable CPUs) workers; the concatenated results, in no particular order.
 
     Each share is a slice of indices, so a range is never expanded.
     This process is worker 0 and runs its share itself.  Every other
@@ -63,8 +60,6 @@ def in_workers(run: Callable[[range], list], indices: range,
     here once every child has ended; none is left running or unreaped.
     """
     workers = worker_count(len(indices), usable_cpus())
-    if cap is not None:
-        workers = min(workers, cap)
     own = [indices[::workers]]
     children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
     try:

@@ -6,7 +6,6 @@ import math
 import mmap
 import os
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -255,7 +254,13 @@ def test_build_instance_rejects_bad_indices():
     ((5, 200.0, 10.0, 8, 0.8), dict(d_max=40.0, battery_levels=4),
      "1bf2d77fc9a4a9b43fd72a41969dafe157c61131274c0f700c740a678f027c87",
      "72af0ae20be222bb6b39cb55af1480ea801289f3760b3948d218afe6f1176207"),
-], ids=["tight-offroad", "n1", "n2", "C1", "fw-speed-turn", "long-legs"])
+    # 1.44M entries; the digests come from a build forked over two
+    # workers, so they hold the one-process build to those bytes.
+    ((30, 100.0, 10.0, 3, 1.0), dict(d_max=400.0, battery_levels=20),
+     "c6391aab433e5f91a74db716268c0165227c0b416d3f431f86038e1f14d089fe",
+     "f38f56ec4deffd90095e7fc7aaa07889f6f4f8ea32873daab212b342994bb35c"),
+], ids=["tight-offroad", "n1", "n2", "C1", "fw-speed-turn", "long-legs",
+        "n30-C20"])
 def test_build_pinned(gen, cfg, cost_sha, type_sha):
     # Values recorded before the build evaluated its templates per source
     # cell; a changed float, tie-break or mask shows up as a new digest.
@@ -463,10 +468,7 @@ def test_matrix_bound_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(np, "full", no_alloc)
     monkeypatch.setattr(np, "zeros", no_alloc)
     monkeypatch.setattr(np, "empty", no_alloc)
-    monkeypatch.setattr(mmap, "mmap", no_alloc)
     monkeypatch.setattr(graph, "Vertex", no_alloc)
-    # Two usable CPUs would give this build the shared matrix.
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     with pytest.raises(InstanceTooLarge, match="bytes of matrices"):
         build_instance(spec_cells(), PlannerConfig(battery_levels=10**9))
 
@@ -486,87 +488,15 @@ def test_matrix_bound_counts_sixteen_bytes_per_entry(monkeypatch):
         build_instance(spec_cells(), cfg)
 
 
-def matrix_bytes(g):
-    return g.cost.tobytes(), g.best_type.tobytes()
-
-
-def assert_no_child_left():
-    """This process has no child, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def forced_workers(monkeypatch, count):
-    """Make every build with at least count cells use count workers."""
-    monkeypatch.setattr(workers, "usable_cpus", lambda: count)
-    monkeypatch.setattr(graph, "_BUILD_ENTRIES_PER_WORKER", 1)
-
-
-@settings(max_examples=20, deadline=None)
-@given(n=st.integers(1, 25), levels=st.integers(1, 20),
-       roads=st.floats(0.3, 1.0), farm_seed=st.integers(0, 2**16),
-       d_max=st.sampled_from([40.0, 120.0, 400.0]))
-def test_parallel_build_matches_one_worker(n, levels, roads, farm_seed,
-                                           d_max):
-    cells = gen_random(n, 100.0, 10.0, seed=farm_seed, road_fraction=roads)
-    cfg = PlannerConfig(d_max=d_max, battery_levels=levels)
-    with mock.patch.object(workers, "usable_cpus", lambda: 1):
-        serial = matrix_bytes(build_instance(cells, cfg))
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    with mock.patch.object(workers, "usable_cpus", lambda: 3), \
-            mock.patch.object(graph, "_BUILD_ENTRIES_PER_WORKER", 1), \
-            mock.patch.object(os, "fork", counted_fork):
-        assert matrix_bytes(build_instance(cells, cfg)) == serial
-    assert len(forks) == min(n, 3) - 1
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("in_child", [True, False])
-def test_failing_build_worker_raises_and_leaves_no_child(monkeypatch,
-                                                         in_child):
-    parent = os.getpid()
-    block_rows = graph._block_rows
-
-    def rows_or_fail(cells, *args):
-        if (os.getpid() != parent) == in_child:
-            raise ValueError(f"cells {cells} failed")
-        return block_rows(cells, *args)
-
-    forced_workers(monkeypatch, 3)
-    monkeypatch.setattr(graph, "_block_rows", rows_or_fail)
-    with pytest.raises(ValueError, match="failed"):
-        build_instance(gen_random(6, 40.0, 8.0, seed=4), spec_cfg())
-    assert_no_child_left()
-
-
-def test_failed_fork_builds_in_process(monkeypatch):
-    cells = gen_random(6, 40.0, 8.0, seed=4)
-    serial = matrix_bytes(build_instance(cells, spec_cfg()))
-
-    def refused():
-        raise OSError("fork refused")
-
-    forced_workers(monkeypatch, 3)
-    monkeypatch.setattr(os, "fork", refused)
-    assert matrix_bytes(build_instance(cells, spec_cfg())) == serial
-    assert_no_child_left()
-
-
-def test_small_build_never_forks(monkeypatch):
-    # Six cells at C=20, the largest farm of the exact solver's workload
-    # size: the forks would cost more than they save.
+def test_build_never_forks(monkeypatch):
+    # The build runs in this process at every size: 30 cells at C=20
+    # (1.44M entries) on 64 usable CPUs neither fork nor share a mapping.
     def forbidden(*args, **kwargs):
         raise AssertionError("forked or shared")
 
     monkeypatch.setattr(workers, "usable_cpus", lambda: 64)
     monkeypatch.setattr(os, "fork", forbidden)
     monkeypatch.setattr(mmap, "mmap", forbidden)
-    g = build_instance(gen_random(6, 40.0, 8.0, seed=4),
-                       PlannerConfig(d_max=120.0, battery_levels=20))
-    assert len(g.cost) == 241
+    g = build_instance(gen_random(30, 100.0, 10.0, seed=3),
+                       PlannerConfig(d_max=400.0, battery_levels=20))
+    assert len(g.cost) == 1201

@@ -128,8 +128,11 @@ def test_exact_fourteen_clusters():
 def test_exact_leaves_no_reference_cycle():
     # Garbage in a cycle waits for the cyclic collector; the exact search
     # holds the cost matrix, which must be freed as soon as it returns.
+    # The first solve of a process may leave numpy's own first-call garbage
+    # in cycles, so only the second is counted.
     g = build_instance(gen_random(4, 30.0, 6.0, seed=1),
                        PlannerConfig(d_max=90.0, battery_levels=3))
+    solve_exact(g)
     gc.collect()
     gc.disable()
     try:
@@ -753,7 +756,7 @@ def test_glns_hands_workers_a_range(monkeypatch):
                        PlannerConfig(d_max=100.0, battery_levels=3))
     handed = []
 
-    def in_workers(run, indices, cap=None):
+    def in_workers(run, indices):
         handed.append(indices)
         return [(0, 1.0, [0, 1])]
 
