@@ -26,23 +26,28 @@ so a template prices a line over the 2C - 1 values of d, and its C x C
 grid of level pairs is a Toeplitz view of that line; the one regime that
 is no line, stopping at both ends with a full battery at the exit, is a
 term in KI plus a term in KJ.  The template is the single formula for an
-edge's cost and its recharge split: build_instance prices the lines of
+edge's cost and its recharge split: a matrix fill prices the lines of
 every end pair leaving a block of source cells in one call per template,
 lifts them to their grids as views and keeps only the minimum;
-ClusteredGraph.breakdown, which decode expands into legs, reads the
-templates at the one level difference of a tour edge and takes the
-first type in EdgeType order that gives the edge's cost, so only the
-n + 1 edges of a tour are ever typed.  Off-road landing sites are mask
-terms of the templates, infinite where the layout cannot be flown.
+ClusteredGraph.edge_costs prices a list of edges, a tour's n + 1, in one
+call per template over all the edges and their types, and takes the
+first type in EdgeType order that gives the least cost, so only the
+edges of a tour are ever typed; breakdown, which decode expands into
+legs, reads the templates at the one level difference of such an edge.
+Off-road landing sites are mask terms of the templates, infinite where
+the layout cannot be flown.
 
-The legs come first, once per graph: build_instance computes the
-coverage passes of every cell and the transit legs of every ordered end
-pair of the farm in one array pass (geometry.dubins_arrays for the
-fixed-wing legs), and the graph keeps them; the build's templates,
-breakdown and best_type all read those arrays, so decode evaluates no
-Dubins path.  A source cell's rows of the cost matrix then depend on no
-other cell's rows, and build_instance fills the matrix in this process,
-a block of source cells at a time.
+build_instance computes only the legs, once per graph: the coverage
+passes of every cell and the transit legs of every ordered end pair of
+the farm in one array pass (geometry.dubins_arrays for the fixed-wing
+legs), and the graph keeps them; the templates, edge_costs and
+best_type all read those arrays, so decode evaluates no Dubins path.  A
+source cell's rows of the cost matrix then depend on no other cell's
+rows, and a fill writes them in this process, a block of source cells
+at a time, either as the rows of ClusteredGraph.cost, built on first
+read, or as the columns of the GLNS search's transposed matrix
+(ClusteredGraph.transposed_cost).  A GLNS plan thus holds one V x V
+array, and an exact plan holds cost alone.
 """
 
 from __future__ import annotations
@@ -76,8 +81,10 @@ from .geometry import (  # noqa: F401
 
 INF = math.inf
 
-# Bound on V * V * 16 bytes for V vertices: the cost matrix and the
-# search's transposed penalty copy.  n=100 cells at C=20 levels take
+# Bound on V * V * 16 bytes for V vertices: two V x V float64 arrays.  A
+# GLNS plan holds one, the search's transposed penalty matrix, and an
+# exact plan one, the cost matrix; a caller that runs both solvers on one
+# graph, or reads best_type, holds two.  n=100 cells at C=20 levels take
 # 256 MB.  build_instance refuses an instance over the bound before it
 # allocates anything.
 _MATRIX_MAX_BYTES = 512 << 20
@@ -364,12 +371,22 @@ def _table_row(t: EdgeType):
 # in enum order, so the first match over the rows is the tie-break.
 _TABLE = tuple(_table_row(t) for t in EdgeType)
 
-# Each template with the values of its types and their cover and leg
-# indices, so that _block_grids prices all of a template's types at once.
-_KINDS = tuple(
-    (template, *map(list, zip(*[(code, cover, leg) for code, (tpl, cover, leg)
-                                in enumerate(_TABLE) if tpl is template])))
-    for template in (_pure, _ride, _entry, _exit, _both))
+# Each type's cover and leg index, in enum order.
+_COVER = np.array([cover for _, cover, _ in _TABLE])
+_LEG = np.array([leg for _, _, leg in _TABLE])
+
+
+def _span(template) -> slice:
+    codes = [code for code, (tpl, _, _) in enumerate(_TABLE) if tpl is template]
+    assert codes == list(range(codes[0], codes[-1] + 1))
+    return slice(codes[0], codes[-1] + 1)
+
+
+# Each template with the values of its types, which are consecutive in
+# enum order, so that _block_grids and ClusteredGraph.edge_costs price all
+# of a template's types at once.
+_KINDS = tuple((template, _span(template))
+               for template in (_pure, _ride, _entry, _exit, _both))
 
 
 @functools.lru_cache(maxsize=256)
@@ -462,9 +479,11 @@ class _Edge:
         )
 
 
-def _closing(cover: tuple[tuple[float, int], ...], k):
+def _closing(cover, k):
     """(time, EdgeType value) of a cell's final coverage pass back to the
-    depot when it starts with k levels (an int or an array): the faster
+    depot when it starts with k levels (an int or an array), cover being
+    its ((time, levels) multi-rotor, (time, levels) fixed-wing), numbers
+    or arrays that broadcast with k: the faster
     battery-feasible mode, multi-rotor on a tie, as M_M or F_F; (inf, -1)
     where neither mode fits."""
     (t_m, c_m), (t_f, c_f) = cover
@@ -493,23 +512,42 @@ def cluster_views(mat: np.ndarray,
 
 
 class ClusteredGraph:
-    """Dense GTSP instance over 2nC cell vertices plus one depot vertex:
-    the cells, the config, the cost matrix and the farm's legs it was
-    built from.
+    """GTSP instance over 2nC cell vertices plus one depot vertex: the
+    cells, the config and the farm's legs.
 
-    Edge types are not stored.  breakdown types one edge from the legs
-    when decode expands it, and best_type is the whole matrix of them,
-    computed on first read for diagnostics and tests.
+    The dense cost matrix is not built with the graph.  cost builds it on
+    first read, for the exact solver and for diagnostics and tests;
+    transposed_cost fills the GLNS search's one V x V array from the
+    templates without it; and edge_costs prices a tour's edges alone, for
+    decode, breakdown and tour_cost.  Edge types are not stored either:
+    breakdown types one edge from the legs, and best_type is the whole
+    matrix of them, computed on first read for diagnostics and tests.
     """
 
     def __init__(self, cells: list[Cell], cfg: PlannerConfig,
-                 cost: np.ndarray, legs: _Legs) -> None:
+                 legs: _Legs) -> None:
         self.cells = cells
         self.cfg = cfg
-        self.cost = cost
         self.legs = legs
         self.n_cells = len(cells)
         self.levels = cfg.battery_levels
+        self.n_vertices = 1 + 2 * self.n_cells * self.levels
+
+    @functools.cached_property
+    def cost(self) -> np.ndarray:
+        """The V x V cost matrix, cost[u, v] the cost of u -> v, inf where
+        no type flies the edge; built on first read."""
+        cost = np.empty((self.n_vertices, self.n_vertices))
+        _fill_cost(cost, self.cfg, self.legs)
+        return cost
+
+    def transposed_cost(self) -> np.ndarray:
+        """A fresh C-ordered array equal to cost.T, filled straight from
+        the templates: each block of source cells is written into its
+        columns, so cost itself is never built."""
+        tmat = np.empty((self.n_vertices, self.n_vertices))
+        _fill_cost(tmat.T, self.cfg, self.legs)
+        return tmat
 
     @functools.cached_property
     def best_type(self) -> np.ndarray:
@@ -518,9 +556,10 @@ class ClusteredGraph:
         marks an infeasible edge.
 
         Each entry is the first type in EdgeType order whose template
-        gives the cost entry, the type breakdown picks.  Computing it
-        reruns the build's templates and takes 2 bytes per vertex pair,
-        so a plan run never reads it; it serves diagnostics and tests.
+        gives the cost entry, the type edge_costs and breakdown pick.
+        Computing it reruns the build's templates, reads cost and takes 2
+        bytes per vertex pair, so a plan run never reads it; it serves
+        diagnostics and tests.
         """
         n, C = self.n_cells, self.levels
         types = np.full(self.cost.shape, -1, dtype=np.int16)
@@ -543,9 +582,8 @@ class ClusteredGraph:
         return types
 
     def vertex(self, vid: int) -> Vertex:
-        """The vertex with id vid; ValueError unless 0 <= vid < len(cost)."""
-        if not 0 <= vid < len(self.cost):
-            raise ValueError(f"vertex id {vid} out of range")
+        """The vertex with id vid; ValueError unless 0 <= vid < n_vertices."""
+        self._check_id(vid)
         if vid == 0:
             return Vertex(-1, None, self.levels, is_depot=True)
         cell_index, k = divmod(vid - 1, 2 * self.levels)
@@ -560,30 +598,107 @@ class ClusteredGraph:
         return (cluster_span(cell_index + 1, 2 * self.levels).start + offset
                 + (self.levels - level))
 
+    def _check_id(self, vid: int) -> None:
+        if not 0 <= vid < self.n_vertices:
+            raise ValueError(f"vertex id {vid} out of range")
+
     def breakdown(self, u: int, v: int) -> Optional[EdgeBreakdown]:
         """The cell-to-cell edge u -> v as its cheapest type, the first in
-        EdgeType order on a tie, or None when it is infeasible: the first
-        type whose template gives cost[u, v]."""
+        EdgeType order on a tie, or None when it is infeasible."""
         v_from, v_to = self.vertex(u), self.vertex(v)
         _check_edge(v_from, v_to)
-        cost = float(self.cost[u, v])
-        if not math.isfinite(cost):
-            return None
-        edge = _Edge(v_from, v_to, self.cells, self.legs)
-        for t in EdgeType:
-            if edge.cost(t, self.cfg)[0] == cost:
-                return edge.typed(t, self.cfg)
-        raise RuntimeError(f"no edge type gives cost[{u}, {v}] = {cost}")
+        code = int(self.edge_costs([u], [v])[1][0])
+        return None if code < 0 else self.typed(u, v, EdgeType(code))
 
-    def closing_mode(self, u: int) -> Optional[FlightMode]:
-        """Flight mode of the final coverage pass on the closing edge
-        u -> depot, or None when no mode fits u's battery level."""
-        vert = self.vertex(u)
-        if vert.is_depot:
-            raise ValueError("the closing edge leaves a cell vertex")
-        code = int(_closing(self.legs.covers[vert.cell_index],
-                            vert.level)[1])
-        return None if code < 0 else EdgeType(code).cover_mode
+    def typed(self, u: int, v: int, t: EdgeType) -> Optional[EdgeBreakdown]:
+        """The cell-to-cell edge u -> v flown as type t, or None when t
+        cannot fly it."""
+        v_from, v_to = self.vertex(u), self.vertex(v)
+        _check_edge(v_from, v_to)
+        return _Edge(v_from, v_to, self.cells, self.legs).typed(t, self.cfg)
+
+    def edge_costs(self, us: Iterable[int],
+                   vs: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(cost, type) of each edge us[k] -> vs[k], bit for bit the
+        entries of cost and best_type, priced from the legs alone:
+        ValueError for an id out of range.
+
+        The cell-to-cell edges take one template call per template kind
+        over all edges and their types (the grouping of _block_grids), and
+        the first type in EdgeType order that gives the least cost wins.
+        Kinds after the pure one are priced only while an edge has no
+        type at or below the floor they cannot undercut, and _capped only
+        when an edge is in its regime, so a tour that flies every edge
+        without a stop mostly takes one template call.
+        """
+        C, width = self.levels, 2 * self.levels
+        cost, code = [], []
+        # The cell-to-cell edges, as (i, x, KI, j, y, KJ), and their places.
+        edges, at = [], []
+        for k, (u, v) in enumerate(zip(us, vs)):
+            self._check_id(u)
+            self._check_id(v)
+            (i, a), (j, b) = divmod(u - 1, width), divmod(v - 1, width)
+            price, kind = INF, -1
+            if u and v:
+                if i != j:
+                    edges.append((i, a // C, C - a % C, j, b // C, C - b % C))
+                    at.append(k)
+            elif v:
+                # Free departure into full-battery vertices.
+                price = 0.0 if b % C == 0 else INF
+            elif u:
+                # The final coverage pass on the way back.
+                back, mode = _closing(self.legs.covers[i], C - a % C)
+                price, kind = float(back), int(mode)
+            cost.append(price)
+            code.append(kind)
+        cost, code = np.array(cost), np.array(code, dtype=np.int16)
+        if not edges:
+            return cost, code
+        i, x, KI, j, y, KJ = np.array(edges).T
+        KI, KJ = KI[:, None], KJ[:, None]
+        legs = self.legs
+        # Each edge's legs for each type, with axes (edge, type).
+        cover_t, cover_c = self._covers[i[:, None], _COVER].transpose(2, 0, 1)
+        ends = _LEG, i[:, None], x[:, None], j[:, None], y[:, None]
+        transit_t, transit_c = legs.transit_t[ends], legs.transit_c[ends]
+        roads = legs.exit_road[i, x][:, None], legs.entry_road[j, y][:, None]
+        prices = np.full(cover_t.shape, INF)
+        # Every type after the pure ones lands, so its cost is at least the
+        # faster coverage pass, a landing and a take-off, in floats too:
+        # its template adds only nonnegative terms, and rounding is
+        # monotone.  Once every edge has a type at or below that floor, no
+        # later type can win.
+        floor = (cover_t.min(axis=1) + self.cfg.t_land) + self.cfg.t_takeoff
+        for template, types in _KINDS:
+            if template is not _pure and (prices.min(axis=1) <= floor).all():
+                break
+            cover = cover_t[:, types], cover_c[:, types]
+            leg = transit_t[:, types], transit_c[:, types]
+            if template is _both:
+                # As in _block_grids, only _both's capped regime can win.
+                if (KJ + leg[1] > C).any():
+                    prices[:, types] = _capped(KI, KJ, self.cfg, cover, leg,
+                                               roads)[0]
+                continue
+            line, _, lo, hi = template(KJ - KI, self.cfg, cover, leg, roads)
+            if isinstance(lo, np.ndarray):
+                line = np.where(KI >= lo, line, INF)
+            if isinstance(hi, np.ndarray):
+                line = np.where(KJ <= C - hi, line, INF)
+            prices[:, types] = line
+        best = prices.argmin(axis=1)
+        least = prices[np.arange(len(best)), best]
+        cost[at] = least
+        code[at] = np.where(np.isfinite(least), best, -1)
+        return cost, code
+
+    @functools.cached_property
+    def _covers(self) -> np.ndarray:
+        """The cells' coverage passes as an (n, mode, (time, levels))
+        array; levels are small integers, exact as floats."""
+        return np.array(self.legs.covers, dtype=float)
 
 
 def _as_slice(cells: range) -> slice:
@@ -640,9 +755,10 @@ def _block_grids(cells: range, cfg: PlannerConfig, legs: _Legs):
     transit_t = legs.transit_t[:, s, :, None, None]
     transit_c = legs.transit_c[:, s, :, None, None]
     roads = legs.exit_road[s, :, None, None, None, None], legs.entry_road
-    for template, codes, covers, legs_k in _KINDS:
-        cover = cover_t[covers], cover_c[covers]
-        leg = transit_t[legs_k], transit_c[legs_k]
+    for template, types in _KINDS:
+        codes = range(types.start, types.stop)
+        cover = cover_t[_COVER[types]], cover_c[_COVER[types]]
+        leg = transit_t[_LEG[types]], transit_c[_LEG[types]]
         if template is _both:
             # _both's line never goes below the line of _exit on the same
             # legs, which comes first in EdgeType order, so only its capped
@@ -680,8 +796,29 @@ def _block_rows(cells: range, cfg: PlannerConfig, legs: _Legs,
         rows[b, :, :, i] = INF
 
 
+def _fill_cost(mat: np.ndarray, cfg: PlannerConfig, legs: _Legs) -> None:
+    """Write the cost matrix into mat, a V x V array or a transposed view
+    of one (the cost of u -> v at mat[u, v]), a block of source cells at a
+    time."""
+    n, C = len(legs.covers), cfg.battery_levels
+    mat[0, 0] = INF
+    blocks = cluster_views(mat, n)[0].reshape(n, 2, C, n, 2, C)
+    for sources in _cell_blocks(n, C):
+        _block_rows(sources, cfg, legs, blocks[_as_slice(sources)])
+    # Depot edges: free departure into full-battery vertices, and the final
+    # coverage pass on the way back.
+    k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster's vertices
+    for i in range(n):
+        span = cluster_span(i + 1, 2 * C)
+        mat[0, span] = np.where(k == C, 0.0, INF)
+        mat[span, 0] = _closing(legs.covers[i], k)[0]
+
+
 def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
-    """Build the clustered graph for a list of cells."""
+    """Build the clustered graph for a list of cells: its legs, and no
+    matrix yet (ClusteredGraph.cost and transposed_cost fill one on
+    demand).  An instance whose two V x V float64 arrays would pass
+    _MATRIX_MAX_BYTES is refused first."""
     if not cells:
         raise ValueError("need at least one cell")
     ordered = sorted(cells, key=lambda c: c.index)
@@ -696,23 +833,4 @@ def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:
     if need > _MATRIX_MAX_BYTES:
         raise InstanceTooLarge(f"{n} cells at {C} battery levels need {need} "
                                f"bytes of matrices, over {_MATRIX_MAX_BYTES}")
-
-    # Before the matrix, so that the pass's temporaries are freed before
-    # the largest allocation of the build.
-    legs = _farm_legs(cells, cfg)
-
-    cost = np.empty((V, V))
-    cost[0, 0] = INF
-    blocks = cluster_views(cost, n)[0].reshape(n, 2, C, n, 2, C)
-    for sources in _cell_blocks(n, C):
-        _block_rows(sources, cfg, legs, blocks[_as_slice(sources)])
-
-    # Depot edges: free departure into full-battery vertices, and the final
-    # coverage pass on the way back.
-    k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster's vertices
-    for i in range(n):
-        span = cluster_span(i + 1, 2 * C)
-        cost[0, span] = np.where(k == C, 0.0, INF)
-        cost[span, 0] = _closing(legs.covers[i], k)[0]
-
-    return ClusteredGraph(cells, cfg, cost, legs)
+    return ClusteredGraph(cells, cfg, _farm_legs(cells, cfg))

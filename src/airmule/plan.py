@@ -16,7 +16,7 @@ from .energy import PlannerConfig, consumption_levels, recharge_time
 from .errors import Infeasible
 from .geometry import (Cell, FlightMode, Site, euclid, traversal_heading,
                        ugv_time)
-from .graph import ClusteredGraph, EdgeBreakdown
+from .graph import ClusteredGraph, EdgeBreakdown, EdgeType
 from .solver import GtspTour
 
 
@@ -165,28 +165,32 @@ def decode(g: ClusteredGraph, tour: GtspTour, cfg: PlannerConfig) -> Plan:
 
     b = _Builder(g.levels)
     total = 0.0
+    # Every edge of the tour, priced and typed in one call.
+    costs, codes = g.edge_costs(verts, verts[1:] + verts[:1])
+    costs, codes = costs.tolist(), codes.tolist()
 
-    if not math.isfinite(float(g.cost[0, verts[1]])):
+    if not math.isfinite(costs[0]):
         raise ValueError("tour starts on an infeasible depot edge")
     assert stops[1].level == g.levels
-    total += float(g.cost[0, verts[1]])
+    total += costs[0]
 
-    for u_id, w_id, u, w in zip(verts[1:-1], verts[2:], stops[1:-1],
-                                stops[2:]):
-        bd = g.breakdown(u_id, w_id)
-        if bd is None:
+    for u_id, w_id, u, w, cost, code in zip(
+            verts[1:-1], verts[2:], stops[1:-1], stops[2:], costs[1:],
+            codes[1:]):
+        if code < 0:
             raise ValueError(
                 f"tour contains an infeasible edge {u_id}->{w_id}")
+        bd = g.typed(u_id, w_id, EdgeType(code))
         assert b.battery == u.level
         _emit_edge(b, bd, u.cell_index, cfg)
         assert b.battery == w.level
-        total += float(g.cost[u_id, w_id])
+        total += cost
 
-    last_id, last = verts[-1], stops[-1]
-    closing = float(g.cost[last_id, 0])
-    mode = g.closing_mode(last_id)
-    if mode is None:
+    last = stops[-1]
+    closing = costs[-1]
+    if codes[-1] < 0:
         raise ValueError("tour ends on an infeasible depot edge")
+    mode = EdgeType(codes[-1]).cover_mode
     cell = g.cells[last.cell_index]
     entry = cell.end(last.entry_end)
     exit_site = cell.other_end(last.entry_end)

@@ -19,14 +19,17 @@ matrix into (m, 2C, m, 2C) cluster blocks and the depot's row and column
 without a copy, so every cluster-to-cluster cost read is a slice of the
 matrix instead of a gather.
 
-The search holds one V x V array besides the graph's cost matrix: tmat,
-the costs transposed with a penalty for every infinite edge, so tmat[v, u]
-prices u -> v.  Each kernel reads contiguous rows along the axis it
-reduces, where a column would cost one cache line per element: a DP
-step picks each vertex's cheapest predecessor along a row of tmat's
-blocks, and an insertion gathers a cluster's edges into a tour vertex
-from a tmat row and those out of a tour vertex from a cost row,
-penalized after the gather.  Every other read takes tmat.
+The search holds one V x V array and reads no other: tmat, the costs
+transposed with a penalty for every infinite edge, so tmat[v, u] prices
+u -> v.  The graph fills it transposed from its templates
+(ClusteredGraph.transposed_cost) and solve_glns penalizes it in place, so
+a GLNS plan never builds the graph's cost matrix.  The DP reads
+contiguous rows along the axis it reduces, where a column would cost one
+cache line per element: a step picks each vertex's cheapest predecessor
+along a row of tmat's blocks.  An insertion gathers a cluster's edges
+into a tour vertex from a tmat row, and those out of a tour vertex from
+a column of the cluster's 2C rows of tmat, one cache line an entry; a
+contiguous read there would need the dense cost matrix besides tmat.
 
 The search evaluates its moves incrementally, with the same floats as a
 full evaluation.  The layered DP keeps its forward steps and, after a
@@ -54,7 +57,7 @@ gives.
 
 The restarts of solve_glns are independent, each with its own seeded
 RNG.  On Linux they run in the fork pool of the workers module: the
-caller and forked workers, which share the cost matrices copy-on-write.
+caller and forked workers, which share tmat copy-on-write.
 k restarts on p usable CPUs run in the fewest workers that give none
 more than k / p restarts (workers.worker_count): one per restart up to
 p, 3 workers for 3 restarts on 2 CPUs, 2 for 4, and never more than
@@ -142,17 +145,30 @@ class SolverParams:
 
 
 def tour_cost(g: ClusteredGraph, tour: GtspTour) -> float:
-    """Sum of cycle edge costs; inf when any edge is infeasible."""
-    vs = tour.vertices
+    """Sum of cycle edge costs; inf when any edge is infeasible, and
+    ValueError for a vertex id out of range."""
+    vs = list(tour.vertices)
     total = 0.0
-    for idx, u in enumerate(vs):
-        total += float(g.cost[u, vs[(idx + 1) % len(vs)]])
+    for cost in g.edge_costs(vs, vs[1:] + vs[:1])[0].tolist():
+        total += cost
     return total
 
 
 def solve_exact(g: ClusteredGraph) -> GtspTour:
-    """Globally optimal tour by the Held-Karp subset DP (_held_karp)."""
-    total, vertices = _held_karp(g.cost, g.n_cells)
+    """Globally optimal tour by the Held-Karp subset DP (_held_karp).
+
+    An instance past the table bound is refused before g.cost is read,
+    so its dense matrix is never built."""
+    m, width = g.n_cells, 2 * g.levels
+    need = _held_karp_bytes(m, width)
+    if need > _HELD_KARP_MAX_BYTES:
+        seconds = (width * width * m * (m - 1) * 2.0 ** (m - 2)
+                   * _HELD_KARP_TERM_S)
+        raise InstanceTooLarge(
+            f"{m} clusters need {need} bytes of exact-solver tables, over "
+            f"{_HELD_KARP_MAX_BYTES}, and about {seconds:.2g} s "
+            "(use --solver glns)")
+    total, vertices = _held_karp(g.cost, m)
     return GtspTour(tuple(vertices), total)
 
 
@@ -186,14 +202,6 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
     """
     blocks, depart, arrive = cluster_views(mat, m)
     width = blocks.shape[1]
-    need = _held_karp_bytes(m, width)
-    if need > _HELD_KARP_MAX_BYTES:
-        seconds = (width * width * m * (m - 1) * 2.0 ** (m - 2)
-                   * _HELD_KARP_TERM_S)
-        raise InstanceTooLarge(
-            f"{m} clusters need {need} bytes of exact-solver tables, over "
-            f"{_HELD_KARP_MAX_BYTES}, and about {seconds:.2g} s "
-            "(use --solver glns)")
     # rows[c * width + u, d]: the costs from vertex u of cluster c to the
     # vertices of cluster d.
     rows = blocks.reshape(m * width, m, width)
@@ -373,9 +381,8 @@ class _Insertions:
         """(len(clusters), len(heads), 2C) edges from heads[p] into each
         vertex, and from each vertex to tails[p]."""
         s = self.search
-        enter = s.cost_out[heads, self.picked]
-        enter = np.where(np.isfinite(enter), enter, s.big)
-        return enter, s.tmat_out[tails, self.picked]
+        return (s.tmat_in[self.picked, :, heads],
+                s.tmat_out[tails, self.picked])
 
     def best(self, noisy: bool) -> tuple[float, int, int, int]:
         """Cheapest (delta, row, position, vertex) insertion, the cluster
@@ -437,16 +444,15 @@ _Snapshot = tuple[list[int], dict[int, int], list[_Step], float]
 class _Search:
     """Mutable search state for one restart."""
 
-    def __init__(self, cost: np.ndarray, tmat: np.ndarray, m: int,
-                 rng: random.Random, big: float) -> None:
+    def __init__(self, tmat: np.ndarray, m: int, rng: random.Random) -> None:
         self.tmat = tmat
-        self.big = big  # tmat's price of an infinite edge
         # tmat is transposed, so its depot row prices the closing edges.
         self.into, self.arrive, self.depart = cluster_views(tmat, m)
         self.width = self.into.shape[1]
-        # Rows split by cluster: edges from a vertex into each cluster, and
-        # from each cluster into a vertex.
-        self.cost_out = cost[:, 1:].reshape(len(cost), m, self.width)
+        # tmat split by cluster: tmat_in[c, k, u] prices u -> vertex k of
+        # cluster c + 1, and tmat_out[v, c, k] prices vertex k of cluster
+        # c + 1 -> v.
+        self.tmat_in = tmat[1:].reshape(m, self.width, len(tmat))
         self.tmat_out = tmat[:, 1:].reshape(len(tmat), m, self.width)
         # The parts of the DP's lower bound: the cheapest edge from
         # cluster a + 1 to b + 1 at [b, a], and out of c + 1 to the depot.
@@ -642,7 +648,7 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
     """
     params = params or SolverParams()
     m = g.n_cells
-    tmat = g.cost.T.copy()  # C-ordered; costs are finite or +inf
+    tmat = g.transposed_cost()  # C-ordered; costs are finite or +inf
     # 2C rows at a time, so that no V x V mask is ever allocated.
     width = 2 * g.levels
     blocks = [tmat[r:r + width] for r in range(0, len(tmat), width)]
@@ -659,7 +665,7 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
     best_vertices: list[int] | None = None
     best_true = math.inf
     for _, true_cost, vertices in sorted(in_workers(
-            lambda share: _restarts(g, tmat, big, m, params, share, deadline),
+            lambda share: _restarts(g, tmat, m, params, share, deadline),
             range(params.restarts))):
         if true_cost < best_true:
             best_true = true_cost
@@ -671,7 +677,7 @@ def solve_glns(g: ClusteredGraph, params: SolverParams | None = None) -> GtspTou
     return GtspTour(tuple(best_vertices), best_true)
 
 
-def _restarts(g: ClusteredGraph, tmat: np.ndarray, big: float, m: int,
+def _restarts(g: ClusteredGraph, tmat: np.ndarray, m: int,
               params: SolverParams, indices: range,
               deadline: float) -> list[tuple[int, float, list[int]]]:
     """(restart, true cost, vertices) of each restart in indices, run in
@@ -680,7 +686,7 @@ def _restarts(g: ClusteredGraph, tmat: np.ndarray, big: float, m: int,
     results = []
     for restart in indices:
         rng = random.Random(params.rng_seed * 1000003 + restart)
-        search = _Search(g.cost, tmat, m, rng, big)
+        search = _Search(tmat, m, rng)
         search.insert_greedy(list(range(1, m + 1)))  # cheapest insertion
         search.reoptimize_vertices()
         cur_cost = search.total

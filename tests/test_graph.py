@@ -423,15 +423,45 @@ def test_whole_matrix_matches_oracle(farm):
             assert int(g.best_type[u, v]) == (-1 if idx is None else idx)
 
 
-def test_breakdown_refuses_a_cost_no_template_gives():
-    # breakdown takes the first type whose template reproduces the entry;
-    # an entry that none reproduces is a broken matrix, not an edge.
-    g = build_instance(spec_cells(), spec_cfg())
-    u, v = g.vertex_id(0, "A", 20), g.vertex_id(1, "A", 16)
-    assert g.breakdown(u, v).edge_type is EdgeType.M_M
-    g.cost[u, v] += 0.5
-    with pytest.raises(RuntimeError, match="no edge type gives"):
-        g.breakdown(u, v)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), levels=st.integers(1, 20),
+       seed=st.integers(0, 2**16), roads=st.sampled_from([0.0, 0.5, 1.0]),
+       d_max=st.sampled_from([30.0, 60.0, 120.0]))
+def test_priced_edges_and_transposed_fill_match_dense(n, levels, seed, roads,
+                                                      d_max):
+    # Every vertex pair, the depot's row and column, inf entries and
+    # same-cell pairs included: edge_costs gives the dense entry bit for
+    # bit and the type of best_type, and the search's transposed fill is
+    # cost.T byte for byte.
+    g = build_instance(gen_random(n, 60.0, 8.0, seed=seed,
+                                  road_fraction=roads),
+                       PlannerConfig(d_max=d_max, battery_levels=levels,
+                                     ugv_speed_ratio=0.3))
+    V = g.n_vertices
+    us, vs = np.divmod(np.arange(V * V), V)
+    cost, code = g.edge_costs(us.tolist(), vs.tolist())
+    assert cost.tobytes() == g.cost.tobytes()
+    assert np.array_equal(code, g.best_type.ravel())
+    # One edge a call, where a pure type alone can settle the call and
+    # the stop and ride types are skipped.
+    rng = random.Random(seed)
+    for u, v in ((rng.randrange(V), rng.randrange(V)) for _ in range(300)):
+        cost, code = g.edge_costs([u], [v])
+        assert cost.tobytes() == g.cost[u, v].tobytes()
+        assert code.tolist() == [g.best_type[u, v]]
+    tmat = g.transposed_cost()
+    assert tmat.flags.c_contiguous
+    assert tmat.tobytes() == np.ascontiguousarray(g.cost.T).tobytes()
+
+
+def test_edge_costs_refuse_ids_out_of_range():
+    g = build_instance(spec_cells(), PlannerConfig(d_max=100.0,
+                                                   battery_levels=3))
+    for bad in (-1, g.n_vertices, 10**30):
+        with pytest.raises(ValueError, match="out of range"):
+            g.edge_costs([0, bad], [bad, 0])
+    cost, code = g.edge_costs([], [])
+    assert cost.shape == code.shape == (0,)
 
 
 def test_every_type_can_win_somewhere_seeded():

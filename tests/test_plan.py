@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -215,8 +216,7 @@ def test_closing_mode_stored_and_decoded(fw_speed, faster):
     assert last.battery_before - last.battery_after == (
         4 if faster is EdgeType.M_M else 2)
     assert last.duration == float(g.cost[v, 0])
-    with pytest.raises(ValueError, match="cell vertex"):
-        g.closing_mode(0)
+    assert g.edge_costs([v], [0])[1].tolist() == [faster.value]
 
 
 @pytest.mark.parametrize("solve", [
@@ -233,6 +233,28 @@ def test_plan_run_never_types_the_matrix(solve):
     assert not [i for i in validate(plan, cells, cfg)
                 if i.severity == "violation"]
     assert "best_type" not in vars(g)
+
+
+def test_glns_plan_holds_one_vertex_matrix():
+    # A GLNS plan holds one V x V array, the search's penalized transpose:
+    # the build allocates no dense matrix, and build, search and decode
+    # together peak well below two matrices.  A later read of g.cost on
+    # this path would show here.
+    cells = gen_random(30, 100.0, 10.0, seed=3)
+    cfg = PlannerConfig(d_max=400.0, battery_levels=20)
+    matrix = (1 + 2 * 30 * 20) ** 2 * 8
+    tracemalloc.start()
+    try:
+        g = build_instance(cells, cfg)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tour = solve_glns(g, SolverParams(mode="fast", restarts=1))
+        decode(g, tour, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak < matrix / 4
+    assert peak < 1.25 * matrix
+    assert "cost" not in vars(g)
 
 
 def make_leg(kind=LegKind.FLY, start=None, end=None, duration=1.0,

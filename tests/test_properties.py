@@ -111,8 +111,8 @@ def test_tight_farms_reach_every_stop_kind():
        seed=st.integers(0, 2**16), roads=st.floats(0.5, 1.0),
        d_max=st.sampled_from([15.0, 25.0, 40.0]))
 def test_breakdown_types_edges_as_best_type(n, levels, seed, roads, d_max):
-    # decode types a tour edge through breakdown and the closing edge
-    # through closing_mode; both must agree with the matrix of types.
+    # breakdown types an edge and decode types the closing edge through
+    # edge_costs; both must agree with the matrix of types.
     cells, cfg = tight_farm(n, levels, seed, roads, d_max)
     g = build_instance(cells, cfg)
     rng = random.Random(seed)

@@ -164,6 +164,17 @@ def test_tour_cost_infinite_on_bad_edge():
     assert math.isinf(tour_cost(g, GtspTour((0, vid, other), 0.0)))
 
 
+def test_tour_cost_refuses_vertex_ids_out_of_range():
+    # A negative id must not wrap around to a vertex from the end, and an
+    # id past the last vertex is refused the same way.
+    cells = gen_random(2, 20.0, 6.0, seed=2)
+    g = build_instance(cells, PlannerConfig(d_max=40.0, battery_levels=3))
+    assert g.n_vertices == 13
+    for bad in (-6, 99):
+        with pytest.raises(ValueError, match=f"vertex id {bad} out of range"):
+            tour_cost(g, GtspTour((0, bad, 4), 0.0))
+
+
 def test_glns_matches_exact_seeded():
     rng = random.Random(17)
     matched = 0
@@ -362,7 +373,7 @@ def test_layered_dp_matches_brute_force(data, exact_sums):
                                         if c == expect))
     # The search runs the same DP on the blocks of its transposed copy.
     pmat, tmat = penalized(mat)
-    search = _Search(mat, tmat, m, random.Random(0), BIG)
+    search = _Search(tmat, m, random.Random(0))
     assert _layered_dp(search.into, search.depart, search.arrive, order) \
         == _layered_dp(*incoming(pmat, m), order)
 
@@ -411,7 +422,7 @@ def test_batched_insertion_matches_scan(data, case, rule, seed):
     pmat, tmat = penalized(cost)
     perm = data.draw(st.permutations(range(1, m + 1)))
     split = data.draw(st.integers(0, m - 1))
-    search = _Search(cost, tmat, m, random.Random(seed), BIG)
+    search = _Search(tmat, m, random.Random(seed))
     search.order = [0] + list(perm[:split])
     for c in perm[:split]:
         search.choice[c] = data.draw(st.sampled_from(
@@ -450,8 +461,8 @@ def test_insert_greedy_matches_scan_loop(data, case, rule, seed):
     pmat, tmat = penalized(cost)
     perm = data.draw(st.permutations(range(1, m + 1)))
     split = data.draw(st.integers(0, m - 1))
-    search = RecordingSearch(cost, tmat, m, random.Random(seed), BIG)
-    ref = RecordingSearch(cost, tmat, m, random.Random(seed), BIG)
+    search = RecordingSearch(tmat, m, random.Random(seed))
+    ref = RecordingSearch(tmat, m, random.Random(seed))
     for c in perm[:split]:
         v = data.draw(st.sampled_from(cluster_vertices(c, width)))
         search.insert(c, len(search.order) - 1, v)
@@ -480,7 +491,7 @@ def test_reoptimize_matches_fresh_dp(data, case):
     # after any sequence of moves it must pick what a fresh DP picks.
     m, width, mat = case
     pmat, tmat = penalized(mat)
-    search = _Search(mat, tmat, m, random.Random(0), BIG)
+    search = _Search(tmat, m, random.Random(0))
     for c in data.draw(st.permutations(range(1, m + 1))):
         search.insert(c, len(search.order) - 1, cluster_vertices(c, width)[0])
     snaps = [search.snapshot()]
@@ -522,7 +533,7 @@ def test_dp_lower_bound_never_exceeds_total(n, levels, farm_seed, d_max,
                        PlannerConfig(d_max=d_max, battery_levels=levels,
                                      ugv_speed_ratio=0.2))
     _, tmat = penalized(g.cost)
-    search = _Search(g.cost, tmat, n, random.Random(0), BIG)
+    search = _Search(tmat, n, random.Random(0))
     search.order = [0] + list(data.draw(st.permutations(range(1, n + 1))))
     checked = []
 
@@ -680,7 +691,7 @@ def test_removals_match_scan_loop(data, case, seed):
     picks = [data.draw(st.sampled_from(cluster_vertices(c, width)))
              for c in perm]
     count = data.draw(st.integers(1, m))
-    search, ref = (_Search(cost, tmat, m, random.Random(seed), BIG)
+    search, ref = (_Search(tmat, m, random.Random(seed))
                    for _ in "ab")
     for s in (search, ref):
         for c, v in zip(perm, picks):
@@ -790,7 +801,7 @@ def test_restart_ties_go_to_lowest_restart(monkeypatch):
     g = build_instance(gen_random(1, 40.0, 8.0, seed=4),
                        PlannerConfig(d_max=100.0, battery_levels=3))
 
-    def fake_restarts(g, tmat, big, m, params, share, deadline):
+    def fake_restarts(g, tmat, m, params, share, deadline):
         return [(r, 1.0 if r in (1, 2) else 2.0, [0, 1 + r]) for r in share]
 
     monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
