@@ -34,5 +34,6 @@ __all__ = [
     "gen_random", "load_instance", "load_plan",
     "parse_instance", "parse_plan", "recharge_time", "render_svg",
     "render_svg_str", "save_instance", "save_plan", "serialize_instance",
-    "serialize_plan", "solve_exact", "solve_glns", "tour_cost", "validate",
+    "serialize_plan", "solve_exact", "solve_glns", "tour_cost", "ugv_time",
+    "validate",
 ]

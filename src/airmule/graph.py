@@ -26,16 +26,17 @@ so a template prices a line over the 2C - 1 values of d, and its C x C
 grid of level pairs is a Toeplitz view of that line; the one regime that
 is no line, stopping at both ends with a full battery at the exit, is a
 term in KI plus a term in KJ.  The template is the single formula for an
-edge's cost and its recharge split: a matrix fill prices the lines of
-every end pair leaving a block of source cells in one call per template,
-lifts them to their grids as views and keeps only the minimum;
-ClusteredGraph.edge_costs prices a list of edges, a tour's n + 1, in one
-call per template over all the edges and their types, and takes the
-first type in EdgeType order that gives the least cost, so only the
-edges of a tour are ever typed; breakdown, which decode expands into
-legs, reads the templates at the one level difference of such an edge.
-Off-road landing sites are mask terms of the templates, infinite where
-the layout cannot be flown.
+edge's cost and its recharge split, read in two ways.  A matrix fill
+prices the lines of every end pair leaving a block of source cells in one
+call per template, lifts them to their grids as views and keeps only the
+minimum.  A list of edges is priced by _priced, which reads a template at
+the edges' levels inside its battery bounds:
+ClusteredGraph.edge_costs prices a tour's n + 1 edges in one call per
+template over all the edges and their types, and takes the first type in
+EdgeType order that gives the least cost, so only the edges of a tour are
+ever typed; ClusteredGraph.typed, which decode expands into legs, prices
+one such edge as its winning type.  Off-road landing sites are mask terms
+of the templates, infinite where the layout cannot be flown.
 
 build_instance computes only the legs, once per graph: the coverage
 passes of every cell and the transit legs of every ordered end pair of
@@ -55,7 +56,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -293,9 +294,9 @@ def _farm_legs(cells: list[Cell], cfg: PlannerConfig) -> _Legs:
 # transit) it implies; and the battery bounds KI >= lo and KJ <= C - hi
 # outside which the type cannot fly the edge, 0 where there is none.
 # _both's regime KJ + c2 > C is no line; _capped prices it.  _block_grids
-# lifts the lines to their grids of level pairs and _Edge.cost reads them
-# at one d, so they are the one formula for both the cost and the
-# recharge split of a typed edge.
+# lifts the lines to their grids of level pairs and _priced reads them at
+# the level pairs of a list of edges, so they are the one formula for
+# both the cost and the recharge split of a typed edge.
 
 
 def _pure(d, cfg, cover, leg, roads):
@@ -389,94 +390,24 @@ _KINDS = tuple((template, _span(template))
                for template in (_pure, _ride, _entry, _exit, _both))
 
 
-@functools.lru_cache(maxsize=256)
-def _pair_legs(cell_i: Cell, cell_j: Cell, cfg: PlannerConfig) -> _Legs:
-    """The legs of the farm [cell_i, cell_j], for edges priced with no
-    graph at hand; callers must not write into the arrays."""
-    return _farm_legs([cell_i, cell_j], cfg)
-
-
-def edge_breakdown(t: EdgeType, v_from: Vertex, v_to: Vertex,
-                   cells: list[Cell], cfg: PlannerConfig) -> Optional[EdgeBreakdown]:
-    """Cost structure of one typed edge, or None when the type is
-    infeasible.  With no graph at hand, it prices the edge from the legs
-    of the two cells alone, computed in the build's array pass once per
-    pair of cells and config."""
-    _check_edge(v_from, v_to)
-    pair = (cells[v_from.cell_index], cells[v_to.cell_index])
-    edge = _Edge(replace(v_from, cell_index=0), replace(v_to, cell_index=1),
-                 list(pair), _pair_legs(*pair, cfg))
-    return edge.typed(t, cfg)
-
-
-def _check_edge(v_from: Vertex, v_to: Vertex) -> None:
-    if v_from.is_depot or v_to.is_depot:
-        raise ValueError("typed edges connect cell vertices only")
-    if v_from.cell_index == v_to.cell_index:
-        raise ValueError("edges must connect different clusters")
-
-
-class _Edge:
-    """One cell-to-cell edge with its legs read as Python numbers."""
-
-    def __init__(self, v_from: Vertex, v_to: Vertex, cells: list[Cell],
-                 legs: _Legs) -> None:
-        i, x = v_from.cell_index, _ENDS.index(v_from.entry_end)
-        j, y = v_to.cell_index, _ENDS.index(v_to.entry_end)
-        self.v_from, self.v_to = v_from, v_to
-        self.cell_i = cells[i]
-        self.exit_i = self.cell_i.other_end(v_from.entry_end)
-        self.entry_j = cells[j].end(v_to.entry_end)
-        self.h_i = float(legs.headings[i, x])
-        self.h_j = float(legs.headings[j, y])
-        self.covers = legs.covers[i]
-        self.transit = tuple(zip(legs.transit_t[:, i, x, j, y].tolist(),
-                                 legs.transit_c[:, i, x, j, y].tolist()))
-        self.roads = (self.exit_i.on_road, self.entry_j.on_road)
-
-    def cost(self, t: EdgeType, cfg: PlannerConfig) -> tuple[float, tuple]:
-        """(cost, split) of type t: its template's line at the one level
-        difference of the edge, or inf outside the template's bounds."""
-        template, cover, leg = _TABLE[t.value]
-        cover, leg = self.covers[cover], self.transit[leg]
-        KI, KJ, C = self.v_from.level, self.v_to.level, cfg.battery_levels
-        if template is _both and KJ + leg[1] > C:
-            cost, split = _capped(KI, KJ, cfg, cover, leg, self.roads)
-            return float(cost), split
-        cost, split, lo, hi = template(KJ - KI, cfg, cover, leg, self.roads)
-        return (float(cost) if lo <= KI and KJ <= C - hi else INF), split
-
-    def typed(self, t: EdgeType,
-              cfg: PlannerConfig) -> Optional[EdgeBreakdown]:
-        """The edge flown as type t, or None when t cannot fly it."""
-        cost, split = self.cost(t, cfg)
-        if not math.isfinite(cost):
-            return None
-        _, cover, leg = _TABLE[t.value]
-        t1, c1 = self.covers[cover]
-        t2, c2 = self.transit[leg]
-        split = RechargeSplit(*split)
-        riding = leg == _RIDE_LEG
-        fw = t.transit_mode is _FW
-        h_i, h_j = self.h_i, self.h_j
-        return EdgeBreakdown(
-            edge_type=t,
-            cost=cost,
-            split=split,
-            cover_time=t1,
-            cover_cons=c1,
-            cover_heading=h_i if t.cover_mode is _FW else None,
-            entry_site_i=self.cell_i.end(self.v_from.entry_end),
-            exit_site_i=self.exit_i,
-            entry_site_j=self.entry_j,
-            transit_time=None if riding else t2,
-            transit_cons=None if riding else c2,
-            transit_start_heading=((h_i if leg == _AIR_LEG else h_j)
-                                   if fw else None),
-            transit_end_heading=h_j if fw else None,
-            ride_time=(max(t2, recharge_time(split.in_transit, cfg))
-                       if riding else None),
-        )
+def _priced(template, KI, KJ, cfg, cover, leg, roads):
+    """(cost, split) of a template at the levels KI and KJ, numbers or
+    arrays that broadcast with its legs: its line inside its battery
+    bounds and, for _both, _capped where KJ + c2 > C; inf elsewhere."""
+    C = cfg.battery_levels
+    cost, split, lo, hi = template(KJ - KI, cfg, cover, leg, roads)
+    if np.ndim(lo) or lo:
+        cost = np.where(KI >= lo, cost, INF)
+    if np.ndim(hi) or hi:
+        cost = np.where(KJ <= C - hi, cost, INF)
+    if template is _both:
+        capped = KJ + leg[1] > C
+        if np.any(capped):
+            top, top_split = _capped(KI, KJ, cfg, cover, leg, roads)
+            cost = np.where(capped, top, cost)
+            split = tuple(np.where(capped, a, b)
+                          for a, b in zip(top_split, split))
+    return cost, split
 
 
 def _closing(cover, k):
@@ -519,9 +450,10 @@ class ClusteredGraph:
     first read, for the exact solver and for diagnostics and tests;
     transposed_cost fills the GLNS search's one V x V array from the
     templates without it; and edge_costs prices a tour's edges alone, for
-    decode, breakdown and tour_cost.  Edge types are not stored either:
-    breakdown types one edge from the legs, and best_type is the whole
-    matrix of them, computed on first read for diagnostics and tests.
+    decode and tour_cost.  Edge types are not stored either: edge_costs
+    gives each edge's winning type, typed expands one edge of a given type
+    from the legs, and best_type is the whole matrix of winning types,
+    computed on first read for diagnostics and tests.
     """
 
     def __init__(self, cells: list[Cell], cfg: PlannerConfig,
@@ -556,7 +488,7 @@ class ClusteredGraph:
         marks an infeasible edge.
 
         Each entry is the first type in EdgeType order whose template
-        gives the cost entry, the type edge_costs and breakdown pick.
+        gives the cost entry, the type edge_costs picks.
         Computing it reruns the build's templates, reads cost and takes 2
         bytes per vertex pair, so a plan run never reads it; it serves
         diagnostics and tests.
@@ -602,20 +534,50 @@ class ClusteredGraph:
         if not 0 <= vid < self.n_vertices:
             raise ValueError(f"vertex id {vid} out of range")
 
-    def breakdown(self, u: int, v: int) -> Optional[EdgeBreakdown]:
-        """The cell-to-cell edge u -> v as its cheapest type, the first in
-        EdgeType order on a tie, or None when it is infeasible."""
-        v_from, v_to = self.vertex(u), self.vertex(v)
-        _check_edge(v_from, v_to)
-        code = int(self.edge_costs([u], [v])[1][0])
-        return None if code < 0 else self.typed(u, v, EdgeType(code))
-
     def typed(self, u: int, v: int, t: EdgeType) -> Optional[EdgeBreakdown]:
         """The cell-to-cell edge u -> v flown as type t, or None when t
-        cannot fly it."""
+        cannot fly it; ValueError for a depot or same-cell edge."""
         v_from, v_to = self.vertex(u), self.vertex(v)
-        _check_edge(v_from, v_to)
-        return _Edge(v_from, v_to, self.cells, self.legs).typed(t, self.cfg)
+        if v_from.is_depot or v_to.is_depot:
+            raise ValueError("typed edges connect cell vertices only")
+        if v_from.cell_index == v_to.cell_index:
+            raise ValueError("edges must connect different clusters")
+        i, x = v_from.cell_index, _ENDS.index(v_from.entry_end)
+        j, y = v_to.cell_index, _ENDS.index(v_to.entry_end)
+        template, cover, leg = _TABLE[t.value]
+        t1, c1 = self.legs.covers[i][cover]
+        t2 = self.legs.transit_t[leg, i, x, j, y].item()
+        c2 = self.legs.transit_c[leg, i, x, j, y].item()
+        exit_i = self.cells[i].other_end(v_from.entry_end)
+        entry_j = self.cells[j].end(v_to.entry_end)
+        cost, split = _priced(template, v_from.level, v_to.level, self.cfg,
+                              (t1, c1), (t2, c2),
+                              (exit_i.on_road, entry_j.on_road))
+        if not math.isfinite(cost):
+            return None
+        split = RechargeSplit(*map(int, split))
+        riding = leg == _RIDE_LEG
+        fw = t.transit_mode is _FW
+        h_i = self.legs.headings[i, x].item()
+        h_j = self.legs.headings[j, y].item()
+        return EdgeBreakdown(
+            edge_type=t,
+            cost=float(cost),
+            split=split,
+            cover_time=t1,
+            cover_cons=c1,
+            cover_heading=h_i if t.cover_mode is _FW else None,
+            entry_site_i=self.cells[i].end(v_from.entry_end),
+            exit_site_i=exit_i,
+            entry_site_j=entry_j,
+            transit_time=None if riding else t2,
+            transit_cons=None if riding else c2,
+            transit_start_heading=((h_i if leg == _AIR_LEG else h_j)
+                                   if fw else None),
+            transit_end_heading=h_j if fw else None,
+            ride_time=(max(t2, recharge_time(split.in_transit, self.cfg))
+                       if riding else None),
+        )
 
     def edge_costs(self, us: Iterable[int],
                    vs: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -635,7 +597,7 @@ class ClusteredGraph:
         cost, code = [], []
         # The cell-to-cell edges, as (i, x, KI, j, y, KJ), and their places.
         edges, at = [], []
-        for k, (u, v) in enumerate(zip(us, vs)):
+        for k, (u, v) in enumerate(zip(us, vs, strict=True)):
             self._check_id(u)
             self._check_id(v)
             (i, a), (j, b) = divmod(u - 1, width), divmod(v - 1, width)
@@ -676,18 +638,8 @@ class ClusteredGraph:
                 break
             cover = cover_t[:, types], cover_c[:, types]
             leg = transit_t[:, types], transit_c[:, types]
-            if template is _both:
-                # As in _block_grids, only _both's capped regime can win.
-                if (KJ + leg[1] > C).any():
-                    prices[:, types] = _capped(KI, KJ, self.cfg, cover, leg,
-                                               roads)[0]
-                continue
-            line, _, lo, hi = template(KJ - KI, self.cfg, cover, leg, roads)
-            if isinstance(lo, np.ndarray):
-                line = np.where(KI >= lo, line, INF)
-            if isinstance(hi, np.ndarray):
-                line = np.where(KJ <= C - hi, line, INF)
-            prices[:, types] = line
+            prices[:, types] = _priced(template, KI, KJ, self.cfg, cover,
+                                       leg, roads)[0]
         best = prices.argmin(axis=1)
         least = prices[np.arange(len(best)), best]
         cost[at] = least

@@ -3,7 +3,7 @@
 Re-derives each of the eighteen travel options directly from its
 definition, sharing nothing with airmule.graph; its Dubins paths come
 from the frozen scalar copy in dubins_reference, not from src/.  Used to
-cross-check the dense cost matrix and edge_breakdown.
+cross-check the dense cost matrix, edge_costs and ClusteredGraph.typed.
 """
 
 import math

@@ -23,7 +23,7 @@ from airmule import (Cell, FlightMode, Infeasible, LegKind, PlannerConfig,
                      parse_instance, parse_plan, render_svg_str,
                      serialize_instance, serialize_plan, solve_exact,
                      solve_glns, validate)
-from airmule.graph import EdgeType, Vertex, edge_breakdown
+from airmule.graph import EdgeType, Vertex
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -105,7 +105,7 @@ def test_edge_costs_match_independent_oracle():
             elif got != expect_cost or bt < 0:
                 mismatches += 1
             else:
-                realized = edge_breakdown(EdgeType(bt), u, v, cells, cfg)
+                realized = g.typed(uid, vid, EdgeType(bt))
                 if realized is None or realized.cost != got:
                     mismatches += 1
             checked += 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from airmule.energy import (PlannerConfig, RechargeSplit, consumption_levels,
                             recharge_time)
 from airmule.geometry import Cell, FlightMode, Site
-from airmule.graph import EdgeType, Vertex, edge_breakdown
+from airmule.graph import EdgeType, build_instance
 from airmule.instances import gen_random
 
 MR = FlightMode.MULTI_ROTOR
@@ -128,8 +128,8 @@ def split_of(t, k_i, k_j, gap):
     """
     cells = [Cell(0, Site(0, 0.0, 0.0), Site(1, 10.0, 0.0)),
              Cell(1, Site(2, 10.0 + gap, 0.0), Site(3, 20.0 + gap, 0.0))]
-    cfg = PlannerConfig(d_max=100.0, battery_levels=20)
-    bd = edge_breakdown(t, Vertex(0, "A", k_i), Vertex(1, "A", k_j), cells, cfg)
+    g = build_instance(cells, PlannerConfig(d_max=100.0, battery_levels=20))
+    bd = g.typed(g.vertex_id(0, "A", k_i), g.vertex_id(1, "A", k_j), t)
     return None if bd is None else bd.split
 
 
@@ -183,12 +183,12 @@ def test_split_conservation_seeded(seed, levels, d_max, fixed_wing_ratio,
     battery stays inside [0, C] at every event along the edge."""
     cfg = PlannerConfig(d_max=d_max, battery_levels=levels,
                         fixed_wing_ratio=fixed_wing_ratio)
-    cells = gen_random(2, 25.0, 8.0, seed=seed, road_fraction=road_fraction)
+    g = build_instance(gen_random(2, 25.0, 8.0, seed=seed,
+                                  road_fraction=road_fraction), cfg)
     for x, y, k_i, k_j in itertools.product("AB", "AB", range(1, levels + 1),
                                             range(1, levels + 1)):
         for t in EdgeType:
-            bd = edge_breakdown(t, Vertex(0, x, k_i), Vertex(1, y, k_j),
-                                cells, cfg)
+            bd = g.typed(g.vertex_id(0, x, k_i), g.vertex_id(1, y, k_j), t)
             if bd is None:
                 continue
             split = bd.split

@@ -7,7 +7,6 @@ from airmule.experiments import (ExperimentReport, ExperimentRow,
                                  report_to_csv, sweep_cells, sweep_dmax,
                                  sweep_levels)
 from airmule.instances import gen_random
-from airmule.solver import SolverParams
 
 
 def small():

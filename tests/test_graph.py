@@ -19,7 +19,7 @@ from airmule.energy import PlannerConfig
 from airmule.errors import InstanceTooLarge
 from airmule.geometry import Cell, Site
 from airmule.graph import (EdgeType, Vertex, build_instance, cluster_span,
-                           cluster_views, edge_breakdown)
+                           cluster_views)
 from airmule.instances import gen_random
 
 
@@ -32,6 +32,19 @@ def spec_cells():
 
 def spec_cfg():
     return PlannerConfig(d_max=100.0, battery_levels=20, ugv_speed_ratio=0.2)
+
+
+def typed(t, u, v, cells, cfg):
+    """The edge between the vertices u and v of cells' graph as type t."""
+    g = build_instance(cells, cfg)
+    return g.typed(g.vertex_id(u.cell_index, u.entry_end, u.level),
+                   g.vertex_id(v.cell_index, v.entry_end, v.level), t)
+
+
+def cheapest(g, u, v):
+    """The edge u -> v as the type edge_costs picks, or None."""
+    code = int(g.edge_costs([u], [v])[1][0])
+    return None if code < 0 else g.typed(u, v, EdgeType(code))
 
 
 def test_edge_type_order_and_labels():
@@ -50,7 +63,7 @@ def test_pure_flight_cost_example():
     cells, cfg = spec_cells(), spec_cfg()
     u = Vertex(0, "A", 20)
     v = Vertex(1, "A", 16)
-    bd = edge_breakdown(EdgeType.M_M, u, v, cells, cfg)
+    bd = typed(EdgeType.M_M, u, v, cells, cfg)
     assert bd.cost == 20.0
     assert bd.split.total == 0
 
@@ -59,7 +72,7 @@ def test_entry_stop_cost_example():
     cells, cfg = spec_cells(), spec_cfg()
     u = Vertex(0, "A", 20)
     v = Vertex(1, "A", 20)
-    bd = edge_breakdown(EdgeType.M_MDU, u, v, cells, cfg)
+    bd = typed(EdgeType.M_MDU, u, v, cells, cfg)
     assert bd.cost == 78.0
     assert bd.split.at_entry == 4
 
@@ -68,7 +81,7 @@ def test_ride_cost_example():
     cells, cfg = spec_cells(), spec_cfg()
     u = Vertex(0, "A", 20)
     v = Vertex(1, "A", 20)
-    bd = edge_breakdown(EdgeType.M_DTU, u, v, cells, cfg)
+    bd = typed(EdgeType.M_DTU, u, v, cells, cfg)
     assert bd.cost == 110.0
     assert bd.split.in_transit == 2
 
@@ -94,9 +107,9 @@ def test_road_gating():
     u = Vertex(0, "A", 20)  # exits at the off-road site 1
     v = Vertex(1, "A", 20)
     for t in (EdgeType.M_DTU, EdgeType.M_DUM, EdgeType.M_DUMDU):
-        assert edge_breakdown(t, u, v, cells, cfg) is None
+        assert typed(t, u, v, cells, cfg) is None
     # entry-side stops remain possible
-    assert math.isfinite(edge_breakdown(EdgeType.M_MDU, u, v, cells, cfg).cost)
+    assert math.isfinite(typed(EdgeType.M_MDU, u, v, cells, cfg).cost)
 
     # an off-road entry site rules out every layout that lands there;
     # arriving with 18 levels, each of them balances on the road
@@ -106,8 +119,8 @@ def test_road_gating():
     ]
     v = Vertex(1, "A", 18)
     for t in (EdgeType.M_DTU, EdgeType.M_MDU, EdgeType.M_DUMDU):
-        assert edge_breakdown(t, u, v, cells, cfg) is None
-    assert math.isfinite(edge_breakdown(EdgeType.M_DUM, u, v, cells, cfg).cost)
+        assert typed(t, u, v, cells, cfg) is None
+    assert math.isfinite(typed(EdgeType.M_DUM, u, v, cells, cfg).cost)
 
     # 490 m between the cells: 98 levels multi-rotor and 33 fixed-wing
     # against C = 20, so no recharge at either end makes the leg flyable,
@@ -119,19 +132,20 @@ def test_road_gating():
     v = Vertex(1, "A", 20)
     for t in EdgeType:
         if t.stops == "both":
-            assert edge_breakdown(t, u, v, cells, cfg) is None
-    bd = edge_breakdown(EdgeType.M_DTU, u, v, cells, cfg)
+            assert typed(t, u, v, cells, cfg) is None
+    bd = typed(EdgeType.M_DTU, u, v, cells, cfg)
     assert math.isfinite(bd.cost) and bd.split.in_transit == 2
 
 
 def test_edge_breakdown_rejects_depot_and_same_cell():
-    cells, cfg = spec_cells(), spec_cfg()
-    depot = Vertex(-1, None, 20, is_depot=True)
-    u = Vertex(0, "A", 20)
+    g = build_instance(spec_cells(), spec_cfg())
+    u = g.vertex_id(0, "A", 20)
     with pytest.raises(ValueError):
-        edge_breakdown(EdgeType.M_M, depot, u, cells, cfg)
+        g.typed(0, u, EdgeType.M_M)
     with pytest.raises(ValueError):
-        edge_breakdown(EdgeType.M_M, u, Vertex(0, "B", 5), cells, cfg)
+        g.typed(u, 0, EdgeType.M_M)
+    with pytest.raises(ValueError):
+        g.typed(u, g.vertex_id(0, "B", 5), EdgeType.M_M)
 
 
 layout_graphs = st.builds(
@@ -298,8 +312,7 @@ def test_matrix_matches_scalar_seeded():
                 assert mat == expect_cost
                 assert int(g.best_type[u, v]) == expect_idx
                 # the scalar evaluation of the winning template agrees
-                bd = edge_breakdown(EdgeType(expect_idx), g.vertex(u),
-                                    g.vertex(v), cells, cfg)
+                bd = g.typed(u, v, EdgeType(expect_idx))
                 assert bd.cost == mat
 
 
@@ -328,7 +341,7 @@ def test_matches_independent_oracle_seeded():
                 assert code == -1
             else:
                 assert code == expect_idx
-                got = edge_breakdown(EdgeType(code), u, v, cells, cfg).cost
+                got = g.typed(uid, vid, EdgeType(code)).cost
                 assert got == expect_cost
 
 
@@ -343,7 +356,7 @@ def test_breakdown_cost_matches_matrix_seeded():
         v = rng.randrange(1, len(g.cost))
         if g.vertex(u).cell_index == g.vertex(v).cell_index:
             continue
-        bd = g.breakdown(u, v)
+        bd = cheapest(g, u, v)
         if bd is None:
             assert math.isinf(float(g.cost[u, v]))
             continue
@@ -373,7 +386,7 @@ def test_pinned_tiny_farm_reaches_long_legs_and_capped_stops():
     assert (g.legs.transit_c[:3] == C + 1).any()
     capped = [bd for u in range(1, len(g.cost)) for v in range(1, len(g.cost))
               if g.vertex(u).cell_index != g.vertex(v).cell_index
-              and (bd := g.breakdown(u, v)) is not None
+              and (bd := cheapest(g, u, v)) is not None
               and bd.edge_type.stops == "both" and bd.split.at_entry > 0]
     assert capped
 
@@ -421,6 +434,20 @@ def test_whole_matrix_matches_oracle(farm):
             cost, idx = oracle_edge_cost(a, b, cells, cfg)
             assert float(g.cost[u, v]) == cost
             assert int(g.best_type[u, v]) == (-1 if idx is None else idx)
+    # Every type, losing ones too (_both's line regime never wins), on
+    # about 40 of the cell-to-cell pairs, evenly spaced.
+    V = g.n_vertices
+    pairs = [(u, v) for u in range(1, V) for v in range(1, V)
+             if g.vertex(u).cell_index != g.vertex(v).cell_index]
+    for u, v in pairs[::max(1, len(pairs) // 40)]:
+        for t in EdgeType:
+            cost = oracle_type_cost(t.value, g.vertex(u), g.vertex(v), cells,
+                                    cfg)
+            bd = g.typed(u, v, t)
+            if cost is None or math.isinf(cost):
+                assert bd is None
+            else:
+                assert bd.cost == cost
 
 
 @settings(max_examples=40, deadline=None)
@@ -460,6 +487,9 @@ def test_edge_costs_refuse_ids_out_of_range():
     for bad in (-1, g.n_vertices, 10**30):
         with pytest.raises(ValueError, match="out of range"):
             g.edge_costs([0, bad], [bad, 0])
+    # Lists of unequal length are refused, not cut to the shorter one.
+    with pytest.raises(ValueError):
+        g.edge_costs([1, 2, 3], [7])
     cost, code = g.edge_costs([], [])
     assert cost.shape == code.shape == (0,)
 

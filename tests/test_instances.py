@@ -2,13 +2,12 @@
 
 import json
 import math
-import random
 import re
 
 import pytest
 
 from airmule.energy import PlannerConfig
-from airmule.errors import Infeasible, SamplingExhausted
+from airmule.errors import SamplingExhausted
 from airmule.geometry import Cell, Site, segments_intersect
 from airmule.graph import build_instance
 from airmule.instances import (gen_random, load_instance, load_plan,

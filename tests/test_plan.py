@@ -12,7 +12,7 @@ from airmule.errors import Infeasible
 from airmule.geometry import Cell, FlightMode, Site
 from airmule.graph import EdgeType, build_instance
 from airmule.instances import gen_random, serialize_plan
-from airmule.plan import (Issue, Leg, LegKind, Plan, UgvWaypoint, _Builder,
+from airmule.plan import (Leg, LegKind, Plan, UgvWaypoint, _Builder,
                           baseline_plan, decode, validate)
 from airmule.solver import GtspTour, SolverParams, solve_exact, solve_glns, tour_cost
 

@@ -111,8 +111,9 @@ def test_tight_farms_reach_every_stop_kind():
        seed=st.integers(0, 2**16), roads=st.floats(0.5, 1.0),
        d_max=st.sampled_from([15.0, 25.0, 40.0]))
 def test_breakdown_types_edges_as_best_type(n, levels, seed, roads, d_max):
-    # breakdown types an edge and decode types the closing edge through
-    # edge_costs; both must agree with the matrix of types.
+    # edge_costs picks an edge's type, which typed expands, and decode
+    # types the closing edge through edge_costs; both must agree with the
+    # matrix of types.
     cells, cfg = tight_farm(n, levels, seed, roads, d_max)
     g = build_instance(cells, cfg)
     rng = random.Random(seed)
@@ -130,12 +131,14 @@ def test_breakdown_types_edges_as_best_type(n, levels, seed, roads, d_max):
             + tour.vertices[:tour.vertices.index(0)]
         pairs += list(zip(verts[1:-1], verts[2:]))
         last = decode(g, tour, cfg).uav_legs[-1]
-    typed = [(u, v, g.breakdown(u, v)) for u, v in pairs]
-    for u, v, bd in typed:
-        code = int(g.best_type[u, v])
-        if bd is None:
-            assert code == -1
+    us, vs = zip(*pairs)
+    _, codes = g.edge_costs(us, vs)
+    for u, v, code in zip(us, vs, codes.tolist()):
+        assert code == int(g.best_type[u, v])
+        if code == -1:
+            assert math.isinf(g.cost[u, v])
         else:
+            bd = g.typed(u, v, EdgeType(code))
             assert bd.edge_type.value == code
             assert bd.cost == float(g.cost[u, v])
     if tour is not None:
