@@ -210,17 +210,19 @@ _ENDS = (END_A, END_B)
 class _Legs(NamedTuple):
     """Every flight leg of a farm, as (time, levels).
 
-    covers[i] holds cell i's coverage pass, multi-rotor then fixed-wing.
+    covers[i, mode] is cell i's coverage pass, multi-rotor then
+    fixed-wing, in floats: levels are small integers, exact as floats.
     Traversal (i, x) enters cell i at end _ENDS[x]; headings[i, x] is its
     coverage heading, and exit_road[i, x] and entry_road[i, x] are the
-    road flags of its exit and entry site.  transit_t[k, i, x, j, y] and
-    transit_c[k, i, x, j, y] are the time and levels of transit leg k,
-    one of _MR_LEG, _AIR_LEG, _STOP_LEG, _RIDE_LEG, from the exit of
-    traversal (i, x) to the entry of traversal (j, y); the j == i entries
-    are no edges and hold 0.
+    road flags of its exit and entry site, so exit_road is entry_road
+    with the ends reversed.  transit_t[k, i, x, j, y] and transit_c[k, i,
+    x, j, y] are the time and levels of transit leg k, one of _MR_LEG,
+    _AIR_LEG, _STOP_LEG, _RIDE_LEG, from the exit of traversal (i, x) to
+    the entry of traversal (j, y); the j == i entries are no edges and
+    hold 0.
     """
 
-    covers: list[tuple[tuple[float, int], tuple[float, int]]]
+    covers: np.ndarray
     headings: np.ndarray
     exit_road: np.ndarray
     entry_road: np.ndarray
@@ -240,16 +242,23 @@ def _farm_legs(cells: list[Cell], cfg: PlannerConfig) -> _Legs:
     n = len(cells)
     # The arrays the graph keeps come first, below the pass's temporaries
     # on the heap; allocated last they left about 0.2 MB more perfbench
-    # peak RSS on glns-n50.
+    # peak RSS on glns-n50, and covers and entry_road 0.1-0.2 MB more
+    # on exact-small.
     transit_t = np.zeros((4, n, 2, n, 2))
     transit_c = np.zeros((4, n, 2, n, 2), dtype=np.int64)
     length = np.array([cell.length for cell in cells])
+    # Python floats overflow to inf silently, and so do these arrays.
+    with np.errstate(over="ignore"):
+        covers = np.array([length, consumption_levels(length, _MR, cfg),
+                           length / cfg.fixed_wing_speed,
+                           consumption_levels(length, _FW, cfg)]
+                          ).T.reshape(n, 2, 2)
+    entry_road = np.array([[c.end(e).on_road for e in _ENDS] for c in cells])
     headings = np.array([[traversal_heading(c, e) for e in _ENDS]
                          for c in cells])
-    exits = np.array([[(c.other_end(e).x, c.other_end(e).y) for e in _ENDS]
-                      for c in cells])
     entries = np.array([[(c.end(e).x, c.end(e).y) for e in _ENDS]
                         for c in cells])
+    exits = entries[:, ::-1]
     # The end pairs (i, x) -> (j, y) between two different cells; the
     # j == i entries stay 0.
     pairs = np.broadcast_to((np.arange(n)[:, None] != np.arange(n))
@@ -257,9 +266,7 @@ def _farm_legs(cells: list[Cell], cfg: PlannerConfig) -> _Legs:
     i, x, j, y = np.nonzero(pairs)
     (ex, ey), (nx, ny) = exits[i, x].T, entries[j, y].T
     h_j = headings[j, y]
-    # Python floats overflow to inf silently, and so do these arrays.
     with np.errstate(over="ignore"):
-        cover_fw = length / cfg.fixed_wing_speed
         d = elementwise(math.hypot, nx - ex, ny - ey)
         # Airborne at the exit, then stopped: two start headings, stacked.
         h_ij = np.stack((headings[i, x], h_j))
@@ -270,18 +277,11 @@ def _farm_legs(cells: list[Cell], cfg: PlannerConfig) -> _Legs:
                                      h_j[s], cfg.turn_radius)[2]
         fw_t = fw / cfg.fixed_wing_speed
         ride = d / cfg.ugv_speed_ratio
-    covers = list(zip(zip(length.tolist(),
-                          consumption_levels(length, _MR, cfg).tolist()),
-                      zip(cover_fw.tolist(),
-                          consumption_levels(length, _FW, cfg).tolist())))
     fw_c = consumption_levels(fw, _FW, cfg)
     transit_t[:, pairs] = (d, fw_t[0], fw_t[1], ride)
     transit_c[:3, pairs] = (consumption_levels(d, _MR, cfg), fw_c[0], fw_c[1])
-    exit_road = np.array([[c.other_end(e).on_road for e in _ENDS]
-                          for c in cells])
-    entry_road = np.array([[c.end(e).on_road for e in _ENDS] for c in cells])
-    return _Legs(covers, headings, exit_road, entry_road, transit_t,
-                 transit_c)
+    return _Legs(covers, headings, entry_road[:, ::-1], entry_road,
+                 transit_t, transit_c)
 
 
 # Stop-layout templates.  Each prices one edge type from the coverage pass
@@ -508,19 +508,16 @@ class ClusteredGraph:
                            where=where & (grid == cost[columns]))
             block[~np.isfinite(cost)] = -1
         k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster
-        for i in range(n):
-            types[cluster_span(i + 1, 2 * C), 0] = _closing(
-                self.legs.covers[i], k)[1]
+        cluster_views(types, n)[2][...] = _closing(
+            self.legs.covers.transpose(1, 2, 0)[..., None], k)[1]
         return types
 
     def vertex(self, vid: int) -> Vertex:
         """The vertex with id vid; ValueError unless 0 <= vid < n_vertices."""
-        self._check_id(vid)
+        cell_index, end, level = self._split(vid)
         if vid == 0:
             return Vertex(-1, None, self.levels, is_depot=True)
-        cell_index, k = divmod(vid - 1, 2 * self.levels)
-        end, step = divmod(k, self.levels)
-        return Vertex(cell_index, (END_A, END_B)[end], self.levels - step)
+        return Vertex(cell_index, _ENDS[end], level)
 
     def vertex_id(self, cell_index: int, end: str, level: int) -> int:
         if not (0 <= cell_index < self.n_cells and end in (END_A, END_B)
@@ -530,27 +527,32 @@ class ClusteredGraph:
         return (cluster_span(cell_index + 1, 2 * self.levels).start + offset
                 + (self.levels - level))
 
-    def _check_id(self, vid: int) -> None:
+    def _split(self, vid: int) -> tuple[int, int, int]:
+        """(cell, end index into _ENDS, level) of vertex id vid, which
+        mean nothing for the depot, id 0; ValueError unless 0 <= vid <
+        n_vertices."""
         if not 0 <= vid < self.n_vertices:
             raise ValueError(f"vertex id {vid} out of range")
+        C = self.levels
+        cell, k = divmod(vid - 1, 2 * C)
+        end, step = divmod(k, C)
+        return cell, end, C - step
 
     def typed(self, u: int, v: int, t: EdgeType) -> Optional[EdgeBreakdown]:
         """The cell-to-cell edge u -> v flown as type t, or None when t
         cannot fly it; ValueError for a depot or same-cell edge."""
-        v_from, v_to = self.vertex(u), self.vertex(v)
-        if v_from.is_depot or v_to.is_depot:
+        (i, x, KI), (j, y, KJ) = self._split(u), self._split(v)
+        if not (u and v):
             raise ValueError("typed edges connect cell vertices only")
-        if v_from.cell_index == v_to.cell_index:
+        if i == j:
             raise ValueError("edges must connect different clusters")
-        i, x = v_from.cell_index, _ENDS.index(v_from.entry_end)
-        j, y = v_to.cell_index, _ENDS.index(v_to.entry_end)
         template, cover, leg = _TABLE[t.value]
-        t1, c1 = self.legs.covers[i][cover]
+        t1, c1 = self.legs.covers[i, cover].tolist()
         t2 = self.legs.transit_t[leg, i, x, j, y].item()
         c2 = self.legs.transit_c[leg, i, x, j, y].item()
-        exit_i = self.cells[i].other_end(v_from.entry_end)
-        entry_j = self.cells[j].end(v_to.entry_end)
-        cost, split = _priced(template, v_from.level, v_to.level, self.cfg,
+        exit_i = self.cells[i].other_end(_ENDS[x])
+        entry_j = self.cells[j].end(_ENDS[y])
+        cost, split = _priced(template, KI, KJ, self.cfg,
                               (t1, c1), (t2, c2),
                               (exit_i.on_road, entry_j.on_road))
         if not math.isfinite(cost):
@@ -565,9 +567,9 @@ class ClusteredGraph:
             cost=float(cost),
             split=split,
             cover_time=t1,
-            cover_cons=c1,
+            cover_cons=int(c1),
             cover_heading=h_i if t.cover_mode is _FW else None,
-            entry_site_i=self.cells[i].end(v_from.entry_end),
+            entry_site_i=self.cells[i].end(_ENDS[x]),
             exit_site_i=exit_i,
             entry_site_j=entry_j,
             transit_time=None if riding else t2,
@@ -593,25 +595,23 @@ class ClusteredGraph:
         when an edge is in its regime, so a tour that flies every edge
         without a stop mostly takes one template call.
         """
-        C, width = self.levels, 2 * self.levels
+        C = self.levels
         cost, code = [], []
         # The cell-to-cell edges, as (i, x, KI, j, y, KJ), and their places.
         edges, at = [], []
         for k, (u, v) in enumerate(zip(us, vs, strict=True)):
-            self._check_id(u)
-            self._check_id(v)
-            (i, a), (j, b) = divmod(u - 1, width), divmod(v - 1, width)
+            (i, x, KI), (j, y, KJ) = self._split(u), self._split(v)
             price, kind = INF, -1
             if u and v:
                 if i != j:
-                    edges.append((i, a // C, C - a % C, j, b // C, C - b % C))
+                    edges.append((i, x, KI, j, y, KJ))
                     at.append(k)
             elif v:
                 # Free departure into full-battery vertices.
-                price = 0.0 if b % C == 0 else INF
+                price = 0.0 if KJ == C else INF
             elif u:
                 # The final coverage pass on the way back.
-                back, mode = _closing(self.legs.covers[i], C - a % C)
+                back, mode = _closing(self.legs.covers[i].tolist(), KI)
                 price, kind = float(back), int(mode)
             cost.append(price)
             code.append(kind)
@@ -622,7 +622,7 @@ class ClusteredGraph:
         KI, KJ = KI[:, None], KJ[:, None]
         legs = self.legs
         # Each edge's legs for each type, with axes (edge, type).
-        cover_t, cover_c = self._covers[i[:, None], _COVER].transpose(2, 0, 1)
+        cover_t, cover_c = legs.covers[i[:, None], _COVER].transpose(2, 0, 1)
         ends = _LEG, i[:, None], x[:, None], j[:, None], y[:, None]
         transit_t, transit_c = legs.transit_t[ends], legs.transit_c[ends]
         roads = legs.exit_road[i, x][:, None], legs.entry_road[j, y][:, None]
@@ -645,12 +645,6 @@ class ClusteredGraph:
         cost[at] = least
         code[at] = np.where(np.isfinite(least), best, -1)
         return cost, code
-
-    @functools.cached_property
-    def _covers(self) -> np.ndarray:
-        """The cells' coverage passes as an (n, mode, (time, levels))
-        array; levels are small integers, exact as floats."""
-        return np.array(self.legs.covers, dtype=float)
 
 
 def _as_slice(cells: range) -> slice:
@@ -701,8 +695,8 @@ def _block_grids(cells: range, cfg: PlannerConfig, legs: _Legs):
     # KJ - KI, descending, on the level_i axis: the lines' axis.
     d = np.arange(C - 1, -C, -1.0)[:, None, None, None]
     # The legs with a leading axis of cover modes or transit legs, in the
-    # grid's axes; levels are small integers, exact as floats.
-    cover_t, cover_c = np.array([legs.covers[i] for i in cells]).T.reshape(
+    # grid's axes.
+    cover_t, cover_c = legs.covers[s].T.reshape(
         2, 2, len(cells), 1, 1, 1, 1, 1)
     transit_t = legs.transit_t[:, s, :, None, None]
     transit_c = legs.transit_c[:, s, :, None, None]
@@ -754,16 +748,15 @@ def _fill_cost(mat: np.ndarray, cfg: PlannerConfig, legs: _Legs) -> None:
     time."""
     n, C = len(legs.covers), cfg.battery_levels
     mat[0, 0] = INF
-    blocks = cluster_views(mat, n)[0].reshape(n, 2, C, n, 2, C)
+    blocks, row, column = cluster_views(mat, n)
+    blocks = blocks.reshape(n, 2, C, n, 2, C)
     for sources in _cell_blocks(n, C):
         _block_rows(sources, cfg, legs, blocks[_as_slice(sources)])
     # Depot edges: free departure into full-battery vertices, and the final
     # coverage pass on the way back.
     k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster's vertices
-    for i in range(n):
-        span = cluster_span(i + 1, 2 * C)
-        mat[0, span] = np.where(k == C, 0.0, INF)
-        mat[span, 0] = _closing(legs.covers[i], k)[0]
+    row[...] = np.where(k == C, 0.0, INF)
+    column[...] = _closing(legs.covers.transpose(1, 2, 0)[..., None], k)[0]
 
 
 def build_instance(cells: list[Cell], cfg: PlannerConfig) -> ClusteredGraph:

@@ -586,18 +586,15 @@ class _Search:
             prices.insert(row, pos, vertex)
 
     def insert_random(self, removed: list[int]) -> None:
-        """Random cluster into a random position, best vertex for it."""
+        """Random cluster into a random position, with the cluster's first
+        vertex: this is always the whole insertion of its move, and the
+        candidate's layered DP re-picks every vertex from the cluster
+        order alone."""
         remaining = sorted(removed)
         while remaining:
             c = remaining[self.rng.randrange(len(remaining))]
-            span = cluster_span(c, self.width)
-            tour = self.tour_vertices()
-            pos = self.rng.randrange(len(tour))
-            a = tour[pos]
-            b = tour[(pos + 1) % len(tour)]
-            enter = self.tmat[span, a] + self.tmat[b, span] - self.tmat[b, a]
-            k = int(np.argmin(enter))
-            self.insert(c, pos, span.start + k)
+            pos = self.rng.randrange(len(self.order))
+            self.insert(c, pos, cluster_span(c, self.width).start)
             remaining.remove(c)
 
 

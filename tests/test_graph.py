@@ -146,6 +146,11 @@ def test_edge_breakdown_rejects_depot_and_same_cell():
         g.typed(u, 0, EdgeType.M_M)
     with pytest.raises(ValueError):
         g.typed(u, g.vertex_id(0, "B", 5), EdgeType.M_M)
+    for bad in (-1, g.n_vertices, 10**30):
+        with pytest.raises(ValueError, match="out of range"):
+            g.typed(bad, u, EdgeType.M_M)
+        with pytest.raises(ValueError, match="out of range"):
+            g.typed(u, bad, EdgeType.M_M)
 
 
 layout_graphs = st.builds(

@@ -100,13 +100,17 @@ def test_farm_legs_match_the_per_pair_reference(n, levels, turn_radius,
     cells = gen_random(n, 60.0, 8.0, seed=seed, road_fraction=roads)
     legs = graph._farm_legs(cells, cfg)
     ends = ("A", "B")
+    assert legs.covers.shape == (n, 2, 2)
+    assert (legs.exit_road == legs.entry_road[:, ::-1]).all()
     for i, cell in enumerate(cells):
-        want = ((cell.length, ref.consumption_levels(cell.length, False, cfg)),
-                (cell.length / fw_speed,
-                 ref.consumption_levels(cell.length, True, cfg)))
-        assert legs.covers[i] == want
-        assert all(type(t) is float and type(c) is int
-                   for t, c in legs.covers[i])
+        want = [cell.length, ref.consumption_levels(cell.length, False, cfg),
+                cell.length / fw_speed,
+                ref.consumption_levels(cell.length, True, cfg)]
+        assert _bits(legs.covers[i].ravel()) == _bits(want)
+        levels = legs.covers[i, :, 1]
+        assert (levels == np.round(levels)).all()
+        assert legs.entry_road[i].tolist() == [cell.end(e).on_road
+                                               for e in ends]
         assert legs.headings[i].tolist() == [
             geometry.traversal_heading(cell, e) for e in ends]
         for x, j, y in np.ndindex(2, n, 2):
