@@ -9,17 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .energy import PlannerConfig
 from .errors import (Infeasible, InstanceTooLarge, NoFeasibleTour,
                      SamplingExhausted)
-from .experiments import report_to_csv, sweep_cells, sweep_dmax, sweep_levels
-from .graph import build_instance
+from .experiments import baseline_cost, report_to_csv, solve, sweep
 from .instances import (gen_random, load_instance, load_plan,
                         serialize_instance, serialize_plan)
-from .plan import baseline_plan, decode, validate
-from .solver import SolverParams, solve_exact, solve_glns
+from .plan import decode, validate
+from .solver import SolverParams
 from .svg_render import render_svg
 
 
@@ -77,15 +76,6 @@ def _params_from_args(args: argparse.Namespace) -> SolverParams:
                         restarts=args.restarts, rng_seed=args.seed)
 
 
-def _solve(cells, cfg, args):
-    # The flags are checked before the build, which can take seconds.
-    params = _params_from_args(args)
-    g = build_instance(cells, cfg)
-    if args.solver == "exact":
-        return g, solve_exact(g)
-    return g, solve_glns(g, params)
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -104,7 +94,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     cells, cfg = load_instance(args.instance)
-    g, tour = _solve(cells, cfg, args)
+    g, tour = solve(cells, cfg, args.solver, _params_from_args(args))
     plan = decode(g, tour, cfg)
     issues = validate(plan, cells, cfg)
     for issue in issues:
@@ -119,37 +109,39 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cells, cfg = load_instance(args.instance)
-    g, tour = _solve(cells, cfg, args)
+    g, tour = solve(cells, cfg, args.solver, _params_from_args(args))
     plan = decode(g, tour, cfg)
-    base = baseline_plan(cells, cfg)
-    gain = 100.0 * (base.total_time - plan.total_time) / base.total_time
+    base = baseline_cost(cells, cfg)
     print(f"optimized {plan.total_time:.3f}")
-    print(f"baseline {base.total_time:.3f}")
-    print(f"improvement {gain:.2f}%")
+    if base is None:
+        print("baseline infeasible")
+        return 0
+    print(f"baseline {base:.3f}")
+    print(f"improvement {100.0 * (base - plan.total_time) / base:.2f}%")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Every value is parsed and checked before the first solve.
     params = _params_from_args(args)
-    if args.kind == "dmax":
-        if args.instance is None:
-            raise ValueError("sweep dmax requires --instance")
-        cells, cfg = load_instance(args.instance)
-        values = [float(v) for v in args.values.split(",")]
-        report = sweep_dmax(cells, cfg, values, args.solver, params)
-    elif args.kind == "cells":
+    if args.kind == "cells":
         cfg = _config_from_args(args)
-        counts = [int(v) for v in args.values.split(",")]
-        report = sweep_cells(counts, cfg, args.extent, args.max_len,
-                             args.gen_seed, args.solver, params,
-                             args.road_fraction)
+        family = [(gen_random(int(v), args.extent, args.max_len,
+                              args.gen_seed, args.road_fraction), cfg)
+                  for v in args.values.split(",")]
+        rows = sweep(family, args.solver, params, args.gen_seed)
     else:
-        if args.instance is None:
-            raise ValueError("sweep levels requires --instance")
         cells, cfg = load_instance(args.instance)
-        values = [int(v) for v in args.values.split(",")]
-        report = sweep_levels(values, cells, cfg, args.solver, params)
-    _write_text(args.output, report_to_csv(report))
+        if args.kind == "dmax":
+            values = [float(v) for v in args.values.split(",")]
+            if values != sorted(values):
+                raise ValueError("d_max values must be ascending")
+            family = [(cells, replace(cfg, d_max=v)) for v in values]
+        else:
+            family = [(cells, replace(cfg, battery_levels=int(v)))
+                      for v in args.values.split(",")]
+        rows = sweep(family, args.solver, params)
+    _write_text(args.output, report_to_csv(rows))
     return 0
 
 
@@ -184,14 +176,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p_cmp)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep to CSV")
-    p_sweep.add_argument("kind", choices=("dmax", "cells", "levels"))
-    p_sweep.add_argument("--values", required=True,
-                         help="comma-separated sweep values")
-    p_sweep.add_argument("--instance", default=None)
-    _add_gen_args(p_sweep)
-    p_sweep.add_argument("-o", "--output", default=None)
-    _add_solver_args(p_sweep)
-    _add_config_args(p_sweep)
+    kinds = p_sweep.add_subparsers(dest="kind", required=True)
+    for kind in ("dmax", "cells", "levels"):
+        p_kind = kinds.add_parser(kind)
+        p_kind.add_argument("--values", required=True,
+                            help="comma-separated sweep values")
+        p_kind.add_argument("-o", "--output", default=None)
+        _add_solver_args(p_kind)
+        # dmax and levels vary the instance file's config; cells generates
+        # its farms from the generator and config flags.
+        if kind == "cells":
+            _add_gen_args(p_kind)
+            _add_config_args(p_kind)
+        else:
+            p_kind.add_argument("--instance", required=True)
 
     p_render = sub.add_parser("render", help="render an instance to SVG")
     p_render.add_argument("instance")

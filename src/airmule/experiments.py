@@ -1,21 +1,22 @@
 """Parameter sweeps producing CSV reports.
 
-Each sweep re-solves a family of instances while varying one knob and
-records solver cost against the myopic baseline.
+A sweep solves each instance of a family and records the solver cost
+against the myopic baseline.  The caller builds the family, so the sweep
+does not know which input it varies.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .energy import PlannerConfig
 from .errors import Infeasible, NoFeasibleTour
 from .geometry import Cell
-from .graph import build_instance
-from .instances import gen_random
+from .graph import ClusteredGraph, build_instance
 from .plan import baseline_plan
-from .solver import SolverParams, solve_exact, solve_glns
+from .solver import GtspTour, SolverParams, solve_exact, solve_glns
 
 _CSV_HEADER = "seed,n,C,d_max,optimal_cost,baseline_cost,wall_time_s,solver_mode"
 
@@ -32,73 +33,47 @@ class ExperimentRow:
     solver_mode: str
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    rows: tuple[ExperimentRow, ...]
-
-
-def _solve_cost(cells: list[Cell], cfg: PlannerConfig, solver: str,
-                params: SolverParams | None) -> float | None:
+def solve(cells: list[Cell], cfg: PlannerConfig, solver: str,
+          params: SolverParams | None) -> tuple[ClusteredGraph, GtspTour]:
+    """Build the clustered graph and solve it exactly or with GLNS."""
     g = build_instance(cells, cfg)
-    try:
-        if solver == "exact":
-            return solve_exact(g).cost
-        return solve_glns(g, params).cost
-    except (Infeasible, NoFeasibleTour):
-        return None
+    if solver == "exact":
+        return g, solve_exact(g)
+    return g, solve_glns(g, params)
 
 
-def _baseline_cost(cells: list[Cell], cfg: PlannerConfig) -> float | None:
+def baseline_cost(cells: list[Cell], cfg: PlannerConfig) -> float | None:
+    """Makespan of the myopic multi-rotor baseline; None when it cannot
+    fly the farm."""
     try:
         return baseline_plan(cells, cfg).total_time
     except Infeasible:
         return None
 
 
-def _row(cells: list[Cell], cfg: PlannerConfig, solver: str,
-         params: SolverParams | None, seed: int) -> ExperimentRow:
-    start = time.perf_counter()
-    cost = _solve_cost(cells, cfg, solver, params)
-    wall = time.perf_counter() - start
-    return ExperimentRow(seed, len(cells), cfg.battery_levels, cfg.d_max,
-                         cost, _baseline_cost(cells, cfg), wall, solver)
-
-
-def sweep_dmax(cells: list[Cell], cfg: PlannerConfig, values: list[float],
-               solver: str = "exact", params: SolverParams | None = None,
-               seed: int = 0) -> ExperimentReport:
-    if list(values) != sorted(values):
-        raise ValueError("d_max values must be ascending")
-    rows = [_row(cells, replace(cfg, d_max=v), solver, params, seed)
-            for v in values]
-    return ExperimentReport(tuple(rows))
-
-
-def sweep_cells(counts: list[int], cfg: PlannerConfig, extent: float,
-                max_len: float, seed: int, solver: str = "glns",
-                params: SolverParams | None = None,
-                road_fraction: float = 1.0) -> ExperimentReport:
+def sweep(family: Iterable[tuple[list[Cell], PlannerConfig]], solver: str,
+          params: SolverParams | None, seed: int = 0) -> list[ExperimentRow]:
+    """One row per (cells, cfg) instance; an infeasible cost is None."""
     rows = []
-    for n in counts:
-        cells = gen_random(n, extent, max_len, seed, road_fraction)
-        rows.append(_row(cells, cfg, solver, params, seed))
-    return ExperimentReport(tuple(rows))
+    for cells, cfg in family:
+        start = time.perf_counter()
+        try:
+            cost = solve(cells, cfg, solver, params)[1].cost
+        except (Infeasible, NoFeasibleTour):
+            cost = None
+        wall = time.perf_counter() - start
+        rows.append(ExperimentRow(seed, len(cells), cfg.battery_levels,
+                                  cfg.d_max, cost, baseline_cost(cells, cfg),
+                                  wall, solver))
+    return rows
 
 
-def sweep_levels(values: list[int], cells: list[Cell], cfg: PlannerConfig,
-                 solver: str = "exact", params: SolverParams | None = None,
-                 seed: int = 0) -> ExperimentReport:
-    rows = [_row(cells, replace(cfg, battery_levels=v), solver, params, seed)
-            for v in values]
-    return ExperimentReport(tuple(rows))
-
-
-def report_to_csv(report: ExperimentReport) -> str:
+def report_to_csv(rows: list[ExperimentRow]) -> str:
     def cost(value: float | None) -> str:
         return "infeasible" if value is None else repr(value)
 
     lines = [f"# version {1}", _CSV_HEADER]
-    for r in report.rows:
+    for r in rows:
         lines.append(
             f"{r.seed},{r.n},{r.levels},{r.d_max!r},{cost(r.optimal_cost)},"
             f"{cost(r.baseline_cost)},{r.wall_time_s:.6f},{r.solver_mode}")

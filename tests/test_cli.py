@@ -2,15 +2,19 @@
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from airmule.cli import main
 from airmule.energy import PlannerConfig
-from airmule.errors import Infeasible
+from airmule.errors import Infeasible, NoFeasibleTour
 from airmule.geometry import Cell, Site
-from airmule.instances import load_instance, parse_plan, serialize_instance
+from airmule.graph import build_instance
+from airmule.instances import (gen_random, load_instance, parse_plan,
+                               serialize_instance)
 from airmule.plan import baseline_plan, validate
+from airmule.solver import solve_exact
 
 
 def run(capsys, *argv):
@@ -152,20 +156,24 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
-@pytest.mark.parametrize("command", ["plan", "compare"])
+def forbid_build(monkeypatch):
+    def build_instance(cells, cfg):
+        raise AssertionError("built the graph")
+
+    monkeypatch.setattr("airmule.experiments.build_instance", build_instance)
+
+
+@pytest.mark.parametrize("command", ["plan", "compare", "sweep"])
 @pytest.mark.parametrize("solver", ["glns", "exact"])
 def test_solver_flags_checked_before_build(tmp_path, capsys, monkeypatch,
                                            command, solver):
     # A bad flag is refused before the graph build, which takes seconds on
     # a large farm.
     inst = gen_instance(tmp_path, capsys)
-
-    def build_instance(cells, cfg):
-        raise AssertionError("built the graph")
-
-    monkeypatch.setattr("airmule.cli.build_instance", build_instance)
-    code, _, err = run(capsys, command, str(inst), "--solver", solver,
-                       "--restarts", "0")
+    forbid_build(monkeypatch)
+    argv = ((command, str(inst)) if command != "sweep" else
+            ("sweep", "dmax", "--instance", str(inst), "--values", "40"))
+    code, _, err = run(capsys, *argv, "--solver", solver, "--restarts", "0")
     assert code == 2
     assert "restarts must be at least 1" in err
 
@@ -224,6 +232,23 @@ def test_compare_reports_improvement(tmp_path, capsys):
     assert float(lines[2].split()[1].rstrip("%")) >= -1e-9
 
 
+def test_compare_with_infeasible_baseline(tmp_path, capsys):
+    # The myopic baseline needs more levels than a battery holds for cell
+    # 1, but the farm itself plans: compare reports both and succeeds.
+    inst = tmp_path / "inst.json"
+    assert run(capsys, "gen", "-n", "4", "--gen-seed", "1", "--d-max", "30",
+               "-o", str(inst))[0] == 0
+    cells, cfg = load_instance(str(inst))
+    with pytest.raises(Infeasible):
+        baseline_plan(cells, cfg)
+    code, out, err = run(capsys, "compare", str(inst), "--solver", "exact")
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("optimized ")
+    assert lines[1] == "baseline infeasible"
+
+
 def test_sweep_dmax_csv(tmp_path, capsys):
     inst = gen_instance(tmp_path, capsys)
     out_path = tmp_path / "sweep.csv"
@@ -238,9 +263,76 @@ def test_sweep_dmax_csv(tmp_path, capsys):
 
 
 def test_sweep_requires_instance(capsys):
-    code, _, err = run(capsys, "sweep", "dmax", "--values", "10,20")
+    for kind in ("dmax", "levels"):
+        code, _, err = run(capsys, "sweep", kind, "--values", "10,20")
+        assert code == 2
+        assert "instance" in err
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("dmax", ("--values", "30,60", "--levels", "3")),
+    ("levels", ("--values", "3", "--gen-seed", "7")),
+    ("cells", ("--values", "3"))])
+def test_sweep_refuses_flags_its_kind_ignores(tmp_path, capsys, kind, extra):
+    # dmax and levels read the instance's config and cells generates its
+    # farms, so a flag the kind would not read is a usage error.
+    inst = gen_instance(tmp_path, capsys)
+    code, _, err = run(capsys, "sweep", kind, "--instance", str(inst), *extra)
     assert code == 2
-    assert "instance" in err
+    assert "unrecognized arguments" in err
+
+
+def test_sweep_dmax_rejects_unsorted(tmp_path, capsys, monkeypatch):
+    inst = gen_instance(tmp_path, capsys)
+    forbid_build(monkeypatch)
+    code, _, err = run(capsys, "sweep", "dmax", "--instance", str(inst),
+                       "--values", "60,30")
+    assert code == 2
+    assert "ascending" in err
+
+
+def direct_row(cells, cfg, seed):
+    # The row that building, solving and the baseline give for one instance,
+    # without the sweep code: every CSV column but wall_time_s.
+    try:
+        cost = repr(solve_exact(build_instance(cells, cfg)).cost)
+    except (Infeasible, NoFeasibleTour):
+        cost = "infeasible"
+    try:
+        base = repr(baseline_plan(cells, cfg).total_time)
+    except Infeasible:
+        base = "infeasible"
+    return [str(seed), str(len(cells)), str(cfg.battery_levels),
+            repr(cfg.d_max), cost, base, "exact"]
+
+
+@pytest.mark.parametrize("kind", ["dmax", "levels", "cells"])
+def test_sweep_rows_match_direct_solve(tmp_path, capsys, kind):
+    inst = gen_instance(tmp_path, capsys, n=4)
+    cells, cfg = load_instance(str(inst))
+    if kind == "dmax":
+        argv = ("--instance", str(inst), "--values", "0.5,30,60")
+        family = [(cells, replace(cfg, d_max=v)) for v in (0.5, 30.0, 60.0)]
+        seed = 0
+    elif kind == "levels":
+        argv = ("--instance", str(inst), "--values", "2,5")
+        family = [(cells, replace(cfg, battery_levels=v)) for v in (2, 5)]
+        seed = 0
+    else:
+        argv = ("--values", "3,5", "--gen-seed", "4", "--extent", "40",
+                "--max-len", "8", "--road-fraction", "0.5", "--d-max", "60",
+                "--levels", "6", "--ugv-speed-ratio", "0.3")
+        cfg = PlannerConfig(d_max=60.0, battery_levels=6, ugv_speed_ratio=0.3)
+        family = [(gen_random(n, 40.0, 8.0, 4, 0.5), cfg) for n in (3, 5)]
+        seed = 4
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", kind, *argv, "--solver", "exact",
+                       "-o", str(out_path))
+    assert code == 0, err
+    lines = out_path.read_text(encoding="utf-8").splitlines()[2:]
+    got = [line.split(",") for line in lines]
+    assert [row[:6] + row[7:] for row in got] == [
+        direct_row(c, k, seed) for c, k in family]
 
 
 def test_render_pipeline(tmp_path, capsys):

@@ -1,11 +1,9 @@
 """Sweep and CSV report tests."""
 
-import pytest
+from dataclasses import replace
 
 from airmule.energy import PlannerConfig
-from airmule.experiments import (ExperimentReport, ExperimentRow,
-                                 report_to_csv, sweep_cells, sweep_dmax,
-                                 sweep_levels)
+from airmule.experiments import ExperimentRow, report_to_csv, sweep
 from airmule.instances import gen_random
 
 
@@ -15,51 +13,51 @@ def small():
     return cells, cfg
 
 
+def dmax_family(cells, cfg, values):
+    return [(cells, replace(cfg, d_max=v)) for v in values]
+
+
 def test_sweep_dmax_monotone():
     cells, cfg = small()
-    report = sweep_dmax(cells, cfg, [30.0, 60.0, 90.0], solver="exact")
-    costs = [row.optimal_cost for row in report.rows]
+    rows = sweep(dmax_family(cells, cfg, [30.0, 60.0, 90.0]), "exact", None)
+    costs = [row.optimal_cost for row in rows]
     assert all(c is not None for c in costs)
     for lo, hi in zip(costs[1:], costs):
         assert lo <= hi + 1e-9
-    assert [row.d_max for row in report.rows] == [30.0, 60.0, 90.0]
-
-
-def test_sweep_dmax_rejects_unsorted():
-    cells, cfg = small()
-    with pytest.raises(ValueError):
-        sweep_dmax(cells, cfg, [60.0, 30.0])
+    assert [row.d_max for row in rows] == [30.0, 60.0, 90.0]
 
 
 def test_sweep_dmax_marks_infeasible():
     cells, cfg = small()
-    report = sweep_dmax(cells, cfg, [0.5, 60.0], solver="exact")
-    assert report.rows[0].optimal_cost is None
-    assert report.rows[0].baseline_cost is None
-    csv = report_to_csv(report)
+    rows = sweep(dmax_family(cells, cfg, [0.5, 60.0]), "exact", None)
+    assert rows[0].optimal_cost is None
+    assert rows[0].baseline_cost is None
+    csv = report_to_csv(rows)
     assert "infeasible" in csv
 
 
 def test_sweep_levels():
     cells, cfg = small()
-    report = sweep_levels([3, 4], cells, cfg, solver="exact")
-    assert [row.levels for row in report.rows] == [3, 4]
-    assert all(row.optimal_cost is not None for row in report.rows)
+    rows = sweep([(cells, replace(cfg, battery_levels=v)) for v in (3, 4)],
+                 "exact", None)
+    assert [row.levels for row in rows] == [3, 4]
+    assert all(row.optimal_cost is not None for row in rows)
 
 
 def test_sweep_cells_uses_generator():
     cfg = PlannerConfig(d_max=120.0, battery_levels=5)
-    report = sweep_cells([2, 3], cfg, extent=25.0, max_len=6.0, seed=4,
-                         solver="exact")
-    assert [row.n for row in report.rows] == [2, 3]
+    rows = sweep([(gen_random(n, 25.0, 6.0, 4), cfg) for n in (2, 3)],
+                 "exact", None, seed=4)
+    assert [row.n for row in rows] == [2, 3]
+    assert [row.seed for row in rows] == [4, 4]
 
 
 def test_csv_layout():
-    report = ExperimentReport((
+    rows = [
         ExperimentRow(7, 3, 4, 60.0, 12.5, 20.0, 0.01, "exact"),
         ExperimentRow(7, 3, 4, 90.0, None, None, 0.02, "glns"),
-    ))
-    lines = report_to_csv(report).strip().splitlines()
+    ]
+    lines = report_to_csv(rows).strip().splitlines()
     assert lines[0] == "# version 1"
     assert lines[1] == "seed,n,C,d_max,optimal_cost,baseline_cost,wall_time_s,solver_mode"
     assert lines[2].startswith("7,3,4,60.0,12.5,20.0,")
