@@ -54,13 +54,15 @@ def _config_from_args(args: argparse.Namespace) -> PlannerConfig:
 
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
+    defaults = SolverParams()
     parser.add_argument("--solver", choices=("exact", "glns"),
                         default="glns")
     parser.add_argument("--mode", choices=("fast", "default", "slow"),
-                        default="default", help="glns effort level")
-    parser.add_argument("--time-budget", type=float, default=600.0)
-    parser.add_argument("--restarts", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0,
+                        default=defaults.mode, help="glns effort level")
+    parser.add_argument("--time-budget", type=float,
+                        default=defaults.time_budget)
+    parser.add_argument("--restarts", type=int, default=defaults.restarts)
+    parser.add_argument("--seed", type=int, default=defaults.rng_seed,
                         help="glns random seed")
 
 
@@ -196,13 +198,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--plan", default=None)
     p_render.add_argument("-o", "--output", required=True)
 
+    # main reports a flag that a command does not take with the usage line
+    # of that command's own parser.
+    for command in (p_gen, p_plan, p_cmp, *kinds.choices.values(), p_render):
+        command.set_defaults(parser=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # parse_args would report them with the root's usage line.
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -35,8 +35,9 @@ ClusteredGraph.edge_costs prices a tour's n + 1 edges in one call per
 template over all the edges and their types, and takes the first type in
 EdgeType order that gives the least cost, so only the edges of a tour are
 ever typed; ClusteredGraph.typed, which decode expands into legs, prices
-one such edge as its winning type.  Off-road landing sites are mask terms
-of the templates, infinite where the layout cannot be flown.
+one such edge, the closing pass too, as its winning type.  Off-road
+landing sites are mask terms of the templates, infinite where the layout
+cannot be flown.
 
 build_instance computes only the legs, once per graph: the coverage
 passes of every cell and the transit legs of every ordered end pair of
@@ -182,7 +183,8 @@ class Vertex:
 
 @dataclass(frozen=True)
 class EdgeBreakdown:
-    """Everything needed to expand one typed edge into executable legs."""
+    """Everything needed to expand one typed edge into executable legs;
+    a closing edge is its coverage pass alone, from entry_site_j on None."""
 
     edge_type: EdgeType
     cost: float
@@ -192,12 +194,12 @@ class EdgeBreakdown:
     cover_heading: Optional[float]  # fixed-wing cover only
     entry_site_i: Site
     exit_site_i: Site
-    entry_site_j: Site
-    transit_time: Optional[float]  # None when riding the UGV
-    transit_cons: Optional[int]
-    transit_start_heading: Optional[float]  # fixed-wing transit only
-    transit_end_heading: Optional[float]
-    ride_time: Optional[float]  # max(ugv travel, recharge), ride edges only
+    entry_site_j: Optional[Site] = None
+    transit_time: Optional[float] = None  # None when riding the UGV
+    transit_cons: Optional[int] = None
+    transit_start_heading: Optional[float] = None  # fixed-wing transit only
+    transit_end_heading: Optional[float] = None
+    ride_time: Optional[float] = None  # max(ugv travel, recharge), rides only
 
 
 # The ways from one cell's exit to the next cell's entry, in the order of
@@ -539,18 +541,30 @@ class ClusteredGraph:
         return cell, end, C - step
 
     def typed(self, u: int, v: int, t: EdgeType) -> Optional[EdgeBreakdown]:
-        """The cell-to-cell edge u -> v flown as type t, or None when t
-        cannot fly it; ValueError for a depot or same-cell edge."""
+        """The edge u -> v flown as type t, or None when t cannot fly it;
+        ValueError for a departure or same-cell edge.  A closing edge u ->
+        0 is u's coverage pass as the M_M or F_F type _closing picks."""
         (i, x, KI), (j, y, KJ) = self._split(u), self._split(v)
-        if not (u and v):
-            raise ValueError("typed edges connect cell vertices only")
+        if not u:
+            raise ValueError("typed edges leave cell vertices only")
         if i == j:
             raise ValueError("edges must connect different clusters")
         template, cover, leg = _TABLE[t.value]
         t1, c1 = self.legs.covers[i, cover].tolist()
+        h_i = self.legs.headings[i, x].item()
+        entry_i = self.cells[i].end(_ENDS[x])
+        exit_i = self.cells[i].other_end(_ENDS[x])
+        # The coverage pass, the EdgeBreakdown fields cover_time..exit_site_i.
+        pass_i = (t1, int(c1), h_i if t.cover_mode is _FW else None, entry_i,
+                  exit_i)
+        if not v:
+            back, code = _closing(self.legs.covers[i].tolist(), KI)
+            if code != t.value:
+                return None
+            return EdgeBreakdown(t, float(back), RechargeSplit(0, 0, 0),
+                                 *pass_i)
         t2 = self.legs.transit_t[leg, i, x, j, y].item()
         c2 = self.legs.transit_c[leg, i, x, j, y].item()
-        exit_i = self.cells[i].other_end(_ENDS[x])
         entry_j = self.cells[j].end(_ENDS[y])
         cost, split = _priced(template, KI, KJ, self.cfg,
                               (t1, c1), (t2, c2),
@@ -560,17 +574,9 @@ class ClusteredGraph:
         split = RechargeSplit(*map(int, split))
         riding = leg == _RIDE_LEG
         fw = t.transit_mode is _FW
-        h_i = self.legs.headings[i, x].item()
         h_j = self.legs.headings[j, y].item()
         return EdgeBreakdown(
-            edge_type=t,
-            cost=float(cost),
-            split=split,
-            cover_time=t1,
-            cover_cons=int(c1),
-            cover_heading=h_i if t.cover_mode is _FW else None,
-            entry_site_i=self.cells[i].end(_ENDS[x]),
-            exit_site_i=exit_i,
+            t, float(cost), split, *pass_i,
             entry_site_j=entry_j,
             transit_time=None if riding else t2,
             transit_cons=None if riding else c2,

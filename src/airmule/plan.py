@@ -3,7 +3,10 @@
 A plan is the executable view of a tour: timed UAV legs, a UGV waypoint
 schedule and a battery trace.  Leg durations and the recorded total time
 come from the same arithmetic as the edge costs, so a decoded plan's
-total_time equals the tour cost exactly.
+total_time equals the tour cost exactly: decode reads every edge after
+the free departure, the closing pass included, from ClusteredGraph.typed.
+One emitter lays out each stop (land, recharge in place or ride the UGV,
+take off), and each battery-trace label is derived from its leg.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from enum import Enum
 
 from .energy import PlannerConfig, consumption_levels, recharge_time
 from .errors import Infeasible
-from .geometry import (Cell, FlightMode, Site, euclid, traversal_heading,
-                       ugv_time)
+from .geometry import Cell, FlightMode, Site, euclid, ugv_time
 from .graph import ClusteredGraph, EdgeBreakdown, EdgeType
 from .solver import GtspTour
 
@@ -68,8 +70,20 @@ class Issue:
     wait: float = 0.0
 
 
-_ENTRY_STOP = ("entry", "both")
-_EXIT_STOP = ("exit", "both")
+def _label(leg: Leg | None) -> str:
+    """The battery-trace label of the level after leg; None labels the
+    level the plan starts with."""
+    if leg is None:
+        return "start"
+    if leg.kind is LegKind.FLY:
+        if leg.covers_cell is None:
+            return "fly:transit"
+        return f"fly:cover-cell{leg.covers_cell}"
+    if leg.kind is LegKind.RIDE_AND_RECHARGE:
+        return f"ride:site{leg.start_site.id}-site{leg.end_site.id}"
+    verb = {LegKind.LAND: "land", LegKind.RECHARGE_IN_PLACE: "recharge",
+            LegKind.TAKE_OFF: "take_off"}[leg.kind]
+    return f"{verb}:site{leg.start_site.id}"
 
 
 class _Builder:
@@ -78,19 +92,19 @@ class _Builder:
         self.waypoints: list[UgvWaypoint] = []
         self.clock = 0.0
         self.battery = levels
-        self.trace: list[tuple[str, int]] = [("start", levels)]
+        self.trace: list[tuple[str, int]] = [(_label(None), levels)]
 
     def emit(self, kind: LegKind, start: Site, end: Site, duration: float,
-             battery_after: int, event: str, *, mode: FlightMode | None = None,
+             battery_after: int, *, mode: FlightMode | None = None,
              levels: int = 0, covers_cell: int | None = None,
              start_heading: float | None = None,
              end_heading: float | None = None) -> None:
-        self.legs.append(Leg(kind, start, end, duration, self.battery,
-                             battery_after, mode, levels, covers_cell,
-                             start_heading, end_heading))
+        leg = Leg(kind, start, end, duration, self.battery, battery_after,
+                  mode, levels, covers_cell, start_heading, end_heading)
+        self.legs.append(leg)
         self.clock += duration
         self.battery = battery_after
-        self.trace.append((event, battery_after))
+        self.trace.append((_label(leg), battery_after))
 
     def add_waypoint(self, site: Site, arrive_by: float, depart_at: float,
                      via_ride: bool = False) -> None:
@@ -102,53 +116,48 @@ class _Builder:
         self.waypoints.append(UgvWaypoint(site, arrive_by, depart_at, via_ride))
 
 
-def _emit_stop(b: _Builder, site: Site, gain: int, cfg: PlannerConfig) -> None:
-    """Land, recharge by gain levels, take off again at one road site."""
+def _emit_stop(b: _Builder, site: Site, gain: int, cfg: PlannerConfig,
+               ride: tuple[Site, float] | None = None) -> None:
+    """Land at a road site, recharge by gain levels and take off again:
+    in place, or riding the UGV for ride = (drop-off site, duration) and
+    taking off at the drop-off."""
+    drop, duration = ride or (site, recharge_time(gain, cfg))
     arrive = b.clock
-    b.emit(LegKind.LAND, site, site, cfg.t_land, b.battery,
-           f"land:site{site.id}")
-    b.emit(LegKind.RECHARGE_IN_PLACE, site, site, recharge_time(gain, cfg),
-           b.battery + gain, f"recharge:site{site.id}", levels=gain)
-    b.emit(LegKind.TAKE_OFF, site, site, cfg.t_takeoff, b.battery,
-           f"take_off:site{site.id}")
-    b.add_waypoint(site, arrive, b.clock)
+    b.emit(LegKind.LAND, site, site, cfg.t_land, b.battery)
+    charge = b.clock
+    b.emit(LegKind.RECHARGE_IN_PLACE if ride is None
+           else LegKind.RIDE_AND_RECHARGE, site, drop, duration,
+           b.battery + gain, levels=gain)
+    charged = b.clock
+    b.emit(LegKind.TAKE_OFF, drop, drop, cfg.t_takeoff, b.battery)
+    if ride is None:
+        b.add_waypoint(site, arrive, b.clock)
+    else:
+        # The drop-off is reached while carrying the UAV, so only the
+        # pick-up imposes a deadline on the UGV.
+        b.add_waypoint(site, arrive, charge)
+        b.add_waypoint(drop, charged, b.clock, via_ride=True)
 
 
 def _emit_edge(b: _Builder, bd: EdgeBreakdown, from_cell: int,
                cfg: PlannerConfig) -> None:
     t = bd.edge_type
     b.emit(LegKind.FLY, bd.entry_site_i, bd.exit_site_i, bd.cover_time,
-           b.battery - bd.cover_cons, f"fly:cover-cell{from_cell}",
-           mode=t.cover_mode, covers_cell=from_cell,
+           b.battery - bd.cover_cons, mode=t.cover_mode, covers_cell=from_cell,
            start_heading=bd.cover_heading, end_heading=bd.cover_heading)
-
+    if bd.entry_site_j is None:
+        return  # the closing edge: the coverage pass is the whole edge
     if t.stops == "ride":
-        pickup = b.clock
-        b.emit(LegKind.LAND, bd.exit_site_i, bd.exit_site_i, cfg.t_land,
-               b.battery, f"land:site{bd.exit_site_i.id}")
-        ride_start = b.clock
-        b.emit(LegKind.RIDE_AND_RECHARGE, bd.exit_site_i, bd.entry_site_j,
-               bd.ride_time, b.battery + bd.split.in_transit,
-               f"ride:site{bd.exit_site_i.id}-site{bd.entry_site_j.id}",
-               levels=bd.split.in_transit)
-        ride_end = b.clock
-        b.emit(LegKind.TAKE_OFF, bd.entry_site_j, bd.entry_site_j,
-               cfg.t_takeoff, b.battery, f"take_off:site{bd.entry_site_j.id}")
-        # The drop-off is reached while carrying the UAV, so only the
-        # pick-up imposes a deadline on the UGV.
-        b.add_waypoint(bd.exit_site_i, pickup, ride_start)
-        b.add_waypoint(bd.entry_site_j, ride_end, b.clock, via_ride=True)
+        _emit_stop(b, bd.exit_site_i, bd.split.in_transit, cfg,
+                   (bd.entry_site_j, bd.ride_time))
         return
-
-    if t.stops in _EXIT_STOP:
+    if t.stops in ("exit", "both"):
         _emit_stop(b, bd.exit_site_i, bd.split.at_exit, cfg)
-
     b.emit(LegKind.FLY, bd.exit_site_i, bd.entry_site_j, bd.transit_time,
-           b.battery - bd.transit_cons, "fly:transit",
-           mode=t.transit_mode, start_heading=bd.transit_start_heading,
+           b.battery - bd.transit_cons, mode=t.transit_mode,
+           start_heading=bd.transit_start_heading,
            end_heading=bd.transit_end_heading)
-
-    if t.stops in _ENTRY_STOP:
+    if t.stops in ("entry", "both"):
         _emit_stop(b, bd.entry_site_j, bd.split.at_entry, cfg)
 
 
@@ -164,7 +173,6 @@ def decode(g: ClusteredGraph, tour: GtspTour, cfg: PlannerConfig) -> Plan:
         raise ValueError("tour must visit every cluster exactly once")
 
     b = _Builder(g.levels)
-    total = 0.0
     # Every edge of the tour, priced and typed in one call.
     costs, codes = g.edge_costs(verts, verts[1:] + verts[:1])
     costs, codes = costs.tolist(), codes.tolist()
@@ -172,38 +180,21 @@ def decode(g: ClusteredGraph, tour: GtspTour, cfg: PlannerConfig) -> Plan:
     if not math.isfinite(costs[0]):
         raise ValueError("tour starts on an infeasible depot edge")
     assert stops[1].level == g.levels
-    total += costs[0]
+    total = costs[0]
 
+    # Every later edge, the closing one back to the depot last.
     for u_id, w_id, u, w, cost, code in zip(
-            verts[1:-1], verts[2:], stops[1:-1], stops[2:], costs[1:],
-            codes[1:]):
+            verts[1:], verts[2:] + verts[:1], stops[1:], stops[2:] + stops[:1],
+            costs[1:], codes[1:]):
         if code < 0:
             raise ValueError(
-                f"tour contains an infeasible edge {u_id}->{w_id}")
+                f"tour contains an infeasible edge {u_id}->{w_id}" if w_id
+                else "tour ends on an infeasible depot edge")
         bd = g.typed(u_id, w_id, EdgeType(code))
         assert b.battery == u.level
         _emit_edge(b, bd, u.cell_index, cfg)
-        assert b.battery == w.level
+        assert w.is_depot or b.battery == w.level
         total += cost
-
-    last = stops[-1]
-    closing = costs[-1]
-    if codes[-1] < 0:
-        raise ValueError("tour ends on an infeasible depot edge")
-    mode = EdgeType(codes[-1]).cover_mode
-    cell = g.cells[last.cell_index]
-    entry = cell.end(last.entry_end)
-    exit_site = cell.other_end(last.entry_end)
-    cons = consumption_levels(cell.length, mode, cfg)
-    assert b.battery == last.level
-    heading = traversal_heading(cell, last.entry_end)
-    fw = mode is FlightMode.FIXED_WING
-    b.emit(LegKind.FLY, entry, exit_site, closing, b.battery - cons,
-           f"fly:cover-cell{last.cell_index}", mode=mode,
-           covers_cell=last.cell_index,
-           start_heading=heading if fw else None,
-           end_heading=heading if fw else None)
-    total += closing
 
     cell_order = tuple((s.cell_index, s.entry_end) for s in stops[1:])
     return Plan(cell_order, tuple(b.legs), tuple(b.waypoints), total,
@@ -314,12 +305,11 @@ def baseline_plan(cells: list[Cell], cfg: PlannerConfig) -> Plan:
             b.emit(LegKind.FLY, current, entry, transit,
                    b.battery - consumption_levels(
                        transit, FlightMode.MULTI_ROTOR, cfg),
-                   "fly:transit", mode=FlightMode.MULTI_ROTOR)
+                   mode=FlightMode.MULTI_ROTOR)
         b.emit(LegKind.FLY, entry, exit_site, cell.length,
                b.battery - consumption_levels(
                    cell.length, FlightMode.MULTI_ROTOR, cfg),
-               f"fly:cover-cell{cell.index}", mode=FlightMode.MULTI_ROTOR,
-               covers_cell=cell.index)
+               mode=FlightMode.MULTI_ROTOR, covers_cell=cell.index)
         order.append((cell.index, entry_end))
         current = exit_site
 

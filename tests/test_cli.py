@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from airmule.cli import main
+from airmule.cli import _build_parser, _params_from_args, main
 from airmule.energy import PlannerConfig
 from airmule.errors import Infeasible, NoFeasibleTour
 from airmule.geometry import Cell, Site
@@ -14,7 +14,7 @@ from airmule.graph import build_instance
 from airmule.instances import (gen_random, load_instance, parse_plan,
                                serialize_instance)
 from airmule.plan import baseline_plan, validate
-from airmule.solver import solve_exact
+from airmule.solver import SolverParams, solve_exact
 
 
 def run(capsys, *argv):
@@ -279,7 +279,31 @@ def test_sweep_refuses_flags_its_kind_ignores(tmp_path, capsys, kind, extra):
     inst = gen_instance(tmp_path, capsys)
     code, _, err = run(capsys, "sweep", kind, "--instance", str(inst), *extra)
     assert code == 2
-    assert "unrecognized arguments" in err
+    assert err.startswith(f"usage: airmule sweep {kind} [-h]")
+    assert f"airmule sweep {kind}: error: unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "-n", "2", "--seed", "1"),
+    ("plan", "{inst}", "--levels", "3"),
+    ("compare", "{inst}", "--gen-seed", "3"),
+    ("render", "{inst}", "-o", "x.svg", "--solver", "exact"),
+    ("plan", "{inst}", "extra")], ids=lambda argv: argv[0])
+def test_unknown_flag_prints_its_command_usage(tmp_path, capsys, argv):
+    inst = gen_instance(tmp_path, capsys)
+    code, _, err = run(capsys, *(a.format(inst=inst) for a in argv))
+    assert code == 2
+    assert err.startswith(f"usage: airmule {argv[0]} [-h]")
+    assert f"airmule {argv[0]}: error: unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("plan", "i.json"), ("compare", "i.json"),
+    ("sweep", "levels", "--instance", "i.json", "--values", "3")])
+def test_solver_flag_defaults_are_solver_params(argv):
+    args = _build_parser().parse_args(argv)
+    assert _params_from_args(args) == SolverParams()
+    assert args.solver == "glns"
 
 
 def test_sweep_dmax_rejects_unsorted(tmp_path, capsys, monkeypatch):

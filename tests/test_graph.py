@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracle18 import oracle_edge_cost, oracle_type_cost
 
 from airmule import graph, workers
-from airmule.energy import PlannerConfig
+from airmule.energy import PlannerConfig, RechargeSplit
 from airmule.errors import InstanceTooLarge
 from airmule.geometry import Cell, Site
 from airmule.graph import (EdgeType, Vertex, build_instance, cluster_span,
@@ -143,14 +143,53 @@ def test_edge_breakdown_rejects_depot_and_same_cell():
     with pytest.raises(ValueError):
         g.typed(0, u, EdgeType.M_M)
     with pytest.raises(ValueError):
-        g.typed(u, 0, EdgeType.M_M)
-    with pytest.raises(ValueError):
         g.typed(u, g.vertex_id(0, "B", 5), EdgeType.M_M)
     for bad in (-1, g.n_vertices, 10**30):
         with pytest.raises(ValueError, match="out of range"):
             g.typed(bad, u, EdgeType.M_M)
         with pytest.raises(ValueError, match="out of range"):
             g.typed(u, bad, EdgeType.M_M)
+
+
+@pytest.mark.parametrize("cells, cfg", [
+    # Slow and fast fixed wing: multi-rotor or fixed-wing closes from a
+    # full battery, fixed-wing alone at 2-3 levels, neither at 1.
+    (spec_cells(), PlannerConfig(d_max=25.0, battery_levels=10,
+                                 fixed_wing_ratio=2.0, fixed_wing_speed=0.5)),
+    (spec_cells(), PlannerConfig(d_max=25.0, battery_levels=10,
+                                 fixed_wing_ratio=2.0, fixed_wing_speed=2.0)),
+    # Equal speeds: multi-rotor closes on the tie where it fits.
+    (gen_random(5, 40.0, 8.0, seed=0, road_fraction=0.7),
+     PlannerConfig(d_max=20.0, battery_levels=4, fixed_wing_speed=1.0)),
+], ids=["fw-slow", "fw-fast", "tight"])
+def test_typed_closing_edge_is_the_last_coverage_pass(cells, cfg):
+    # typed(u, 0, t) is the final coverage pass of u's cell, read from the
+    # legs, for the type column 0 of best_type holds; every other type,
+    # and every type on a pass the battery cannot fly, gives None.
+    g = build_instance(cells, cfg)
+    kinds = set()
+    for u in range(1, g.n_vertices):
+        code = int(g.best_type[u, 0])
+        kinds.add(code)
+        for t in EdgeType:
+            bd = g.typed(u, 0, t)
+            if t.value != code:
+                assert bd is None
+                continue
+            v = g.vertex(u)
+            x = ("A", "B").index(v.entry_end)
+            cover = 0 if t is EdgeType.M_M else 1
+            assert bd.cost == g.cost[u, 0]
+            assert (bd.cover_time, bd.cover_cons) == tuple(
+                g.legs.covers[v.cell_index, cover])
+            assert bd.cover_heading == (
+                g.legs.headings[v.cell_index, x] if cover else None)
+            cell = g.cells[v.cell_index]
+            assert (bd.entry_site_i, bd.exit_site_i) == (
+                cell.end(v.entry_end), cell.other_end(v.entry_end))
+            assert bd.split == RechargeSplit(0, 0, 0)
+            assert bd.entry_site_j is None
+    assert len(kinds) > 1
 
 
 layout_graphs = st.builds(

@@ -169,19 +169,30 @@ def test_decoded_plans_pinned():
         # stops to recharge once.
         (gen_random(5, 40.0, 8.0, seed=0, road_fraction=0.7),
          PlannerConfig(d_max=30.0, battery_levels=4, ugv_speed_ratio=1.0),
-         "e27ecf000fee582321a4d366dd80ca64bae1524517e76c86249857742336b82f"),
+         "e27ecf000fee582321a4d366dd80ca64bae1524517e76c86249857742336b82f",
+         solve_exact),
         # Fast fixed wing: the closing leg flies fixed-wing.
         (gen_random(4, 40.0, 8.0, seed=0),
          PlannerConfig(d_max=80.0, battery_levels=4, fixed_wing_speed=2.0),
-         "cf2e03d76ae50bc0001b1073cbe34aa314c64d90822d3c08f045098d4812e98e"),
+         "cf2e03d76ae50bc0001b1073cbe34aa314c64d90822d3c08f045098d4812e98e",
+         solve_exact),
         # Equal speeds: both modes can close and tie on time; multi-rotor wins.
         (gen_random(4, 40.0, 8.0, seed=0),
          PlannerConfig(d_max=80.0, battery_levels=4, fixed_wing_speed=1.0),
-         "6a5a79e727263a262223e17bd58870a0327e34f0d9d4d230da3c30f997ad761d"),
+         "6a5a79e727263a262223e17bd58870a0327e34f0d9d4d230da3c30f997ad761d",
+         solve_exact),
+        # A GLNS tour that rides once, stops at an exit and at an entry, and
+        # closes fixed-wing: every branch of decode in one plan.
+        (gen_random(8, 40.0, 8.0, seed=2, road_fraction=0.6),
+         PlannerConfig(d_max=30.0, battery_levels=4, ugv_speed_ratio=1.0,
+                       fixed_wing_speed=2.0),
+         "76dcc019a69c5e58d60ffdd486e89367b7df4abfdd629e9bdc8e0e7b78ef5720",
+         lambda g: solve_glns(g, SolverParams(mode="fast", restarts=1,
+                                              rng_seed=1))),
     ]
-    for cells, cfg, digest in cases:
+    for cells, cfg, digest, solve in cases:
         g = build_instance(cells, cfg)
-        plan = decode(g, solve_exact(g), cfg)
+        plan = decode(g, solve(g), cfg)
         text = serialize_plan(plan)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

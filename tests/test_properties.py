@@ -5,6 +5,7 @@ as the matrix of best types does."""
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -111,9 +112,9 @@ def test_tight_farms_reach_every_stop_kind():
        seed=st.integers(0, 2**16), roads=st.floats(0.5, 1.0),
        d_max=st.sampled_from([15.0, 25.0, 40.0]))
 def test_breakdown_types_edges_as_best_type(n, levels, seed, roads, d_max):
-    # edge_costs picks an edge's type, which typed expands, and decode
-    # types the closing edge through edge_costs; both must agree with the
-    # matrix of types.
+    # edge_costs picks an edge's type, which typed expands, as decode does
+    # for every edge after the departure, the closing one included; both
+    # must agree with the matrix of types.
     cells, cfg = tight_farm(n, levels, seed, roads, d_max)
     g = build_instance(cells, cfg)
     rng = random.Random(seed)
@@ -129,7 +130,7 @@ def test_breakdown_types_edges_as_best_type(n, levels, seed, roads, d_max):
     else:
         verts = tour.vertices[tour.vertices.index(0):] \
             + tour.vertices[:tour.vertices.index(0)]
-        pairs += list(zip(verts[1:-1], verts[2:]))
+        pairs += list(zip(verts[1:], verts[2:] + verts[:1]))
         last = decode(g, tour, cfg).uav_legs[-1]
     us, vs = zip(*pairs)
     _, codes = g.edge_costs(us, vs)
@@ -143,3 +144,23 @@ def test_breakdown_types_edges_as_best_type(n, levels, seed, roads, d_max):
             assert bd.cost == float(g.cost[u, v])
     if tour is not None:
         assert last.mode is EdgeType(int(g.best_type[verts[-1], 0])).cover_mode
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 5), levels=st.integers(2, 5),
+       k=st.sampled_from([2, 4]), seed=st.integers(0, 2**16),
+       roads=st.floats(0.5, 1.0), d_max=st.sampled_from([15.0, 25.0, 40.0]))
+def test_finer_battery_never_dearer(n, levels, k, seed, roads, d_max):
+    # k times the levels at 1/k of the seconds per level keep the time of a
+    # full charge, and a plan at C levels flies at kC: a leg costs
+    # ceil(k x) <= k ceil(x) levels there.  So the optimum at kC is never
+    # dearer, up to the rounding of the recharge times.
+    cells, cfg = tight_farm(n, levels, seed, roads, d_max)
+    try:
+        coarse = solve_exact(build_instance(cells, cfg)).cost
+    except Infeasible:
+        return
+    fine = replace(cfg, battery_levels=k * levels,
+                   recharge_rate=cfg.recharge_rate / k)
+    finer = solve_exact(build_instance(cells, fine)).cost
+    assert finer <= coarse * (1 + 1e-12)
