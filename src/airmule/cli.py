@@ -154,8 +154,27 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that refuses an argument its own parse leaves
+    over, with its own usage line.
+
+    add_subparsers gives every command and sweep kind a parser of this
+    class, which parses only what follows its word, so an unknown flag is
+    reported with the usage line of the parser it was given to: the
+    root's, a command's or a sweep kind's.  argparse itself hands a
+    subparser's leftovers up to the root, which reports them all with its
+    own usage line.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="airmule",
         description="Minimum-time coverage planning for a hybrid UAV "
                     "supported by a UGV recharging mule.")
@@ -197,21 +216,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("instance")
     p_render.add_argument("--plan", default=None)
     p_render.add_argument("-o", "--output", required=True)
-
-    # main reports a flag that a command does not take with the usage line
-    # of that command's own parser.
-    for command in (p_gen, p_plan, p_cmp, *kinds.choices.values(), p_render):
-        command.set_defaults(parser=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            # parse_args would report them with the root's usage line.
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

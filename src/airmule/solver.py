@@ -37,23 +37,38 @@ move, recomputes only those past the first position where the cluster
 order changed; its cycle total is the candidate's cost, with no second
 sum over the tour.  An insertion call prices every remaining cluster
 once, then after each insert replaces only the broken edge's deltas by
-those of the two new edges.  A move that puts the same cluster order
+those of the two new edges, which share the broken edge's two ends, so
+only the new vertex's edges are read from tmat.  A round picks its
+insertion from the least delta of each cluster and position, not from
+every vertex's.  A move that puts the same cluster order
 back keeps the vertices and cost it started from, without a DP.
 
 The DP of a candidate also stops early once the annealing test is sure
-to reject it.  Where its recomputation starts, and every _BOUND_EVERY
-steps after, it bounds the cycle cost from below: the least cost its
-last step reaches, plus the cheapest entry of each cluster block still
-to cross, plus the last cluster's cheapest closing edge.  Once that bound
-reaches the current cost, the candidate cannot be accepted outright, so
-the test's one uniform draw u is taken there and kept for the test;
-nothing else draws from the RNG in between, so the stream is the one a
-full DP leaves.  The DP stops when u rejects even the bound: when
-u (1 - 1e-9) >= exp(-(bound (1 - 1e-12) - cur) / T).  The margins cover
-the bound's sums, taken in another order than the DP's left-to-right
-float sums of nonnegative costs, and an exp that is monotone only to
-within an ulp.  Every tour, cost and RNG draw is the one a full DP
-gives.
+to reject it.  Beside the forward steps F_j of the current tour, _Search
+keeps its backward vectors: B_j[u], the least cost from vertex u at step
+j along the rest of the tour and back to the depot.  B_j depends only on
+the tour from step j on, so the vectors follow the tour lazily: after an
+accepted move, only those from its last changed position down to the
+step a later candidate asks for are recomputed, and a rejected move
+costs no backward work.  A candidate that runs as the tour does from
+step q on, q before its last step, is judged at q by the join
+min_u (F_q[u] + B_q[u]) of its own forward step and the tour's backward
+vector, its cycle cost up to summation order.  Before
+q, where its recomputation starts and every _BOUND_EVERY steps after, it
+is judged by a lower bound: the least cost its step reaches, plus the
+cheapest entry of each cluster block still to cross up to step q, plus
+min B_q.  Where the candidate shares no more than its last cluster with
+the tour, q is its last step and min B_q that cluster's cheapest closing
+edge, with no join.  A candidate the join does not reject runs its full
+DP with no further look.  Once a bound reaches the current cost, the
+candidate cannot be accepted outright, so the test's one uniform draw u
+is taken there and kept for the test; nothing else draws from the RNG in
+between, so the stream is the one a full DP leaves.  The DP stops when u
+rejects even the bound: when u (1 - 1e-9) >= exp(-(bound (1 - 1e-12) -
+cur) / T).  The margins cover the bound's sums, taken in another order
+than the DP's left-to-right float sums of nonnegative costs, and an exp
+that is monotone only to within an ulp.  Every tour, cost and RNG draw
+is the one a full DP gives.
 
 The restarts of solve_glns are independent, each with its own seeded
 RNG.  On Linux they run in the fork pool of the workers module: the
@@ -75,7 +90,7 @@ import math
 import random
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,49 +304,70 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
 # One forward DP step: (cluster, best cost to reach each of its vertices,
 # best predecessor vertex index of each, None for the first cluster).
 _Step = tuple[int, np.ndarray, np.ndarray | None]
+# One backward DP vector: (cluster, least cost from each of its vertices
+# along the rest of the order and back to the depot).
+_Back = tuple[int, np.ndarray]
 
 
 def _layered_dp(into: np.ndarray, depart: np.ndarray, arrive: np.ndarray,
-                order: list[int], steps: list[_Step] | None = None,
-                give_up: Callable[[int, np.ndarray], bool] | None = None
-                ) -> tuple[float, dict[int, int]] | None:
+                order: list[int]) -> tuple[float, dict[int, int]]:
     """Best vertex per cluster for a fixed cyclic cluster order.
 
     into[b, v, a, u] is the cost from vertex u of cluster a + 1 to v of
     b + 1, so a step reduces along the last axis; depart[c - 1] and
     arrive[c - 1] are the costs from the depot into cluster c and back.
     The order must start with the depot cluster; returns the cycle cost
-    and a cluster -> vertex id mapping.  steps, when given, holds the
-    forward DP of an earlier call, one step per order position after the
-    depot.  A step depends only on the order up to its position, so the
-    steps along the prefix this order shares with that call are kept as
-    they are, the rest are recomputed, and steps is left holding this
-    order's DP.  give_up, when given, is called as give_up(j, cost of step
-    j) where the recomputation starts and every _BOUND_EVERY steps after;
-    once it returns True the DP stops and returns None, with steps holding
-    a prefix of this order's DP.
+    and a cluster -> vertex id mapping.
     """
-    width = into.shape[1]
-    rows = np.arange(width)
-    if steps is None:
-        steps = []
-    keep = 0
-    for (c, _, _), c_now in zip(steps, order[1:]):
-        if c != c_now:
-            break
-        keep += 1
-    del steps[keep:]
-    if not steps:
-        steps.append((order[1], depart[order[1] - 1], None))
+    steps = [(order[1], depart[order[1] - 1], None)]
+    _forward(into, order, steps, len(order) - 1)
+    return _traceback(arrive, steps)
+
+
+def _forward(into: np.ndarray, order: list[int], steps: list[_Step],
+             stop: int, look: Callable[[int], bool] | None = None) -> bool:
+    """Extend steps, the forward DP along order from its first step on,
+    to its first stop steps.  A step depends only on the order up to its
+    position.
+
+    look, when given, is called as look(j), with step j held, where the
+    extension starts and every _BOUND_EVERY steps after, as long as a
+    step is left to compute; once it returns True the extension stops
+    and this returns True.
+    """
+    rows = np.arange(into.shape[1])
     start = len(steps)
-    for c in order[len(steps) + 1:]:
-        c_prev, dp, _ = steps[-1]
-        if give_up is not None and (len(steps) - start) % _BOUND_EVERY == 0 \
-                and give_up(len(steps) - 1, dp):
-            return None
+    c_prev, dp, _ = steps[-1]
+    for j, c in enumerate(order[start + 1:stop + 1], start):
+        if look is not None and (j - start) % _BOUND_EVERY == 0 \
+                and look(j - 1):
+            return True
         trans = into[c - 1, :, c_prev - 1, :] + dp
         parent = trans.argmin(axis=1)
-        steps.append((c, trans[rows, parent], parent))
+        dp = trans[rows, parent]
+        steps.append((c, dp, parent))
+        c_prev = c
+    return False
+
+
+def _backward(into: np.ndarray, arrive: np.ndarray, tail: list[int],
+              back: list[_Back], stop: int) -> None:
+    """Extend back, the backward vectors along tail (an order's clusters
+    from its last one back), to its first stop vectors.  A vector depends
+    only on the order from its position to the end."""
+    if not back:
+        back.append((tail[0], arrive[tail[0] - 1]))
+    for c in tail[len(back):stop]:
+        c_next, after = back[-1]
+        back.append((c, (into[c_next - 1, :, c - 1, :]
+                         + after[:, None]).min(axis=0)))
+
+
+def _traceback(arrive: np.ndarray,
+               steps: list[_Step]) -> tuple[float, dict[int, int]]:
+    """(cycle cost, cluster -> vertex id) of a whole order's forward
+    steps."""
+    width = arrive.shape[1]
     last, dp, _ = steps[-1]
     closing = dp + arrive[last - 1]
     idx = int(np.argmin(closing))
@@ -344,20 +380,43 @@ def _layered_dp(into: np.ndarray, depart: np.ndarray, arrive: np.ndarray,
     return total, choice
 
 
+def _common(a: Iterable[int], b: Iterable[int]) -> int:
+    """Length of the longest common prefix of a and b."""
+    count = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        count += 1
+    return count
+
+
+def _row_min(a: np.ndarray) -> np.ndarray:
+    """a.min(axis=-1), read at argmin's index, which numpy finds faster
+    along a short last axis than the minimum itself."""
+    flat = a.reshape(-1, a.shape[-1])
+    return flat[np.arange(len(flat)), flat.argmin(axis=1)].reshape(
+        a.shape[:-1])
+
+
 class _Insertions:
     """Insertion deltas of the clusters still to insert into a _Search
     tour, kept across the rounds of one insertion call.
 
-    raw[r, p, k] prices vertex k of clusters[r] (sorted) between tour[p]
-    and its successor: (enter + leave) - the edge it breaks, or enter +
-    leave on a depot-only tour, which has no edge to break (tmat[0, 0] is
-    the penalty).  An insertion sets its cluster's row of raw to inf, a
-    dead row no pick can reach, and replaces the broken edge's entries
-    (axis 1) by those of its two new edges, inf on the dead rows, so a
-    round gathers 2 * len(clusters) * 2C entries, not the whole array
-    again.  prox[r], the smallest edge
-    between clusters[r] and any tour vertex (inf once inserted), is kept
-    only for nearest calls; it is None otherwise.
+    An edge's raw[r, k] prices vertex k of clusters[r] (sorted) on it:
+    (enter + leave) - the edge's own cost, or enter + leave on a
+    depot-only tour, which has no edge to break (tmat[0, 0] is the
+    penalty); enter[r, k] is the edge from its tail into the vertex, and
+    leave[r, k] the edge from the vertex to its head.  edges[p] is the
+    edge from tour[p] to its successor: a row of first, the (enter,
+    leave, raw) arrays of the tour's edges when the call began, or the
+    (enter, leave, raw) of an edge an insert made.  low[p, r] is the
+    least of edge p's raw[r], inf once clusters[r] is inserted, so no pick
+    can reach a dead row.  An insert replaces the broken edge by its two
+    new ones, which take its tail's enter and its head's leave and gather
+    only the new vertex's, 2 * len(clusters) * 2C entries; a round's pick
+    reads low, not every delta.  prox[r], the smallest edge between
+    clusters[r] and any tour vertex (inf once inserted), is kept only for
+    nearest calls; it is None otherwise.
     """
 
     def __init__(self, search: _Search, clusters: list[int],
@@ -366,23 +425,30 @@ class _Insertions:
         self.clusters = clusters
         self.left = len(clusters)
         self.dead = np.zeros(len(clusters), dtype=bool)
-        self.picked = np.array(clusters, dtype=np.intp)[:, None] - 1
+        self.picked = np.array(clusters, dtype=np.intp) - 1
         tour = np.array(search.tour_vertices(), dtype=np.intp)
         succ = np.concatenate((tour[1:], tour[:1]))
-        enter, leave = self._edges(tour, succ)
-        self.raw = enter + leave
+        enter = search.tmat_in[self.picked, :, tour[:, None]]
+        leave = search.tmat_out[succ[:, None], self.picked]
+        raw = enter + leave
         if len(tour) > 1:
-            self.raw -= search.tmat[succ, tour][:, None]
-        self.prox = np.minimum(enter, leave).min(axis=(1, 2)) \
+            raw -= search.tmat[succ, tour][:, None, None]
+        self.first = (enter, leave, raw)
+        self.edges: list[int | tuple[np.ndarray, ...]] = list(
+            range(len(tour)))
+        # Rows past len(edges) leave room for the edge each insert adds.
+        self.low = np.empty((len(tour) + self.left, self.left))
+        self.low[:len(tour)] = _row_min(raw)
+        self.prox = np.minimum(enter, leave).min(axis=(0, 2)) \
             if nearest else None
 
-    def _edges(self, heads: np.ndarray,
-               tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(len(clusters), len(heads), 2C) edges from heads[p] into each
-        vertex, and from each vertex to tails[p]."""
-        s = self.search
-        return (s.tmat_in[self.picked, :, heads],
-                s.tmat_out[tails, self.picked])
+    def _edge(self, pos: int) -> tuple[np.ndarray, ...]:
+        """(enter, leave, raw) of the edge at position pos."""
+        e = self.edges[pos]
+        if isinstance(e, tuple):
+            return e
+        enter, leave, raw = self.first
+        return enter[e], leave[e], raw[e]
 
     def best(self, noisy: bool) -> tuple[float, int, int, int]:
         """Cheapest (delta, row, position, vertex) insertion, the cluster
@@ -392,26 +458,32 @@ class _Insertions:
         drawing len(tour) values per cluster left, in cluster order.  In a
         nearest call, the cluster is not the cheapest one but the one with
         the smallest prox.  Ties go to the first cluster, then the first
-        position, then the first vertex.
+        position, then the first vertex.  A scale is positive and rounding
+        monotone, so the least scaled delta of a cluster and position is
+        its scaled low, and low alone picks the row and position.
         """
-        delta = self.raw
-        places, width = delta.shape[1:]
+        places = len(self.edges)
+        low = self.low[:places].T
+        scale = None
         if noisy and places > 1:
             count = self.left * places
             draws = itertools.starmap(self.search.rng.random,
                                       itertools.repeat((), count))
-            scale = np.ones(delta.shape[:2])
+            scale = np.ones(low.shape)
             scale[~self.dead] = 1.0 + _NOISE * np.fromiter(
                 draws, float, count).reshape(-1, places)
-            delta = delta * scale[:, :, None]
+            low = low * scale
         if self.prox is None:
-            r, rest = divmod(int(delta.argmin()), places * width)
+            r, pos = divmod(int(low.argmin()), places)
         else:
             r = int(self.prox.argmin())
-            rest = int(delta[r].argmin())
-        pos, k = divmod(rest, width)
-        vertex = cluster_span(self.clusters[r], width).start + k
-        return float(delta[r, pos, k]), r, pos, vertex
+            pos = int(low[r].argmin())
+        delta = self._edge(pos)[2][r]
+        if scale is not None:
+            delta = delta * scale[r, pos]
+        k = int(delta.argmin())
+        vertex = cluster_span(self.clusters[r], len(delta)).start + k
+        return float(delta[k]), r, pos, vertex
 
     def insert(self, row: int, pos: int, vertex: int) -> None:
         """Insert clusters[row] into the search's tour and update the kept
@@ -424,16 +496,25 @@ class _Insertions:
             return
         order = s.order
         a, b = s.choice[order[pos]], s.choice[order[(pos + 2) % len(order)]]
-        heads, tails = np.array([[a, vertex], [vertex, b]], dtype=np.intp)
-        enter, leave = self._edges(heads, tails)
-        fresh = (enter + leave) - s.tmat[tails, heads][:, None]
-        fresh[self.dead] = np.inf
-        self.raw = np.concatenate(
-            (self.raw[:, :pos], fresh, self.raw[:, pos + 1:]), axis=1)
-        self.raw[row] = np.inf
+        from_a, into_b, _ = self._edge(pos)
+        enter = s.tmat_in[self.picked, :, vertex]
+        leave = s.tmat_out[vertex, self.picked]
+        # The new edges a -> vertex and vertex -> b.
+        raw_a = from_a + leave
+        raw_a -= s.tmat[vertex, a]
+        raw_b = enter + into_b
+        raw_b -= s.tmat[b, vertex]
+        self.edges[pos:pos + 1] = [(from_a, leave, raw_a),
+                                   (enter, into_b, raw_b)]
+        low, end = self.low, len(self.edges)
+        low[pos + 2:end] = low[pos + 1:end - 1]
+        raw_a.min(axis=1, out=low[pos])
+        raw_b.min(axis=1, out=low[pos + 1])
+        low[pos:pos + 2, self.dead] = np.inf
+        low[:, row] = np.inf
         if self.prox is not None:
             self.prox = np.minimum(self.prox, np.minimum(
-                enter[:, 1], leave[:, 0]).min(axis=1))
+                enter, leave).min(axis=1))
             self.prox[self.dead] = np.inf
 
 
@@ -466,6 +547,9 @@ class _Search:
         # tmat's prices that it found.
         self.steps: list[_Step] = []
         self.total = math.inf
+        # Backward vectors of the order the steps held at the last call of
+        # backward, last position first.
+        self.back: list[_Back] = []
 
     def tour_vertices(self) -> list[int]:
         return [self.choice[c] for c in self.order]
@@ -480,37 +564,77 @@ class _Search:
         for c in removed:
             del self.choice[c]
 
-    def tails(self) -> list[float]:
-        """tails[j]: the least the cycle adds after the DP step at order
-        position j + 1, the cheapest edge of each later cluster pair and
-        the last cluster's cheapest closing edge, summed from the end."""
-        c = [x - 1 for x in self.order[1:]]
-        hops = [self.block_min[b][a] for a, b in zip(c, c[1:])]
-        hops.append(self.close_min[c[-1]])
-        return list(itertools.accumulate(reversed(hops)))[::-1]
-
     def reoptimize_vertices(
             self, rejects: Callable[[float], bool] | None = None) -> bool:
         """Re-pick every vertex along the order by the layered DP.
 
-        With rejects, the DP stops once rejects(bound) holds for a lower
-        bound on the cycle cost (the module docstring) and this returns
-        False, leaving choice and total stale for the caller to restore.
+        The forward steps held, those of the order last re-picked (the
+        current tour, in a search), are kept along the prefix this order
+        shares with it.  With rejects, the DP stops once rejects(bound)
+        holds for a lower bound on the cycle cost (_judged_out) and this
+        returns False, leaving choice and total stale for the caller to
+        restore.
         """
-        if len(self.order) < 2:
+        order = self.order
+        n = len(order) - 1
+        if n < 1:
             return True
-        give_up = None
-        if rejects is not None:
-            tails = self.tails()
-
-            def give_up(j: int, dp: np.ndarray) -> bool:
-                return rejects(float(dp.min()) + tails[j])
-        done = _layered_dp(self.into, self.depart, self.arrive, self.order,
-                           self.steps, give_up)
-        if done is None:
+        held = [c for c, _, _ in self.steps]
+        keep = _common(held, order[1:])
+        judge = rejects is not None and keep < n
+        if judge:
+            # From step q on, the order runs as held does to its end, where
+            # held's step is q - n + len(held).
+            q = min(n - _common(reversed(held[keep:]),
+                                reversed(order[keep + 1:])), n - 1)
+            join = self.backward(q - n + len(held)) if q < n - 1 else None
+        del self.steps[keep:]
+        if not self.steps:
+            self.steps.append((order[1], self.depart[order[1] - 1], None))
+        if judge and self._judged_out(q, join, rejects):
             return False
-        self.total, self.choice = done
+        _forward(self.into, order, self.steps, n)
+        self.total, self.choice = _traceback(self.arrive, self.steps)
         return True
+
+    def backward(self, q: int) -> np.ndarray:
+        """B_q of the order the forward steps hold: B_q[u] is the least
+        cost from vertex u of the cluster at step q along the rest of that
+        order and back to the depot.
+
+        The vectors kept are reused along the end that order shares with
+        theirs, and only those from there down to q are computed, so they
+        follow a changed tour lazily.
+        """
+        tail = [c for c, _, _ in reversed(self.steps)]
+        del self.back[_common((c for c, _ in self.back), tail):]
+        _backward(self.into, self.arrive, tail, self.back, len(tail) - q)
+        return self.back[len(tail) - 1 - q][1]
+
+    def _judged_out(self, q: int, join: np.ndarray | None,
+                    rejects: Callable[[float], bool]) -> bool:
+        """Whether rejects holds for a lower bound on the order's cycle
+        cost (the module docstring), extending the forward steps up to the
+        step it looks at last.
+
+        From step q on the order runs as the current tour does, whose
+        B_q is join; q is the order's last step, and join None, where the
+        two share no more than their last cluster.
+        """
+        order, steps = self.order, self.steps
+        start = len(steps)
+        floor = self.close_min[order[-1] - 1] if join is None \
+            else float(join.min())
+        # tails[i]: the least the cycle adds after step start - 1 + i, the
+        # cheapest edge of each later cluster pair up to step q, then floor.
+        c = [x - 1 for x in order[start:q + 2]]
+        hops = [self.block_min[b][a] for a, b in zip(c, c[1:])]
+        tails = list(itertools.accumulate(reversed(hops), initial=floor))
+        tails.reverse()
+        if _forward(self.into, order, steps, q + 1, lambda j: rejects(
+                float(steps[j][1].min()) + tails[j + 1 - start])):
+            return True
+        return join is not None and rejects(float((steps[q][1] + join).min()))
 
     def _relocate_to_local_opt(self, deadline: float) -> None:
         improved = True

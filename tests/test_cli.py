@@ -297,6 +297,26 @@ def test_unknown_flag_prints_its_command_usage(tmp_path, capsys, argv):
     assert f"airmule {argv[0]}: error: unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (("--bogus", "plan", "{inst}"),
+     "usage: airmule [-h] {gen,plan,compare,sweep,render} ...\n"
+     "airmule: error: unrecognized arguments: --bogus\n"),
+    (("plan", "--bogus", "{inst}"), "usage: airmule plan [-h]"),
+    (("sweep", "--bogus", "dmax", "--values", "60", "--instance", "{inst}"),
+     "usage: airmule sweep [-h] {dmax,cells,levels} ...\n"
+     "airmule sweep: error: unrecognized arguments: --bogus\n")],
+    ids=["root", "command", "sweep"])
+def test_unknown_flag_prints_usage_of_the_parser_given_it(tmp_path, capsys,
+                                                          argv, usage):
+    # A flag given before the command word belongs to the root parser (or,
+    # before a sweep kind, to sweep's), which reports it with its own usage
+    # line; after the command word, to the command's.
+    inst = gen_instance(tmp_path, capsys)
+    code, _, err = run(capsys, *(a.format(inst=inst) for a in argv))
+    assert code == 2
+    assert err.startswith(usage)
+
+
 @pytest.mark.parametrize("argv", [
     ("plan", "i.json"), ("compare", "i.json"),
     ("sweep", "levels", "--instance", "i.json", "--values", "3")])

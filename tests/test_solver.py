@@ -542,12 +542,120 @@ def test_dp_lower_bound_never_exceeds_total(n, levels, farm_seed, d_max,
         return False
 
     assert search.reoptimize_vertices(rejects)
-    tails = search.tails()
+    # With no tour held before, the order shares no suffix with one, so
+    # there is no join.  The bound of step j: the least cost it reaches,
+    # plus the cheapest edge of each later cluster pair and the last
+    # cluster's cheapest closing edge, summed from the end.
+    c = [x - 1 for x in search.order[1:]]
+    hops = [search.block_min[b][a] for a, b in zip(c, c[1:])]
+    hops.append(search.close_min[c[-1]])
+    tails = list(itertools.accumulate(reversed(hops)))[::-1]
     bounds = [float(dp.min()) + tail
               for (_, dp, _), tail in zip(search.steps, tails)]
     assert len(bounds) == n
     assert checked == bounds[:-1:solver._BOUND_EVERY]
     assert all(b * (1 - 1e-12) <= search.total for b in bounds)
+
+
+def backward_pass(pmat, width, order):
+    """Backward vectors of order by scalar loops over pmat, the cost
+    matrix with BIG for inf: vectors[j][u] is the least cost from vertex u
+    of order[j + 1]'s cluster along the rest of the order to the depot."""
+    clusters = [list(cluster_vertices(c, width)) for c in order[1:]]
+    vectors = [[float(pmat[u, 0]) for u in clusters[-1]]]
+    for here, after in zip(clusters[-2::-1], clusters[:0:-1]):
+        vectors.append([min(float(pmat[u, w]) + b
+                            for w, b in zip(after, vectors[-1]))
+                        for u in here])
+    return vectors[::-1]
+
+
+def moved(data, order):
+    """order after one random move: a cluster relocated, or a segment
+    reversed."""
+    ring = order[1:]
+    if data.draw(st.booleans()):
+        c = ring.pop(data.draw(st.integers(0, len(ring) - 1)))
+        ring.insert(data.draw(st.integers(0, len(ring))), c)
+    else:
+        i = data.draw(st.integers(0, len(ring) - 1))
+        k = data.draw(st.integers(i, len(ring)))
+        ring[i:k] = ring[i:k][::-1]
+    return [0] + ring
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 7), levels=st.integers(1, 4),
+       farm_seed=st.integers(0, 2**16),
+       d_max=st.sampled_from([25.0, 40.0, 60.0, 400.0]), data=st.data())
+def test_backward_vectors_and_join_bounds(n, levels, farm_seed, d_max, data):
+    # A run of candidates, each a random move from the current tour, judged
+    # by every bound with no stop, then accepted or put back.  The backward
+    # vectors, refreshed only as far down as a candidate asks, must be
+    # those of a fresh backward pass, bit for bit; every join of the
+    # forward and backward vectors must be the tour's cost; and no bound
+    # looked at may exceed the candidate's full DP total.  Tight d_max
+    # leaves many edges infinite, which the search prices at the penalty.
+    g = build_instance(gen_random(n, 100.0, 10.0, seed=farm_seed,
+                                  road_fraction=0.7),
+                       PlannerConfig(d_max=d_max, battery_levels=levels,
+                                     ugv_speed_ratio=0.2))
+    pmat, tmat = penalized(g.cost)
+    width = 2 * levels
+    search = _Search(tmat, n, random.Random(0))
+    search.order = [0] + list(data.draw(st.permutations(range(1, n + 1))))
+    search.reoptimize_vertices()
+    bounds = []
+
+    def rejects(bound):
+        bounds.append(bound)
+        return False
+
+    for _ in range(data.draw(st.integers(1, 8))):
+        snap = search.snapshot()
+        tour = snap[0]
+        search.order = moved(data, tour)
+        if search.order == tour:
+            continue
+        bounds.clear()
+        assert search.reoptimize_vertices(rejects)
+        total, choice = _layered_dp(*incoming(pmat, n), search.order)
+        assert (search.total, search.choice) == (total, choice)
+        assert all(b <= total * (1 + 1e-12) for b in bounds)
+        # The last look is the join at q, the first step of the suffix
+        # the candidate shares with the tour, when q is not the last step.
+        q = next(j for j in range(n + 1)
+                 if search.order[j + 1:] == tour[j + 1:])
+        if q < n - 1:
+            fresh = backward_pass(pmat, width, tour)[q]
+            assert bounds[-1] == float(min(
+                f + b for f, b in zip(search.steps[q][1].tolist(), fresh)))
+        if data.draw(st.booleans()):
+            search.restore(snap)
+        # Refresh down to a random step: the vectors along the end the
+        # tour shares with those kept are reused, not recomputed, and
+        # every vector kept is the fresh one of the tour.
+        expect = backward_pass(pmat, width, search.order)
+        kept = search.back.copy()
+        search.backward(data.draw(st.integers(0, n - 1)))
+        tail, reused = search.order[:0:-1], 0
+        while reused < len(kept) and kept[reused][0] == tail[reused]:
+            reused += 1
+        assert all(a is b for a, b in zip(kept[:reused], search.back))
+        for i, (c, vector) in enumerate(search.back):
+            assert c == search.order[n - i]
+            assert vector.tolist() == expect[n - 1 - i]
+    for j, (_, dp, _) in enumerate(search.steps):
+        join = float((dp + search.backward(j)).min())
+        assert join == pytest.approx(search.total, rel=1e-12, abs=0)
+    if n > 3:
+        # An order one cluster shorter that ends as the tour does is
+        # joined at the same vector, counted from the end.
+        search.order = [0] + search.order[2:]
+        bounds.clear()
+        assert search.reoptimize_vertices(rejects)
+        total, _ = _layered_dp(*incoming(pmat, n), search.order)
+        assert bounds and all(b <= total * (1 + 1e-12) for b in bounds)
 
 
 # The GLNS farms of test_glns_output_pinned, with their solver settings.
