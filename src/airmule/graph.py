@@ -29,15 +29,15 @@ term in KI plus a term in KJ.  The template is the single formula for an
 edge's cost and its recharge split, read in two ways.  A matrix fill
 prices the lines of every end pair leaving a block of source cells in one
 call per template, lifts them to their grids as views and keeps only the
-minimum.  A list of edges is priced by _priced, which reads a template at
-the edges' levels inside its battery bounds:
-ClusteredGraph.edge_costs prices a tour's n + 1 edges in one call per
-template over all the edges and their types, and takes the first type in
-EdgeType order that gives the least cost, so only the edges of a tour are
-ever typed; ClusteredGraph.typed, which decode expands into legs, prices
-one such edge, the closing pass too, as its winning type.  Off-road
-landing sites are mask terms of the templates, infinite where the layout
-cannot be flown.
+minimum, one grid per class of types that share their bounds: 13 grids
+for the 18 types.  _priced reads a template at given levels inside its
+battery bounds, and _least takes the first type in EdgeType order that
+gives the least cost, for the n + 1 edges of a tour in
+ClusteredGraph.edge_costs, so only a tour's edges are ever typed, and for
+a block's grids in best_type.  ClusteredGraph.typed, which decode expands
+into legs, prices one edge, the closing pass too, as its winning type.
+Off-road landing sites are mask terms of the templates, infinite where
+the layout cannot be flown.
 
 build_instance computes only the legs, once per graph: the coverage
 passes of every cell and the transit legs of every ordered end pair of
@@ -100,10 +100,10 @@ _PAIRS_PER_CALL = 1 << 12
 
 # Cost entries per _block_rows call: the build prices the source cells
 # in runs of at most this many entries, or one cell.  A call costs about
-# 1 ms before its entries, and its temporaries take about 26 bytes an
+# 0.2 ms before its entries, and its temporaries take about 26 bytes an
 # entry: on exact-small (4-6 cells at C=20, 6-10k entries a cell), 2**16
-# entries built 8% faster than 2**15 but raised peak RSS by 1.2 MB, and
-# 2**14 built 8% slower for no less memory.
+# entries filled a 5-cell farm 9% faster than 2**15 but raised peak RSS
+# by 1 MB, and 2**14 filled it 8% slower.
 _ENTRIES_PER_BLOCK = 1 << 15
 
 _MR = FlightMode.MULTI_ROTOR
@@ -297,8 +297,8 @@ def _farm_legs(cells: list[Cell], cfg: PlannerConfig) -> _Legs:
 # outside which the type cannot fly the edge, 0 where there is none.
 # _both's regime KJ + c2 > C is no line; _capped prices it.  _block_grids
 # lifts the lines to their grids of level pairs and _priced reads them at
-# the level pairs of a list of edges, so they are the one formula for
-# both the cost and the recharge split of a typed edge.
+# given level pairs, so they are the one formula for both the cost and
+# the recharge split of a typed edge.
 
 
 def _pure(d, cfg, cover, leg, roads):
@@ -340,22 +340,29 @@ def _both(d, cfg, cover, leg, roads):
         split, lo, hi
 
 
-def _capped(KI, KJ, cfg, cover, leg, roads, out=None):
-    """_both where KJ + c2 > C: charge as much as the cap allows at the
-    exit site, e1 = C - KI + c1, and the leftover e2 = KJ + c2 - C at the
-    entry site.  The cost is (head(KI) + tail(KJ)) + t_takeoff, the float
-    order of the whole sum; head and tail are inf outside the regime, and
-    out, when given, receives the cost.  Returns (cost, split)."""
+def _capped_head(KI, cfg, cover, leg, roads):
+    """(head, e1): _capped's term in KI, inf where KI < c1, c2 > C or a
+    site is off the road, and the exit stop's charge e1 = C - KI + c1."""
     C = cfg.battery_levels
     (t1, c1), (t2, c2) = cover, leg
-    r, t_l = cfg.recharge_rate, cfg.t_land
+    t_l = cfg.t_land
     e1 = (C + c1) - KI
-    e2 = KJ + (c2 - C)
-    head = ((((t1 + t_l) + r * e1 + cfg.t_takeoff) + t2) + t_l)
-    head = np.where((KI >= c1) & (c2 <= C) & roads[0] & roads[1], head, INF)
-    tail = np.where(e2 > 0, r * e2, INF)
+    head = ((((t1 + t_l) + cfg.recharge_rate * e1 + cfg.t_takeoff) + t2)
+            + t_l)
+    return np.where((KI >= c1) & (c2 <= C) & roads[0] & roads[1], head,
+                    INF), e1
+
+
+def _capped(head, KJ, cfg, c2, out=None):
+    """(cost, e2) of _both where KJ + c2 > C, charging as much as the cap
+    allows at the exit and e2 = KJ + c2 - C at the entry: (head + tail(KJ))
+    + t_takeoff, the float order of the whole sum, tail inf outside the
+    regime; out, when given, receives the cost.  As rounding is monotone,
+    the least head of several cover modes gives their least cost."""
+    e2 = KJ + (c2 - cfg.battery_levels)
+    tail = np.where(e2 > 0, cfg.recharge_rate * e2, INF)
     cost = np.add(head, tail, out=out)
-    return np.add(cost, cfg.t_takeoff, out=out), (e1, e2, 0)
+    return np.add(cost, cfg.t_takeoff, out=out), e2
 
 
 def _table_row(t: EdgeType):
@@ -386,8 +393,8 @@ def _span(template) -> slice:
 
 
 # Each template with the values of its types, which are consecutive in
-# enum order, so that _block_grids and ClusteredGraph.edge_costs price all
-# of a template's types at once.
+# enum order, so that _block_grids and _least price all of a template's
+# types at once.
 _KINDS = tuple((template, _span(template))
                for template in (_pure, _ride, _entry, _exit, _both))
 
@@ -405,11 +412,34 @@ def _priced(template, KI, KJ, cfg, cover, leg, roads):
     if template is _both:
         capped = KJ + leg[1] > C
         if np.any(capped):
-            top, top_split = _capped(KI, KJ, cfg, cover, leg, roads)
+            head, e1 = _capped_head(KI, cfg, cover, leg, roads)
+            top, e2 = _capped(head, KJ, cfg, leg[1])
             cost = np.where(capped, top, cost)
             split = tuple(np.where(capped, a, b)
-                          for a, b in zip(top_split, split))
+                          for a, b in zip((e1, e2, 0), split))
     return cost, split
+
+
+def _least(cfg, KI, KJ, cover_t, cover_c, transit_t, transit_c, roads):
+    """(cost, type) of edges at the levels KI and KJ, with legs that lead
+    with an axis of cover modes or transit legs, all broadcasting: the
+    least of the types' costs by _priced, and the first type in EdgeType
+    order that gives it, -1 where none flies the edge.  Every type after
+    the pure ones lands, so it costs at least the faster coverage pass, a
+    landing and a take-off, in floats too (it adds nonnegative terms, and
+    rounding is monotone); once every edge has a type at that floor, no
+    later kind is priced."""
+    floor = (cover_t.min(axis=0) + cfg.t_land) + cfg.t_takeoff
+    prices, least = [], INF
+    for template, types in _KINDS:
+        if prices and (least <= floor).all():
+            break
+        cover = cover_t[_COVER[types]], cover_c[_COVER[types]]
+        leg = transit_t[_LEG[types]], transit_c[_LEG[types]]
+        prices.append(_priced(template, KI, KJ, cfg, cover, leg, roads)[0])
+        least = np.minimum(least, prices[-1].min(axis=0))
+    best = np.concatenate(prices).argmin(axis=0)
+    return least, np.where(np.isfinite(least), best, -1)
 
 
 def _closing(cover, k):
@@ -489,28 +519,22 @@ class ClusteredGraph:
         column 0, the cover mode of each closing edge (M_M or F_F); -1
         marks an infeasible edge.
 
-        Each entry is the first type in EdgeType order whose template
-        gives the cost entry, the type edge_costs picks.
-        Computing it reruns the build's templates, reads cost and takes 2
-        bytes per vertex pair, so a plan run never reads it; it serves
-        diagnostics and tests.
+        Each entry is the type edge_costs picks, from _least on the level
+        grids of a block of source cells, where edge_costs calls it on a
+        list of edges.  It takes 2 bytes per vertex pair, so a plan run
+        never reads it; it serves diagnostics and tests.
         """
         n, C = self.n_cells, self.levels
-        types = np.full(self.cost.shape, -1, dtype=np.int16)
-        costs, codes = (cluster_views(m, n)[0].reshape(n, 2, C, n, 2, C)
-                        for m in (self.cost, types))
+        types = np.full((self.n_vertices,) * 2, -1, dtype=np.int16)
+        blocks, _, column = cluster_views(types, n)
+        blocks = blocks.reshape(n, 2, C, n, 2, C)
         for cells in _cell_blocks(n, C):
-            cost, block = (_level_major(m[_as_slice(cells)])
-                           for m in (costs, codes))
-            block[...] = len(EdgeType)
-            for code, columns, grid, where in _block_grids(cells, self.cfg,
-                                                           self.legs):
-                part = block[columns]
-                np.minimum(part, code, out=part,
-                           where=where & (grid == cost[columns]))
-            block[~np.isfinite(cost)] = -1
+            _level_major(blocks[_as_slice(cells)])[...] = _least(
+                self.cfg, *_block_legs(cells, self.cfg, self.legs))[1]
+            for i in cells:
+                blocks[i, :, :, i] = -1
         k = np.tile(np.arange(C, 0, -1), 2)  # the levels of a cluster
-        cluster_views(types, n)[2][...] = _closing(
+        column[...] = _closing(
             self.legs.covers.transpose(1, 2, 0)[..., None], k)[1]
         return types
 
@@ -593,13 +617,9 @@ class ClusteredGraph:
         entries of cost and best_type, priced from the legs alone:
         ValueError for an id out of range.
 
-        The cell-to-cell edges take one template call per template kind
-        over all edges and their types (the grouping of _block_grids), and
-        the first type in EdgeType order that gives the least cost wins.
-        Kinds after the pure one are priced only while an edge has no
-        type at or below the floor they cannot undercut, and _capped only
-        when an edge is in its regime, so a tour that flies every edge
-        without a stop mostly takes one template call.
+        The cell-to-cell edges are priced by _least, one template call per
+        kind over all of them and their types, and _capped only when an
+        edge is in its regime.
         """
         C = self.levels
         cost, code = [], []
@@ -625,31 +645,14 @@ class ClusteredGraph:
         if not edges:
             return cost, code
         i, x, KI, j, y, KJ = np.array(edges).T
-        KI, KJ = KI[:, None], KJ[:, None]
         legs = self.legs
-        # Each edge's legs for each type, with axes (edge, type).
-        cover_t, cover_c = legs.covers[i[:, None], _COVER].transpose(2, 0, 1)
-        ends = _LEG, i[:, None], x[:, None], j[:, None], y[:, None]
-        transit_t, transit_c = legs.transit_t[ends], legs.transit_c[ends]
-        roads = legs.exit_road[i, x][:, None], legs.entry_road[j, y][:, None]
-        prices = np.full(cover_t.shape, INF)
-        # Every type after the pure ones lands, so its cost is at least the
-        # faster coverage pass, a landing and a take-off, in floats too:
-        # its template adds only nonnegative terms, and rounding is
-        # monotone.  Once every edge has a type at or below that floor, no
-        # later type can win.
-        floor = (cover_t.min(axis=1) + self.cfg.t_land) + self.cfg.t_takeoff
-        for template, types in _KINDS:
-            if template is not _pure and (prices.min(axis=1) <= floor).all():
-                break
-            cover = cover_t[:, types], cover_c[:, types]
-            leg = transit_t[:, types], transit_c[:, types]
-            prices[:, types] = _priced(template, KI, KJ, self.cfg, cover,
-                                       leg, roads)[0]
-        best = prices.argmin(axis=1)
-        least = prices[np.arange(len(best)), best]
+        ends = slice(None), i, x, j, y
+        least, best = _least(self.cfg, KI, KJ,
+                             *legs.covers[i].transpose(2, 1, 0),
+                             legs.transit_t[ends], legs.transit_c[ends],
+                             (legs.exit_road[i, x], legs.entry_road[j, y]))
         cost[at] = least
-        code[at] = np.where(np.isfinite(least), best, -1)
+        code[at] = best
         return cost, code
 
 
@@ -682,33 +685,40 @@ def _toeplitz(line: np.ndarray, C: int) -> np.ndarray:
                       writeable=False)
 
 
-def _block_grids(cells: range, cfg: PlannerConfig, legs: _Legs):
-    """Each edge type's cost over the rows of the source cells in cells.
+def _block_legs(cells: range, cfg: PlannerConfig, legs: _Legs):
+    """(KI, KJ, cover_t, cover_c, transit_t, transit_c, roads) for the rows
+    of the source cells in cells, in the axes (cell, x, level_i, level_j,
+    j, y), levels descending as in an endpoint block, and the legs led by
+    an axis of cover modes or transit legs."""
+    s = _as_slice(cells)
+    k = np.arange(cfg.battery_levels, 0, -1)
+    cover_t, cover_c = legs.covers[s].T.reshape(
+        2, 2, len(cells), 1, 1, 1, 1, 1)
+    return (k[:, None, None, None], k[:, None, None], cover_t, cover_c,
+            legs.transit_t[:, s, :, None, None],
+            legs.transit_c[:, s, :, None, None],
+            (legs.exit_road[s, :, None, None, None, None], legs.entry_road))
 
-    Yields (type value, columns, grid, where): on the rows' entries
-    [columns], with axes (cell, x, level_i, level_j, j, y), the type
-    costs grid where `where` holds and inf elsewhere; both broadcast to
-    that shape.  Levels descend along their axes, the vertex order inside
-    each endpoint block.  The types of _both come as their _capped regime
-    only, on the levels_j it can reach, each in a grid that the next one
-    overwrites.  The j == i entries are not edges.
+
+def _block_grids(cells: range, cfg: PlannerConfig, legs: _Legs):
+    """Grids whose minimum is the cost over the rows of the source cells
+    in cells, one per class of types that share their bounds, 13 in all.
+
+    Yields (columns, grid, where): on the rows' entries [columns], in the
+    axes of _block_legs, the grid is a cost where `where` holds, both
+    broadcasting.  The pure types, with no bounds, come as the grid of
+    their least line; ride, entry and exit one grid a type; _both's types
+    as their _capped regime only, on the levels_j it can reach, one grid
+    per transit leg from the least head of its cover modes, each grid
+    overwritten by the next.  The j == i entries are not edges.
     """
     C = cfg.battery_levels
     n = len(legs.covers)
-    s = _as_slice(cells)
-    k = np.arange(C, 0, -1)
-    KI, KJ = k[:, None, None, None], k[:, None, None]
+    KI, KJ, cover_t, cover_c, transit_t, transit_c, roads = _block_legs(
+        cells, cfg, legs)
     # KJ - KI, descending, on the level_i axis: the lines' axis.
     d = np.arange(C - 1, -C, -1.0)[:, None, None, None]
-    # The legs with a leading axis of cover modes or transit legs, in the
-    # grid's axes.
-    cover_t, cover_c = legs.covers[s].T.reshape(
-        2, 2, len(cells), 1, 1, 1, 1, 1)
-    transit_t = legs.transit_t[:, s, :, None, None]
-    transit_c = legs.transit_c[:, s, :, None, None]
-    roads = legs.exit_road[s, :, None, None, None, None], legs.entry_road
     for template, types in _KINDS:
-        codes = range(types.start, types.stop)
         cover = cover_t[_COVER[types]], cover_c[_COVER[types]]
         leg = transit_t[_LEG[types]], transit_c[_LEG[types]]
         if template is _both:
@@ -717,30 +727,34 @@ def _block_grids(cells: range, cfg: PlannerConfig, legs: _Legs):
             # regime can give an entry, on the top c2 levels_j at most.
             top = min(C, int(leg[1].max()))
             grid = np.empty((len(cells), 2, C, top, n, 2))
-            for m, code in enumerate(codes):
-                _capped(KI, KJ[:top], cfg, (cover[0][m], cover[1][m]),
-                        (leg[0][m], leg[1][m]), roads, out=grid)
-                yield code, np.s_[:, :, :, :top], grid, True
+            heads = _capped_head(KI, cfg, cover, leg, roads)[0]
+            for way in sorted(set(_LEG[types].tolist())):
+                _capped(heads[_LEG[types] == way].min(axis=0), KJ[:top],
+                        cfg, transit_c[way], out=grid)
+                yield np.s_[:, :, :, :top], grid, True
             continue
         line, _, lo, hi = template(d, cfg, cover, leg, roads)
-        grids = _toeplitz(line[:, :, :, :, 0], C)
-        where = True
-        if np.ndim(lo):
-            where = KI >= lo
+        line = line[:, :, :, :, 0]
+        if not np.ndim(lo):
+            # The pure types have no bounds: their least line lifts to
+            # their least grid.
+            yield ..., _toeplitz(line.min(axis=0), C), True
+            continue
+        where = KI >= lo
         if np.ndim(hi):
             where = where & (KJ <= C - hi)
-        for m, code in enumerate(codes):
-            yield code, ..., grids[m], where if where is True else where[m]
+        for m, grid in enumerate(_toeplitz(line, C)):
+            yield ..., grid, where[m]
 
 
 def _block_rows(cells: range, cfg: PlannerConfig, legs: _Legs,
                 rows: np.ndarray) -> None:
     """Fill rows, the cost entries of the source cells in cells with axes
-    (cell, x, level_i, j, y, level_j): the minimum over the templates, a
+    (cell, x, level_i, j, y, level_j): the least of the block's grids, a
     cell's own entries inf."""
     C = cfg.battery_levels
     acc = np.full((len(cells), 2, C, C, len(legs.covers), 2), INF)
-    for _, columns, grid, where in _block_grids(cells, cfg, legs):
+    for columns, grid, where in _block_grids(cells, cfg, legs):
         part = acc[columns]
         np.minimum(part, grid, out=part, where=where)
     _level_major(rows)[...] = acc

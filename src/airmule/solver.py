@@ -6,8 +6,10 @@ first.  It holds two layers of states at a time, the sets of one size and
 those of the next, each set at its combinatorial rank and with only its
 own clusters, and a step extends only a set's finite states, gathered in
 rank order so that ties still go to the lexicographically smallest
-cluster order (_held_karp).  solve_glns is a large neighborhood search in
-the style of GLNS.
+cluster order (_held_karp).  Which sets a step reads and writes depends
+only on the number of clusters and their width, so those tables are built
+once per size and shared, read-only (_lattice).  solve_glns is a large
+neighborhood search in the style of GLNS.
 Each iteration removes clusters by segment or by distance, reinserts
 them by cheapest, noisy, nearest or random insertion, each heuristic
 picked uniformly at random, re-picks the vertices along the new cluster
@@ -85,6 +87,7 @@ how far, depends on machine speed, as it does in a sequential run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -220,37 +223,15 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
     # rows[c * width + u, d]: the costs from vertex u of cluster c to the
     # vertices of cluster d.
     rows = blocks.reshape(m * width, m, width)
-    every = np.arange(m)
-    sets = 1 << every
     # An infinite state's rank is last, which sorts it after the finite.
     last = np.iinfo(np.int32).max
     value = depart[:, None, :]
-    rank = np.where(np.isfinite(value), every[:, None, None], last)
+    rank = np.where(np.isfinite(value), np.arange(m)[:, None, None], last)
     keys = []  # keys[k - 2][r]: predecessor rank * m + cluster of rank r
-    for k in range(1, m):
-        n, out = len(sets), m - k
-        bits = (sets[:, None] >> every) & 1
-        inside = np.nonzero(bits)[1].reshape(n, k)
-        outside = np.nonzero(bits == 0)[1].reshape(n, out)
-        # Adding outside[i, t] to set i gives the set target[i, t] of the
-        # next layer, where it is cluster slot[i, t].
-        grown = sets[:, None] | (1 << outside)
-        # index[b]: the position in the next layer of the set of bitmask b.
-        index = np.zeros(1 << m, dtype=np.intp)
-        index[grown] = 1
-        sets = np.flatnonzero(index)
-        index[sets] = np.arange(len(sets))
-        target = index[grown]
-        slot = (np.cumsum(bits, axis=1) - bits)[np.arange(n)[:, None],
-                                                 outside]
-        # State j * width + u of set i is vertex u of cluster inside[i, j],
-        # number j * width + u + shift[i, j] among the clusters' vertices.
-        shift = (inside - np.arange(k)) * width
-        new_value = np.full((len(sets) * (k + 1), width), np.inf)
-        new_rank = np.zeros((len(sets) * (k + 1), width), dtype=np.int32)
-        # new_value[at[i, t]] are the states of cluster outside[i, t] in
-        # the set that adding it to set i gives.
-        at = target * (k + 1) + slot
+    for k, (size, outside, shift, at) in enumerate(_lattice(m, width), 1):
+        n, out = len(outside), m - k
+        new_value = np.full((size * (k + 1), width), np.inf)
+        new_rank = np.zeros((size * (k + 1), width), dtype=np.int32)
         value = value.reshape(n, k * width)
         rank = rank.reshape(n, k * width)
         count = np.isfinite(value).sum(axis=1)
@@ -283,7 +264,7 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
         new_rank = (np.cumsum(seen, dtype=np.int32) - 1)[new_rank]
         new_rank[np.isinf(new_value)] = last
         keys.append(np.flatnonzero(seen).astype(np.int32))
-        value = new_value.reshape(len(sets), k + 1, width)
+        value = new_value.reshape(size, k + 1, width)
         rank = new_rank.reshape(value.shape)
 
     closing = value[0] + arrive
@@ -299,6 +280,41 @@ def _held_karp(mat: np.ndarray, m: int) -> tuple[float, list[int]]:
     _, choice = _layered_dp(blocks.transpose(2, 3, 0, 1), depart, arrive,
                             order)
     return total, [choice[c] for c in order]
+
+
+@functools.lru_cache(maxsize=4)
+def _lattice(m: int, width: int) -> tuple:
+    """_held_karp's set tables for m clusters of width vertices, built once
+    a size: per layer of sets of size k = 1, ..., m - 1, (next layer's
+    size, outside, shift, at), read-only.  outside[i] are the clusters not
+    in set i; state j * width + u of set i is vertex j * width + u +
+    shift[i, j] of the clusters; adding outside[i, t] to set i gives the
+    states at row at[i, t] of the next layer's (set, cluster) rows.  The
+    most the table bound admits, 14 clusters, take 2.8 MB."""
+    every = np.arange(m)
+    sets = 1 << every
+    layers = []
+    for k in range(1, m):
+        n = len(sets)
+        bits = (sets[:, None] >> every) & 1
+        inside = np.nonzero(bits)[1].reshape(n, k)
+        outside = np.nonzero(bits == 0)[1].reshape(n, m - k)
+        # The set of bitmask grown[i, t] holds outside[i, t] as cluster
+        # slot[i, t].
+        grown = sets[:, None] | (1 << outside)
+        # index[b]: the position in the next layer of the set of bitmask b.
+        index = np.zeros(1 << m, dtype=np.intp)
+        index[grown] = 1
+        sets = np.flatnonzero(index)
+        index[sets] = np.arange(len(sets))
+        slot = (np.cumsum(bits, axis=1) - bits)[np.arange(n)[:, None],
+                                                 outside]
+        tables = (outside, (inside - np.arange(k)) * width,
+                  index[grown] * (k + 1) + slot)
+        for a in tables:
+            a.flags.writeable = False
+        layers.append((len(sets), *tables))
+    return tuple(layers)
 
 
 # One forward DP step: (cluster, best cost to reach each of its vertices,
@@ -518,8 +534,8 @@ class _Insertions:
             self.prox[self.dead] = np.inf
 
 
-# A _Search's order, vertex choice, DP steps and cycle cost.
-_Snapshot = tuple[list[int], dict[int, int], list[_Step], float]
+# A _Search's order, vertex choice, DP steps, their order and cycle cost.
+_Snapshot = tuple[list[int], dict[int, int], list[_Step], list[int], float]
 
 
 class _Search:
@@ -543,9 +559,11 @@ class _Search:
         self.order: list[int] = [0]
         self.choice: dict[int, int] = {0: 0}
         # Forward DP of the last reoptimize_vertices, reused along the
-        # prefix the next order shares with it, and the cycle cost at
-        # tmat's prices that it found.
+        # prefix the next order shares with it, the order it was computed
+        # for (held[:len(steps)] the steps' clusters; replaced, never
+        # changed in place) and the cycle cost at tmat's prices it found.
         self.steps: list[_Step] = []
+        self.held: list[int] = []
         self.total = math.inf
         # Backward vectors of the order the steps held at the last call of
         # backward, last position first.
@@ -579,7 +597,7 @@ class _Search:
         n = len(order) - 1
         if n < 1:
             return True
-        held = [c for c, _, _ in self.steps]
+        held = self.held[:len(self.steps)]
         keep = _common(held, order[1:])
         judge = rejects is not None and keep < n
         if judge:
@@ -589,6 +607,7 @@ class _Search:
                                 reversed(order[keep + 1:])), n - 1)
             join = self.backward(q - n + len(held)) if q < n - 1 else None
         del self.steps[keep:]
+        self.held = order[1:]
         if not self.steps:
             self.steps.append((order[1], self.depart[order[1] - 1], None))
         if judge and self._judged_out(q, join, rejects):
@@ -606,7 +625,7 @@ class _Search:
         theirs, and only those from there down to q are computed, so they
         follow a changed tour lazily.
         """
-        tail = [c for c, _, _ in reversed(self.steps)]
+        tail = self.held[len(self.steps) - 1::-1]
         del self.back[_common((c for c, _ in self.back), tail):]
         _backward(self.into, self.arrive, tail, self.back, len(tail) - q)
         return self.back[len(tail) - 1 - q][1]
@@ -672,13 +691,14 @@ class _Search:
 
     def snapshot(self) -> _Snapshot:
         return (self.order.copy(), self.choice.copy(), self.steps.copy(),
-                self.total)
+                self.held, self.total)
 
     def restore(self, snap: _Snapshot) -> None:
         self.order = snap[0].copy()
         self.choice = snap[1].copy()
         self.steps = snap[2].copy()
-        self.total = snap[3]
+        self.held = snap[3]
+        self.total = snap[4]
 
     # Removal heuristics.  Each returns the removed cluster list.
 

@@ -525,6 +525,26 @@ def test_priced_edges_and_transposed_fill_match_dense(n, levels, seed, roads,
     assert tmat.tobytes() == np.ascontiguousarray(g.cost.T).tobytes()
 
 
+def test_capped_regime_wins_with_both_cover_modes():
+    # The fill prices _both's capped regime once per transit leg, from the
+    # least head of the two cover modes.  On this farm that regime wins
+    # with each cover mode, so both sides of the minimum give entries, and
+    # edge_costs, which prices every type alone, must give each pair's
+    # dense entry and best_type.
+    g = build_instance(gen_random(2, 60.0, 10.0, seed=0, road_fraction=1.0),
+                       PlannerConfig(d_max=30.0, battery_levels=6,
+                                     ugv_speed_ratio=0.2,
+                                     fixed_wing_ratio=1.5))
+    codes = set(g.best_type.ravel().tolist())
+    assert codes & {EdgeType.M_DUMDU.value, EdgeType.M_DUFDU.value}
+    assert codes & {EdgeType.F_DUFDU.value, EdgeType.F_DUMDU.value}
+    V = g.n_vertices
+    us, vs = np.divmod(np.arange(V * V), V)
+    cost, code = g.edge_costs(us.tolist(), vs.tolist())
+    assert cost.tobytes() == g.cost.tobytes()
+    assert np.array_equal(code, g.best_type.ravel())
+
+
 def test_edge_costs_refuse_ids_out_of_range():
     g = build_instance(spec_cells(), PlannerConfig(d_max=100.0,
                                                    battery_levels=3))

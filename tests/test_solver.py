@@ -773,6 +773,25 @@ def test_held_karp_matches_reference_on_farms(n, levels, seed, roads, d_max):
     same_as_reference(g.cost, n)
 
 
+def test_held_karp_lattice_is_built_once_per_size():
+    # The set tables depend only on the number of clusters and their
+    # width, so solves of interleaved sizes share them, one build a size;
+    # each solve must still give the frozen full-table solver's result bit
+    # for bit, and no solve can write to the shared tables.
+    solver._lattice.cache_clear()
+    cfg = PlannerConfig(d_max=60.0, battery_levels=5, ugv_speed_ratio=0.3)
+    for seed, n in enumerate((4, 6, 5, 4, 6)):
+        g = build_instance(gen_random(n, 60.0, 8.0, seed=400 + seed,
+                                      road_fraction=0.7), cfg)
+        same_as_reference(g.cost, n)
+    info = solver._lattice.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
+    for layer in solver._lattice(6, 10):
+        for table in layer[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+
+
 def distance_scan(search, count):
     """remove_distance's choice by a per-cluster loop with scalar reads."""
     ring = search.order[1:]
