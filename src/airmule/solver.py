@@ -46,31 +46,19 @@ every vertex's.  A move that puts the same cluster order
 back keeps the vertices and cost it started from, without a DP.
 
 The DP of a candidate also stops early once the annealing test is sure
-to reject it.  Beside the forward steps F_j of the current tour, _Search
-keeps its backward vectors: B_j[u], the least cost from vertex u at step
-j along the rest of the tour and back to the depot.  B_j depends only on
-the tour from step j on, so the vectors follow the tour lazily: after an
-accepted move, only those from its last changed position down to the
-step a later candidate asks for are recomputed, and a rejected move
-costs no backward work.  A candidate that runs as the tour does from
-step q on, q before its last step, is judged at q by the join
-min_u (F_q[u] + B_q[u]) of its own forward step and the tour's backward
-vector, its cycle cost up to summation order.  Before
-q, where its recomputation starts and every _BOUND_EVERY steps after, it
-is judged by a lower bound: the least cost its step reaches, plus the
-cheapest entry of each cluster block still to cross up to step q, plus
-min B_q.  Where the candidate shares no more than its last cluster with
-the tour, q is its last step and min B_q that cluster's cheapest closing
-edge, with no join.  A candidate the join does not reject runs its full
-DP with no further look.  Once a bound reaches the current cost, the
-candidate cannot be accepted outright, so the test's one uniform draw u
-is taken there and kept for the test; nothing else draws from the RNG in
-between, so the stream is the one a full DP leaves.  The DP stops when u
-rejects even the bound: when u (1 - 1e-9) >= exp(-(bound (1 - 1e-12) -
-cur) / T).  The margins cover the bound's sums, taken in another order
-than the DP's left-to-right float sums of nonnegative costs, and an exp
-that is monotone only to within an ulp.  Every tour, cost and RNG draw
-is the one a full DP gives.
+to reject it.  Where its recomputation starts, and every _BOUND_EVERY
+steps after, it bounds the cycle cost from below: the least cost its
+step reaches, plus the cheapest entry of each cluster block still to
+cross, plus the last cluster's cheapest closing edge.  Once that bound
+reaches the current cost, the candidate cannot be accepted outright, so
+the test's one uniform draw u is taken there and kept for the test;
+nothing else draws from the RNG in between, so the stream is the one a
+full DP leaves.  The DP stops when u rejects even the bound: when
+u (1 - 1e-9) >= exp(-(bound (1 - 1e-12) - cur) / T).  The margins cover
+the bound's sums, taken in another order than the DP's left-to-right
+float sums of nonnegative costs, and an exp that is monotone only to
+within an ulp.  A candidate no bound rejects runs its full DP.  Every
+tour, cost and RNG draw is the one a full DP gives.
 
 The restarts of solve_glns are independent, each with its own seeded
 RNG.  On Linux they run in the fork pool of the workers module: the
@@ -320,9 +308,6 @@ def _lattice(m: int, width: int) -> tuple:
 # One forward DP step: (cluster, best cost to reach each of its vertices,
 # best predecessor vertex index of each, None for the first cluster).
 _Step = tuple[int, np.ndarray, np.ndarray | None]
-# One backward DP vector: (cluster, least cost from each of its vertices
-# along the rest of the order and back to the depot).
-_Back = tuple[int, np.ndarray]
 
 
 def _layered_dp(into: np.ndarray, depart: np.ndarray, arrive: np.ndarray,
@@ -364,19 +349,6 @@ def _forward(into: np.ndarray, order: list[int], steps: list[_Step],
         steps.append((c, dp, parent))
         c_prev = c
     return False
-
-
-def _backward(into: np.ndarray, arrive: np.ndarray, tail: list[int],
-              back: list[_Back], stop: int) -> None:
-    """Extend back, the backward vectors along tail (an order's clusters
-    from its last one back), to its first stop vectors.  A vector depends
-    only on the order from its position to the end."""
-    if not back:
-        back.append((tail[0], arrive[tail[0] - 1]))
-    for c in tail[len(back):stop]:
-        c_next, after = back[-1]
-        back.append((c, (into[c_next - 1, :, c - 1, :]
-                         + after[:, None]).min(axis=0)))
 
 
 def _traceback(arrive: np.ndarray,
@@ -565,9 +537,6 @@ class _Search:
         self.steps: list[_Step] = []
         self.held: list[int] = []
         self.total = math.inf
-        # Backward vectors of the order the steps held at the last call of
-        # backward, last position first.
-        self.back: list[_Back] = []
 
     def tour_vertices(self) -> list[int]:
         return [self.choice[c] for c in self.order]
@@ -589,71 +558,42 @@ class _Search:
         The forward steps held, those of the order last re-picked (the
         current tour, in a search), are kept along the prefix this order
         shares with it.  With rejects, the DP stops once rejects(bound)
-        holds for a lower bound on the cycle cost (_judged_out) and this
-        returns False, leaving choice and total stale for the caller to
-        restore.
+        holds for the lower bound of a step it looks at, the least cost
+        that step reaches plus the cheapest edges left to close the cycle
+        (_judged_out), and this returns False, leaving choice and total
+        stale for the caller to restore.
         """
         order = self.order
         n = len(order) - 1
         if n < 1:
             return True
-        held = self.held[:len(self.steps)]
-        keep = _common(held, order[1:])
-        judge = rejects is not None and keep < n
-        if judge:
-            # From step q on, the order runs as held does to its end, where
-            # held's step is q - n + len(held).
-            q = min(n - _common(reversed(held[keep:]),
-                                reversed(order[keep + 1:])), n - 1)
-            join = self.backward(q - n + len(held)) if q < n - 1 else None
-        del self.steps[keep:]
+        del self.steps[_common(self.held[:len(self.steps)], order[1:]):]
         self.held = order[1:]
         if not self.steps:
             self.steps.append((order[1], self.depart[order[1] - 1], None))
-        if judge and self._judged_out(q, join, rejects):
+        if rejects is not None and self._judged_out(rejects):
             return False
         _forward(self.into, order, self.steps, n)
         self.total, self.choice = _traceback(self.arrive, self.steps)
         return True
 
-    def backward(self, q: int) -> np.ndarray:
-        """B_q of the order the forward steps hold: B_q[u] is the least
-        cost from vertex u of the cluster at step q along the rest of that
-        order and back to the depot.
-
-        The vectors kept are reused along the end that order shares with
-        theirs, and only those from there down to q are computed, so they
-        follow a changed tour lazily.
-        """
-        tail = self.held[len(self.steps) - 1::-1]
-        del self.back[_common((c for c, _ in self.back), tail):]
-        _backward(self.into, self.arrive, tail, self.back, len(tail) - q)
-        return self.back[len(tail) - 1 - q][1]
-
-    def _judged_out(self, q: int, join: np.ndarray | None,
-                    rejects: Callable[[float], bool]) -> bool:
+    def _judged_out(self, rejects: Callable[[float], bool]) -> bool:
         """Whether rejects holds for a lower bound on the order's cycle
         cost (the module docstring), extending the forward steps up to the
-        step it looks at last.
-
-        From step q on the order runs as the current tour does, whose
-        B_q is join; q is the order's last step, and join None, where the
-        two share no more than their last cluster.
-        """
+        step it looks at last, or to the order's end if none holds."""
         order, steps = self.order, self.steps
         start = len(steps)
-        floor = self.close_min[order[-1] - 1] if join is None \
-            else float(join.min())
         # tails[i]: the least the cycle adds after step start - 1 + i, the
-        # cheapest edge of each later cluster pair up to step q, then floor.
-        c = [x - 1 for x in order[start:q + 2]]
+        # cheapest edge of each later cluster pair, then the last cluster's
+        # cheapest closing edge.
+        c = [x - 1 for x in order[start:]]
         hops = [self.block_min[b][a] for a, b in zip(c, c[1:])]
-        tails = list(itertools.accumulate(reversed(hops), initial=floor))
+        tails = list(itertools.accumulate(reversed(hops),
+                                          initial=self.close_min[c[-1]]))
         tails.reverse()
-        if _forward(self.into, order, steps, q + 1, lambda j: rejects(
-                float(steps[j][1].min()) + tails[j + 1 - start])):
-            return True
-        return join is not None and rejects(float((steps[q][1] + join).min()))
+        return _forward(self.into, order, steps, len(order) - 1,
+                        lambda j: rejects(float(steps[j][1].min())
+                                          + tails[j + 1 - start]))
 
     def _relocate_to_local_opt(self, deadline: float) -> None:
         improved = True
