@@ -19,7 +19,8 @@ flight mode).  A matrix over the vertices splits without a copy into
 Between two vertices the edge cost is the minimum over eighteen travel
 options that combine the coverage-leg flight mode with land, recharge,
 take-off and UGV-ride choices on the transit leg.  Each option is one of
-five stop-layout templates applied to a coverage leg and a transit leg.
+five stop-layout templates applied to a coverage leg and a transit leg, and
+one table, _LAYOUTS, states which, in EdgeType order: the tie-break order.
 For one end pair, a template's cost depends on the two battery levels
 only through their difference d = KJ - KI, inside bounds on KI and KJ,
 so a template prices a line over the 2C - 1 values of d, and its C x C
@@ -133,44 +134,18 @@ class EdgeType(enum.Enum):
     F_DUMDU = 17
 
     @property
-    def label(self) -> str:
-        return self.name.replace("_", "-")
-
-    @property
     def cover_mode(self) -> FlightMode:
-        return _PROFILES[self][0]
+        return (_MR, _FW)[_COVER[self.value]]
 
     @property
     def transit_mode(self) -> Optional[FlightMode]:
         """Flight mode of the transit leg; None when riding the UGV."""
-        return _PROFILES[self][1]
+        return (_MR, _FW, _FW, None)[_LEG[self.value]]
 
     @property
     def stops(self) -> str:
         """Where recharge stops happen: none, exit, entry, both or ride."""
-        return _PROFILES[self][2]
-
-
-_PROFILES = {
-    EdgeType.M_M: (_MR, _MR, "none"),
-    EdgeType.F_F: (_FW, _FW, "none"),
-    EdgeType.M_F: (_MR, _FW, "none"),
-    EdgeType.F_M: (_FW, _MR, "none"),
-    EdgeType.M_DTU: (_MR, None, "ride"),
-    EdgeType.F_DTU: (_FW, None, "ride"),
-    EdgeType.M_MDU: (_MR, _MR, "entry"),
-    EdgeType.F_FDU: (_FW, _FW, "entry"),
-    EdgeType.M_FDU: (_MR, _FW, "entry"),
-    EdgeType.F_MDU: (_FW, _MR, "entry"),
-    EdgeType.M_DUM: (_MR, _MR, "exit"),
-    EdgeType.F_DUF: (_FW, _FW, "exit"),
-    EdgeType.M_DUF: (_MR, _FW, "exit"),
-    EdgeType.F_DUM: (_FW, _MR, "exit"),
-    EdgeType.M_DUMDU: (_MR, _MR, "both"),
-    EdgeType.F_DUFDU: (_FW, _FW, "both"),
-    EdgeType.M_DUFDU: (_MR, _FW, "both"),
-    EdgeType.F_DUMDU: (_FW, _MR, "both"),
-}
+        return _LAYOUTS[_ROW[self.value]][1]
 
 
 @dataclass(frozen=True)
@@ -365,38 +340,28 @@ def _capped(head, KJ, cfg, c2, out=None):
     return np.add(cost, cfg.t_takeoff, out=out), e2
 
 
-def _table_row(t: EdgeType):
-    template = {"none": _pure, "ride": _ride, "entry": _entry,
-                "exit": _exit, "both": _both}[t.stops]
-    if t.stops == "ride":
-        leg = _RIDE_LEG
-    elif t.transit_mode is _MR:
-        leg = _MR_LEG
-    else:
-        leg = _STOP_LEG if t.stops in ("exit", "both") else _AIR_LEG
-    return template, (0 if t.cover_mode is _MR else 1), leg
+# The one source of the types' layouts: per template, its EdgeType.stops
+# name and its types' (cover mode, transit leg).  They run in EdgeType
+# order, since _least keeps the first of equal costs (the tie-break).
+_LAYOUTS = (
+    (_pure, "none",
+     ((_MR, _MR_LEG), (_FW, _AIR_LEG), (_MR, _AIR_LEG), (_FW, _MR_LEG))),
+    (_ride, "ride", ((_MR, _RIDE_LEG), (_FW, _RIDE_LEG))),
+    (_entry, "entry",
+     ((_MR, _MR_LEG), (_FW, _AIR_LEG), (_MR, _AIR_LEG), (_FW, _MR_LEG))),
+    (_exit, "exit",
+     ((_MR, _MR_LEG), (_FW, _STOP_LEG), (_MR, _STOP_LEG), (_FW, _MR_LEG))),
+    (_both, "both",
+     ((_MR, _MR_LEG), (_FW, _STOP_LEG), (_MR, _STOP_LEG), (_FW, _MR_LEG))),
+)
 
-
-# (template, index into a cell's covers, transit leg) per edge type,
-# in enum order, so the first match over the rows is the tie-break.
-_TABLE = tuple(_table_row(t) for t in EdgeType)
-
-# Each type's cover and leg index, in enum order.
-_COVER = np.array([cover for _, cover, _ in _TABLE])
-_LEG = np.array([leg for _, _, leg in _TABLE])
-
-
-def _span(template) -> slice:
-    codes = [code for code, (tpl, _, _) in enumerate(_TABLE) if tpl is template]
-    assert codes == list(range(codes[0], codes[-1] + 1))
-    return slice(codes[0], codes[-1] + 1)
-
-
-# Each template with the values of its types, which are consecutive in
-# enum order, so that _block_grids and _least price all of a template's
-# types at once.
-_KINDS = tuple((template, _span(template))
-               for template in (_pure, _ride, _entry, _exit, _both))
+# By EdgeType value, each type's row, index into covers and transit leg;
+# and each template with the values of its types, priced in one call.
+_ROW, _COVER, _LEG = np.array([(row, mode is _FW, leg)
+                               for row, (_, _, types) in enumerate(_LAYOUTS)
+                               for mode, leg in types]).T
+_KINDS = tuple((tpl, slice(*np.searchsorted(_ROW, (row, row + 1)).tolist()))
+               for row, (tpl, _, _) in enumerate(_LAYOUTS))
 
 
 def _priced(template, KI, KJ, cfg, cover, leg, roads):
@@ -573,7 +538,7 @@ class ClusteredGraph:
             raise ValueError("typed edges leave cell vertices only")
         if i == j:
             raise ValueError("edges must connect different clusters")
-        template, cover, leg = _TABLE[t.value]
+        row, cover, leg = _ROW[t.value], _COVER[t.value], _LEG[t.value]
         t1, c1 = self.legs.covers[i, cover].tolist()
         h_i = self.legs.headings[i, x].item()
         entry_i = self.cells[i].end(_ENDS[x])
@@ -590,7 +555,7 @@ class ClusteredGraph:
         t2 = self.legs.transit_t[leg, i, x, j, y].item()
         c2 = self.legs.transit_c[leg, i, x, j, y].item()
         entry_j = self.cells[j].end(_ENDS[y])
-        cost, split = _priced(template, KI, KJ, self.cfg,
+        cost, split = _priced(_LAYOUTS[row][0], KI, KJ, self.cfg,
                               (t1, c1), (t2, c2),
                               (exit_i.on_road, entry_j.on_road))
         if not math.isfinite(cost):

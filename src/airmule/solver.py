@@ -506,8 +506,8 @@ class _Insertions:
             self.prox[self.dead] = np.inf
 
 
-# A _Search's order, vertex choice, DP steps, their order and cycle cost.
-_Snapshot = tuple[list[int], dict[int, int], list[_Step], list[int], float]
+# A _Search's order, vertex choice, DP steps and cycle cost.
+_Snapshot = tuple[list[int], dict[int, int], list[_Step], float]
 
 
 class _Search:
@@ -531,11 +531,9 @@ class _Search:
         self.order: list[int] = [0]
         self.choice: dict[int, int] = {0: 0}
         # Forward DP of the last reoptimize_vertices, reused along the
-        # prefix the next order shares with it, the order it was computed
-        # for (held[:len(steps)] the steps' clusters; replaced, never
-        # changed in place) and the cycle cost at tmat's prices it found.
+        # prefix the next order shares with the clusters of its steps, and
+        # the cycle cost at tmat's prices it found.
         self.steps: list[_Step] = []
-        self.held: list[int] = []
         self.total = math.inf
 
     def tour_vertices(self) -> list[int]:
@@ -557,18 +555,17 @@ class _Search:
 
         The forward steps held, those of the order last re-picked (the
         current tour, in a search), are kept along the prefix this order
-        shares with it.  With rejects, the DP stops once rejects(bound)
-        holds for the lower bound of a step it looks at, the least cost
-        that step reaches plus the cheapest edges left to close the cycle
-        (_judged_out), and this returns False, leaving choice and total
-        stale for the caller to restore.
+        shares with their clusters.  With rejects, the DP stops once
+        rejects(bound) holds for the lower bound of a step it looks at,
+        the least cost that step reaches plus the cheapest edges left to
+        close the cycle (_judged_out), and this returns False, leaving
+        choice and total stale for the caller to restore.
         """
         order = self.order
         n = len(order) - 1
         if n < 1:
             return True
-        del self.steps[_common(self.held[:len(self.steps)], order[1:]):]
-        self.held = order[1:]
+        del self.steps[_common((c for c, _, _ in self.steps), order[1:]):]
         if not self.steps:
             self.steps.append((order[1], self.depart[order[1] - 1], None))
         if rejects is not None and self._judged_out(rejects):
@@ -631,14 +628,13 @@ class _Search:
 
     def snapshot(self) -> _Snapshot:
         return (self.order.copy(), self.choice.copy(), self.steps.copy(),
-                self.held, self.total)
+                self.total)
 
     def restore(self, snap: _Snapshot) -> None:
         self.order = snap[0].copy()
         self.choice = snap[1].copy()
         self.steps = snap[2].copy()
-        self.held = snap[3]
-        self.total = snap[4]
+        self.total = snap[3]
 
     # Removal heuristics.  Each returns the removed cluster list.
 

@@ -120,10 +120,14 @@ def render_svg_str(cells: list[Cell], plan: Plan | None,
     fw_paths: list[str] = []
     recharge_pts: list[tuple[float, float]] = []
     if plan is not None:
-        for leg in plan.uav_legs:
+        for k, leg in enumerate(plan.uav_legs):
             if leg.kind is LegKind.FLY:
-                if leg.mode is FlightMode.FIXED_WING \
-                        and leg.start_heading is not None:
+                fixed = leg.mode is FlightMode.FIXED_WING
+                headings = (leg.start_heading, leg.end_heading)
+                if fixed and headings.count(None) == 1:
+                    raise ValueError(f"plan.uav_legs[{k}] is a fixed-wing "
+                                     "leg with one heading of two")
+                if fixed and leg.start_heading is not None:
                     start = Pose((leg.start_site.x, leg.start_site.y),
                                  leg.start_heading)
                     goal = Pose((leg.end_site.x, leg.end_site.y),

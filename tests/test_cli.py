@@ -464,6 +464,25 @@ def test_unknown_leg_kind_exit_code(tmp_path, capsys):
     assert "plan.uav_legs[0].kind must be one of" in err and "'hover'" in err
 
 
+@pytest.mark.parametrize("start, end", [(0.5, None), (None, 0.5)])
+def test_fixed_wing_leg_with_one_heading_exit_code(tmp_path, capsys, start,
+                                                   end):
+    # A fixed-wing leg with headings is drawn as the Dubins path between
+    # them, so a leg with only one of the two is malformed input.
+    inst, plan_path, data = planned(tmp_path, capsys)
+    k = next(k for k, leg in enumerate(data["uav_legs"])
+             if leg["kind"] == "fly")
+    data["uav_legs"][k].update(mode="fixed_wing", start_heading=start,
+                               end_heading=end)
+    plan_path.write_text(json.dumps(data), encoding="utf-8")
+    svg_path = tmp_path / "out.svg"
+    code, _, err = run(capsys, "render", str(inst), "--plan", str(plan_path),
+                       "-o", str(svg_path))
+    assert code == 2
+    assert f"plan.uav_legs[{k}] is a fixed-wing leg" in err
+    assert not svg_path.exists()
+
+
 def test_boolean_config_value_exit_code(tmp_path, capsys):
     # JSON true is a Python bool, an int subclass; it must not pass as 1.
     inst = gen_instance(tmp_path, capsys)

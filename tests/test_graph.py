@@ -12,12 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle18 import oracle_edge_cost, oracle_type_cost
+from oracle18 import FW, MR, PROFILES, oracle_edge_cost, oracle_type_cost
 
 from airmule import graph, workers
 from airmule.energy import PlannerConfig, RechargeSplit
 from airmule.errors import InstanceTooLarge
-from airmule.geometry import Cell, Site
+from airmule.geometry import Cell, FlightMode, Site
 from airmule.graph import (EdgeType, Vertex, build_instance, cluster_span,
                            cluster_views)
 from airmule.instances import gen_random
@@ -47,16 +47,17 @@ def cheapest(g, u, v):
     return None if code < 0 else g.typed(u, v, EdgeType(code))
 
 
-def test_edge_type_order_and_labels():
+def test_edge_type_order():
     assert [t.name for t in EdgeType] == [
         "M_M", "F_F", "M_F", "F_M", "M_DTU", "F_DTU",
         "M_MDU", "F_FDU", "M_FDU", "F_MDU",
         "M_DUM", "F_DUF", "M_DUF", "F_DUM",
         "M_DUMDU", "F_DUFDU", "M_DUFDU", "F_DUMDU"]
-    assert EdgeType.M_DTU.label == "M-DTU"
-    assert EdgeType.M_DTU.stops == "ride"
-    assert EdgeType.F_DUM.transit_mode.value == "multi_rotor"
-    assert EdgeType.M_FDU.cover_mode.value == "multi_rotor"
+    # Every type's layout against the oracle's own table, so a wrong or
+    # shifted row fails even for a type that never wins an edge.
+    mode = {FlightMode.MULTI_ROTOR: MR, FlightMode.FIXED_WING: FW, None: None}
+    assert [(mode[t.cover_mode], mode[t.transit_mode], t.stops)
+            for t in EdgeType] == PROFILES
 
 
 def test_pure_flight_cost_example():

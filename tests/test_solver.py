@@ -542,10 +542,10 @@ def test_dp_lower_bound_never_exceeds_total(n, levels, farm_seed, d_max,
         return False
 
     assert search.reoptimize_vertices(rejects)
-    # With no tour held before, the order shares no suffix with one, so
-    # there is no join.  The bound of step j: the least cost it reaches,
-    # plus the cheapest edge of each later cluster pair and the last
-    # cluster's cheapest closing edge, summed from the end.
+    # With no tour held before, the order shares no suffix with one.  The
+    # bound of step j: the least cost it reaches, plus the cheapest edge of
+    # each later cluster pair and the last cluster's cheapest closing edge,
+    # summed from the end.
     c = [x - 1 for x in search.order[1:]]
     hops = [search.block_min[b][a] for a, b in zip(c, c[1:])]
     hops.append(search.close_min[c[-1]])
@@ -602,7 +602,7 @@ def test_moved_candidates_bounds_never_exceed_total(n, levels, farm_seed,
         search.order = moved(data, snap[0])
         if search.order == snap[0]:
             continue
-        start = max(1, solver._common(search.held[:len(search.steps)],
+        start = max(1, solver._common([c for c, _, _ in search.steps],
                                       search.order[1:]))
         bounds.clear()
         assert search.reoptimize_vertices(rejects)
