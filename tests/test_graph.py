@@ -47,7 +47,7 @@ def cheapest(g, u, v):
     return None if code < 0 else g.typed(u, v, EdgeType(code))
 
 
-def test_edge_type_order():
+def test_edge_type_order_and_labels():
     assert [t.name for t in EdgeType] == [
         "M_M", "F_F", "M_F", "F_M", "M_DTU", "F_DTU",
         "M_MDU", "F_FDU", "M_FDU", "F_MDU",
