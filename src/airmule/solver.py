@@ -71,13 +71,34 @@ results merge in restart order, so the tour is the one a sequential run
 returns.  Once the time budget binds, every restart then running is cut
 short, and a worker starts no further restart; which restarts ran, and
 how far, depends on machine speed, as it does in a sequential run.
+
+Where twice the restarts fit the usable CPUs (one restart on 2 CPUs), a
+restart's annealing iterations run on two: the process that runs the
+restart and a helper forked for it (workers.helper), each with its own
+copy-on-write view of the search.  Most iterations leave the tour as it
+was (on the n=50 benchmark farm, 85%), and such an iteration's draws
+follow from its move alone (_skip), so the RNG state after it is known
+without running it.  Each process commits the iterations in index order
+(_Annealing): the next one on the committed tour, or, while the other
+process holds that one, a later one run ahead, on the committed tour
+with the skipped draws of every iteration before it.  A run ahead
+stands if none of those changes the tour, and is dropped otherwise.
+The two send each other every outcome they reach, a changed tour with
+its order, vertices, cost, forward DP steps and RNG state, so both
+commit the same outcomes.  Each iteration thus runs on the tour and RNG
+state the sequential loop gives it, and every tour, cost and draw is
+the one it gives; only which process runs it, and how many runs ahead
+are dropped, depends on timing.  A fork that fails leaves the restart
+to run alone, and the helper is killed and reaped with its restart.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import operator
 import random
 import sys
 import time
@@ -88,6 +109,7 @@ import numpy as np
 
 from .errors import Infeasible, InstanceTooLarge, NoFeasibleTour
 from .graph import ClusteredGraph, cluster_span, cluster_views
+from . import workers
 from .workers import in_workers
 
 # The least stand-in for infinite edges inside the heuristic search only;
@@ -758,59 +780,22 @@ def _restarts(g: ClusteredGraph, tmat: np.ndarray, m: int,
               params: SolverParams, indices: range,
               deadline: float) -> list[tuple[int, float, list[int]]]:
     """(restart, true cost, vertices) of each restart in indices, run in
-    turn until the deadline passes."""
+    turn until the deadline passes; each restart's annealing runs beside a
+    forked helper when twice the restarts fit the usable CPUs."""
     iterations = _MODE_ITER_FACTOR[params.mode] * m + _BASE_ITERS
+    paired = 2 * params.restarts <= workers.usable_cpus()
     results = []
     for restart in indices:
         rng = random.Random(params.rng_seed * 1000003 + restart)
         search = _Search(tmat, m, rng)
         search.insert_greedy(list(range(1, m + 1)))  # cheapest insertion
         search.reoptimize_vertices()
-        cur_cost = search.total
-        restart_best = search.snapshot()
-        restart_best_cost = cur_cost
-
-        removals = [_Search.remove_segment, _Search.remove_distance]
-        insertions = [
-            _Search.insert_greedy,  # cheapest
-            lambda s, removed: s.insert_greedy(removed, noisy=True),
-            lambda s, removed: s.insert_greedy(removed, nearest=True),
-            _Search.insert_random]
-        temperature = 0.05 * cur_cost / math.log(2.0)
-        most = min(m, max(2, int(round(0.3 * m))))  # clusters one move removes
-
-        for _ in range(iterations):
-            if time.monotonic() > deadline:
-                break
-            remove = rng.choice(removals)
-            insert = rng.choice(insertions)
-            snap = search.snapshot()
-            insert(search, remove(search, rng.randint(1, most)))
-            test = _Metropolis(rng, cur_cost, temperature)
-            if search.order == snap[0]:
-                # The move put the same order back: the DP would re-pick
-                # the snapshot's vertices at the current cost.
-                search.restore(snap)
-                cand_cost = cur_cost
-            elif search.reoptimize_vertices(test.rejects):
-                # Vertex choice (battery level) dominates cost here, so
-                # every candidate order is evaluated with its DP-optimal
-                # vertices.
-                cand_cost = search.total
-            else:
-                # The DP stopped: test holds the draw that rejects it.
-                cand_cost = math.inf
-
-            if test.accepts(cand_cost):
-                cur_cost = cand_cost
-                if cand_cost < restart_best_cost:
-                    restart_best_cost = cand_cost
-                    restart_best = search.snapshot()
-            else:
-                search.restore(snap)
-            temperature *= _COOLING
-
-        search.restore(restart_best)
+        helper = workers.helper(lambda link: _Annealing(
+            search, iterations, link, ahead=True).run(deadline)) \
+            if paired else contextlib.nullcontext()
+        with helper as link:
+            best = _Annealing(search, iterations, link).run(deadline)
+        search.restore(best)
         search.polish(deadline)
         vertices = search.tour_vertices()
         results.append((restart, tour_cost(g, GtspTour(tuple(vertices), 0.0)),
@@ -818,3 +803,244 @@ def _restarts(g: ClusteredGraph, tmat: np.ndarray, m: int,
         if time.monotonic() > deadline:
             break
     return results
+
+
+# The moves an iteration draws from, in the order of its draws.
+_REMOVALS = (_Search.remove_segment, _Search.remove_distance)
+_INSERTIONS = (
+    _Search.insert_greedy,  # cheapest
+    lambda s, removed: s.insert_greedy(removed, noisy=True),
+    lambda s, removed: s.insert_greedy(removed, nearest=True),
+    _Search.insert_random)
+_NOISY, _RANDOM = _INSERTIONS[1], _INSERTIONS[3]
+
+
+def _iterate(search: _Search, most: int, cur_cost: float,
+             temperature: float) -> bool:
+    """One annealing iteration from the search's tour, at cur_cost: a
+    random removal of 1 to most clusters, a random reinsertion, and the
+    annealing test at temperature.  True when the test accepts a new
+    cluster order, which search then holds; False when search holds the
+    tour it started from, the iteration's draws then being those _skip
+    takes."""
+    rng = search.rng
+    remove = rng.choice(_REMOVALS)
+    insert = rng.choice(_INSERTIONS)
+    snap = search.snapshot()
+    insert(search, remove(search, rng.randint(1, most)))
+    test = _Metropolis(rng, cur_cost, temperature)
+    if search.order == snap[0]:
+        # The move put the same order back: the DP would re-pick the
+        # snapshot's vertices at the current cost, which the test accepts.
+        search.restore(snap)
+        test.accepts(cur_cost)
+        return False
+    # Vertex choice (battery level) dominates cost here, so every candidate
+    # order is judged with its DP-optimal vertices.  A DP that stops leaves
+    # test holding the draw that rejects it.
+    if search.reoptimize_vertices(test.rejects) \
+            and test.accepts(search.total):
+        return True
+    search.restore(snap)
+    return False
+
+
+def _skip(rng: random.Random, m: int, most: int, temperature: float) -> None:
+    """Move rng past the draws of an _iterate call on a tour of m clusters
+    that leaves the tour as it was, without making its move.
+
+    Such a call draws its removal, its insertion and its count r, then one
+    value below m for either removal.  A noisy insertion draws one
+    random() per cluster left and tour edge in each of its r rounds whose
+    tour has more than one edge, and a random insertion a cluster and a
+    position each round.  Last, the annealing test draws once when
+    temperature > 0, since it rejects the candidate or accepts the same
+    order.
+    """
+    rng.choice(_REMOVALS)
+    insert = rng.choice(_INSERTIONS)
+    count = rng.randint(1, most)
+    rng.randrange(m)  # a segment's start, or a distance removal's seed
+    # (clusters left, tour edges) in each insertion round.
+    rounds = [(count - t, m - count + 1 + t) for t in range(count)]
+    if insert is _NOISY:
+        # A random() takes two 32-bit words of the stream, as do 64 bits.
+        rng.getrandbits(64 * sum(left * edges for left, edges in rounds
+                                 if edges > 1))
+    elif insert is _RANDOM:
+        for left, edges in rounds:
+            rng.randrange(left)
+            rng.randrange(edges)
+    if temperature > 0:
+        rng.random()
+
+
+# The tour an iteration left: its order, choice and cost, the values and
+# parents of its forward DP steps as two arrays, and its RNG state.
+_Change = tuple[list[int], dict[int, int], float, np.ndarray, np.ndarray,
+                tuple]
+
+
+class _Annealing:
+    """The annealing iterations of one restart, committed in index order,
+    each with the outcome the sequential loop gives it.
+
+    done iterations are committed, and search and its RNG hold the tour
+    and stream they left.  Iteration done runs on that state.  A later
+    iteration x runs ahead: on that state with the draws of iterations
+    done to x - 1 skipped (_skip), as if none of them changed the tour.
+    Its outcome, held in results as (base, change), is x's own unless one
+    of those did: base is done when x started, and change None when x left
+    the tour as it was, else the tour it left.  A committed change drops
+    every outcome and claim whose base is at or before it; each other held
+    outcome is committed once done reaches it.
+
+    With a link, the process at its other end runs the same loop on its
+    own copy of the search.  Each process sends every outcome it reaches,
+    and the iteration it starts next, its claim; it runs the first
+    iteration from done on that no held outcome or claim of the other
+    covers.  Both commit the same outcomes in the same order, so they hold
+    the same tours.  A process waits for the other's next message only
+    when no iteration is free to run: when the other's claims cover every
+    one left, or a held outcome ahead changed the tour, for no iteration
+    after it can run ahead of it.
+    """
+
+    def __init__(self, search: _Search, iterations: int,
+                 link: workers.Link | None = None,
+                 ahead: bool = False) -> None:
+        """ahead leaves iteration 0 to the process at the link's other
+        end, which starts there."""
+        self.search = search
+        self.link = link
+        self.m = len(search.order) - 1
+        # Clusters one move removes.
+        self.most = min(self.m, max(2, int(round(0.3 * self.m))))
+        self.iterations = iterations
+        # Each iteration's temperature, cooled by one factor an iteration.
+        self.temperatures = list(itertools.accumulate(
+            itertools.repeat(_COOLING, iterations - 1), operator.mul,
+            initial=0.05 * search.total / math.log(2.0)))
+        self.cur_cost = search.total
+        self.best = search.snapshot()
+        self.done = 0
+        self.last_change = -1  # the last committed iteration that changed
+        self.results: dict[int, tuple[int, _Change | None]] = {}
+        # The other's claims: iteration -> base.
+        self.claims: dict[int, int] = {0: 0} if ahead else {}
+        # (x, base, change) of the last iteration run, until it is sent.
+        self.outcome: tuple[int, int, _Change | None] | None = None
+
+    def run(self, deadline: float) -> _Snapshot:
+        """Commit the iterations until the last or the deadline: the
+        snapshot of the cheapest tour committed."""
+        while True:
+            self._receive(wait=False)
+            if self.done >= self.iterations or time.monotonic() > deadline:
+                break
+            x = self._free()
+            if x is None:
+                self._send(None)
+                self._receive(wait=True)
+                continue
+            self._send(x)
+            base = self.done
+            if x == base:
+                changed = _iterate(self.search, self.most, self.cur_cost,
+                                   self.temperatures[x])
+                if self.link is not None:
+                    self.outcome = (x, base,
+                                    self._change() if changed else None)
+                self._commit(changed)
+                self._commit_held()
+            else:
+                change = self._run_ahead(x)
+                self.outcome = (x, base, change)
+                self.results[x] = (base, change)
+        self._send(None)
+        return self.best
+
+    def _run_ahead(self, x: int) -> _Change | None:
+        """The change of iteration x run ahead, search and its RNG then
+        holding the committed state again."""
+        search, rng = self.search, self.search.rng
+        snap, state = search.snapshot(), rng.getstate()
+        for k in range(self.done, x):
+            _skip(rng, self.m, self.most, self.temperatures[k])
+        changed = _iterate(search, self.most, self.cur_cost,
+                           self.temperatures[x])
+        change = self._change() if changed else None
+        search.restore(snap)
+        rng.setstate(state)
+        return change
+
+    def _change(self) -> _Change:
+        s = self.search
+        return (s.order, s.choice, s.total,
+                np.array([dp for _, dp, _ in s.steps]),
+                np.array([p for _, _, p in s.steps[1:]]), s.rng.getstate())
+
+    def _commit(self, changed: bool) -> None:
+        """Commit iteration done, whose outcome search and its RNG hold."""
+        if changed:
+            self.cur_cost = self.search.total
+            if self.cur_cost < self.best[3]:
+                self.best = self.search.snapshot()
+            self.last_change = self.done
+            # Drop what assumed that this iteration changed nothing.
+            self.results = {x: r for x, r in self.results.items()
+                            if r[0] > self.done}
+            self.claims = {x: b for x, b in self.claims.items()
+                           if b > self.done}
+        self.done += 1
+
+    def _commit_held(self) -> None:
+        """Commit the held outcomes that follow the committed iterations."""
+        s = self.search
+        while (held := self.results.pop(self.done, None)) is not None:
+            change = held[1]
+            if change is None:
+                _skip(s.rng, self.m, self.most, self.temperatures[self.done])
+            else:
+                s.order, s.choice, s.total, dps, parents, state = change
+                s.steps = [(c, dp, parent) for c, dp, parent in zip(
+                    s.order[1:], dps, [None, *parents])]
+                s.rng.setstate(state)
+            self._commit(change is not None)
+
+    def _free(self) -> int | None:
+        """The first iteration from done on that no held outcome or claim
+        covers; None when there is none, or a held outcome that changed
+        the tour comes first."""
+        for x in range(self.done, self.iterations):
+            if x in self.results:
+                if self.results[x][1] is not None:
+                    return None
+            elif x not in self.claims:
+                return x
+        return None
+
+    def _send(self, claim: int | None) -> None:
+        """Send the outcome last reached, unless sent, and claim, if any,
+        with its base."""
+        if self.link is not None and (self.outcome or claim is not None):
+            self.link.send((self.outcome, claim, self.done))
+        self.outcome = None
+
+    def _receive(self, wait: bool) -> None:
+        """Take in the other's waiting messages, and with wait first wait
+        for one; then commit what they let."""
+        link = self.link
+        while link is not None and (wait or link.ready()):
+            wait = False
+            outcome, claim, base = link.recv()
+            if outcome is not None:
+                x, base_x, change = outcome
+                self.claims.pop(x, None)
+                # A later base assumed less, so keep it.
+                if x >= self.done and base_x > self.last_change \
+                        and base_x >= self.results.get(x, (-1,))[0]:
+                    self.results[x] = (base_x, change)
+            if claim is not None and base > self.last_change:
+                self.claims[claim] = base
+            self._commit_held()

@@ -10,8 +10,10 @@ A DP call is a re-pick of the vertices along an order of at least one
 cluster.  A forward step is one min-plus product of a cluster block with a
 forward DP vector (the steps reused along a shared prefix are not counted).
 A stopped candidate is one whose DP a lower bound judged out.  The
-restarts run in this process, so every step is counted, and the counts
-repeat exactly from run to run.
+script pins workers.usable_cpus to 1, so the restarts run in this process
+and no forked helper splits their iterations (nor runs any ahead that a
+change then drops): every step is counted once, and the counts repeat
+exactly from run to run.
 
     python tests/dp_steps.py
 

@@ -1,6 +1,8 @@
 """Solver tests: exact solver against brute force, heuristic against
 exact, determinism and error paths."""
 
+import collections
+import functools
 import gc
 import itertools
 import math
@@ -9,6 +11,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -852,7 +855,10 @@ def test_parallel_restarts_match_one_worker(n, farm_seed, d_max, levels,
     with mock.patch.object(workers, "usable_cpus", lambda: cpus), \
             mock.patch.object(os, "fork", counted_fork):
         parallel = glns_or_none(g, params)
-    assert len(forks) == workers.worker_count(restarts, cpus) - 1
+    # A helper needs two CPUs a restart, so at 3 CPUs or fewer only a
+    # single restart gets one, and this process forks it.
+    helpers = restarts if 2 * restarts <= cpus else 0
+    assert len(forks) == workers.worker_count(restarts, cpus) - 1 + helpers
     assert_no_child_left()
     with mock.patch.object(workers, "usable_cpus", lambda: 1):
         assert glns_or_none(g, params) == parallel
@@ -943,22 +949,186 @@ def test_failed_fork_runs_share_in_process(monkeypatch):
     assert_no_child_left()
 
 
-def test_single_restart_and_exact_never_fork(monkeypatch):
+def test_fork_rule_gives_helpers_spare_cpus_only(monkeypatch, tmp_path):
+    # solve_exact never forks.  One restart forks nothing on 1 CPU and one
+    # helper on 2 or more, also when its time budget is spent before the
+    # first iteration; three restarts on 2 CPUs fork their 2 workers and
+    # no helper, and two on 4 CPUs one worker and a helper each.  Every
+    # fork, a worker's included, appends to a file.
     g = build_instance(gen_random(5, 40.0, 8.0, seed=4),
                        PlannerConfig(d_max=100.0, battery_levels=3))
+    log = tmp_path / "forks"
+    fork = os.fork
 
-    def forbidden():
-        raise AssertionError("forked")
+    def counted_fork():
+        with open(log, "a") as f:
+            f.write("x")
+        return fork()
 
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
-    monkeypatch.setattr(os, "fork", forbidden)
-    solve_glns(g, SolverParams(mode="fast", restarts=1))
-    solve_exact(g)
+    def forks(cpus, restarts=None, budget=600.0):
+        log.write_text("")
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        if restarts is None:
+            solve_exact(g)
+        else:
+            solve_glns(g, SolverParams(mode="fast", restarts=restarts,
+                                       time_budget=budget))
+        assert_no_child_left()
+        return len(log.read_text())
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert forks(4) == 0
+    assert forks(1, 1) == 0
+    assert forks(2, 1) == 1
+    assert forks(4, 1) == 1
+    assert forks(2, 1, budget=1e-9) == 1
+    assert forks(2, 3) == 2
+    assert forks(4, 2) == 3
+
+
+@functools.lru_cache(maxsize=None)
+def move_states(most):
+    """{(removal, insertion, count): an RNG state from which _iterate draws
+    that move}, for every move that removes at most most clusters."""
+    states = {}
+    seed = 0
+    while len(states) < len(solver._REMOVALS) * len(solver._INSERTIONS) * most:
+        rng = random.Random(seed)
+        state = rng.getstate()
+        move = (solver._REMOVALS.index(rng.choice(solver._REMOVALS)),
+                solver._INSERTIONS.index(rng.choice(solver._INSERTIONS)),
+                rng.randint(1, most))
+        states.setdefault(move, state)
+        seed += 1
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), levels=st.integers(1, 4),
+       farm_seed=st.integers(0, 2**16),
+       d_max=st.sampled_from([25.0, 60.0, 400.0]),
+       scale=st.sampled_from([0.5, 1.0, 1.05]),
+       temperature=st.sampled_from([0.0, 1e-3, 1.0, 100.0]), data=st.data())
+def test_skip_moves_rng_as_unchanged_iterations(n, levels, farm_seed, d_max,
+                                                scale, temperature, data):
+    # From a drawn tour, every removal, insertion and count: an iteration
+    # that leaves the tour as it was, rejected after a full or a stopped DP
+    # or putting the same order back, must leave the RNG where _skip puts
+    # it from the same state.  Tight d_max leaves many edges infinite,
+    # which the search prices at the penalty.
+    g = build_instance(gen_random(n, 100.0, 10.0, seed=farm_seed,
+                                  road_fraction=0.7),
+                       PlannerConfig(d_max=d_max, battery_levels=levels,
+                                     ugv_speed_ratio=0.2))
+    _, tmat = penalized(g.cost)
+    search = _Search(tmat, n, random.Random(0))
+    search.order = [0] + list(data.draw(st.permutations(range(1, n + 1))))
+    search.reoptimize_vertices()
+    snap = search.snapshot()
+    cur_cost = search.total * scale
+    most = min(n, max(2, int(round(0.3 * n))))
+    for state in move_states(most).values():
+        search.restore(snap)
+        search.rng.setstate(state)
+        if solver._iterate(search, most, cur_cost, temperature):
+            continue
+        assert (search.order, search.choice) == snap[:2]
+        skipped = random.Random()
+        skipped.setstate(state)
+        solver._skip(skipped, n, most, temperature)
+        assert search.rng.getstate() == skipped.getstate()
+
+
+def paired_farm(seed=3):
+    return build_instance(gen_random(10, 60.0, 8.0, seed=seed,
+                                     road_fraction=0.7),
+                          PlannerConfig(d_max=120.0, battery_levels=3,
+                                        ugv_speed_ratio=0.2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("slow", ["caller", "helper"])
+def test_forked_helper_gives_solo_tour_when_one_side_lags(monkeypatch, slow,
+                                                          seed):
+    # Up to 2 ms more per iteration on one side, and up to 0.2 ms on the
+    # other, make each run ahead of the other at times.  With a slow
+    # helper, the caller waits on the helper's iterations and drops what it
+    # ran ahead of one that changed the tour; with a slow caller, the
+    # helper's runs ahead are dropped in turn.  Either way the tour is the
+    # one-process tour.
+    g = paired_farm(seed)
+    params = SolverParams(mode="fast", restarts=1, rng_seed=seed)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    solo = solve_glns(g, params)
+    caller = os.getpid()
+    lag = random.Random(seed)
+    seen = collections.Counter()
+    iterate = solver._iterate
+    receive = solver._Annealing._receive
+    commit = solver._Annealing._commit
+
+    def slowed(*args):
+        lagging = (os.getpid() == caller) == (slow == "caller")
+        time.sleep(lag.random() * (2e-3 if lagging else 2e-4))
+        return iterate(*args)
+
+    def receive_counted(self, wait):
+        seen["waits"] += wait
+        receive(self, wait)
+
+    def commit_counted(self, changed):
+        if changed:
+            seen["dropped"] += sum(base <= self.done for base, _ in
+                                   self.results.values())
+            seen["dropped"] += sum(base <= self.done for base in
+                                   self.claims.values())
+        commit(self, changed)
+
+    monkeypatch.setattr(solver, "_iterate", slowed)
+    monkeypatch.setattr(solver._Annealing, "_receive", receive_counted)
+    monkeypatch.setattr(solver._Annealing, "_commit", commit_counted)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    assert solve_glns(g, params) == solo
+    assert_no_child_left()
+    assert seen["dropped"]
+    if slow == "helper":
+        assert seen["waits"]
+
+
+def test_failing_helper_fork_raises_and_leaves_no_child(monkeypatch):
+    caller = os.getpid()
+    iterate = solver._iterate
+
+    def fails_in_helper(*args):
+        if os.getpid() != caller:
+            raise ValueError("helper failed")
+        return iterate(*args)
+
+    monkeypatch.setattr(solver, "_iterate", fails_in_helper)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="helper failed"):
+        solve_glns(paired_farm(), SolverParams(mode="fast", restarts=1))
+    assert_no_child_left()
+
+
+def test_refused_helper_fork_runs_alone(monkeypatch):
+    g = paired_farm()
+    params = SolverParams(mode="fast", restarts=1, rng_seed=5)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    solo = solve_glns(g, params)
+
+    def refused():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refused)
+    assert solve_glns(g, params) == solo
+    assert_no_child_left()
 
 
 def test_workers_duplicate_no_output():
-    # Block-buffered stdout still holds "before" at the fork; a worker that
-    # flushed its copy on exit would print it twice.
+    # Block-buffered stdout still holds "before" at each fork; a worker or
+    # a helper that flushed its copy on exit would print it twice.
     code = textwrap.dedent("""
         import sys
         from airmule import solver, workers
@@ -970,6 +1140,8 @@ def test_workers_duplicate_no_output():
                            PlannerConfig(d_max=100.0, battery_levels=3))
         sys.stdout.write("before ")
         solver.solve_glns(g, solver.SolverParams(mode="fast", restarts=3))
+        workers.usable_cpus = lambda: 2
+        solver.solve_glns(g, solver.SolverParams(mode="fast", restarts=1))
         print("after")
     """)
     src = str(Path(solver.__file__).resolve().parents[1])
